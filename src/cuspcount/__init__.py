@@ -9,12 +9,12 @@ root-isolation oracle provides an independent cross-check.
 
 from .errors import (CuspCountError, DegenerateRegionForm, DegreeGuardExceeded,
                      DuplicateKeyError, GenericityNotCertified, MissingKeyError,
-                     NotSymmetric, NotZeroDimensional, ParseError, Unclassifiable)
+                     NotSymmetric, NotZeroDimensional, OracleOverflow, ParseError,
+                     Unclassifiable)
 from .exprio import (ProblemInput, SolverOptions, format_monomial,
                      format_polynomial, parse_polynomial, parse_problem)
-from .groebner import (GREVLEX, LEX, GroebnerBasis, TermOrder, buchberger,
-                       is_unit_ideal, is_zero_dimensional, normal_form,
-                       standard_monomials)
+from .groebner import (GroebnerBasis, buchberger, is_unit_ideal,
+                       is_zero_dimensional, normal_form, standard_monomials)
 from .oracle import (CertifiedPoint, Interval, classify_critical_point,
                      isolate_cusps, region_membership)
 from .pipeline import (CuspCensus, DerivedSystem, RegionCount, census,
@@ -22,18 +22,18 @@ from .pipeline import (CuspCensus, DerivedSystem, RegionCount, census,
 from .poly import Monomial, Polynomial, func_det
 from .quotient import (QuotientAlgebra, SymmetricForm, build_algebra,
                        form_matrix, mult_matrix, trace_functional)
-from .signature import (SignatureResult, char_poly, is_nondegenerate,
-                        signature_by_elimination, signature_of)
+from .signature import SignatureResult, char_poly, signature_of
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CuspCountError", "DegenerateRegionForm", "DegreeGuardExceeded",
     "DuplicateKeyError", "GenericityNotCertified", "MissingKeyError",
-    "NotSymmetric", "NotZeroDimensional", "ParseError", "Unclassifiable",
+    "NotSymmetric", "NotZeroDimensional", "OracleOverflow", "ParseError",
+    "Unclassifiable",
     "ProblemInput", "SolverOptions", "format_monomial", "format_polynomial",
     "parse_polynomial", "parse_problem",
-    "GREVLEX", "LEX", "GroebnerBasis", "TermOrder", "buchberger",
+    "GroebnerBasis", "buchberger",
     "is_unit_ideal", "is_zero_dimensional", "normal_form", "standard_monomials",
     "CertifiedPoint", "Interval", "classify_critical_point", "isolate_cusps",
     "region_membership",
@@ -42,7 +42,6 @@ __all__ = [
     "Monomial", "Polynomial", "func_det",
     "QuotientAlgebra", "SymmetricForm", "build_algebra", "form_matrix",
     "mult_matrix", "trace_functional",
-    "SignatureResult", "char_poly", "is_nondegenerate",
-    "signature_by_elimination", "signature_of",
+    "SignatureResult", "char_poly", "signature_of",
     "__version__",
 ]

@@ -11,15 +11,17 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 
 from .errors import (DegenerateRegionForm, DegreeGuardExceeded,
-                     GenericityNotCertified, NotZeroDimensional, ParseError)
-from .exprio import (DEFAULT_DEGREE_GUARD, DEFAULT_ORACLE_RADIUS, ProblemInput,
-                     SolverOptions, format_monomial, format_polynomial,
-                     parse_problem)
-from .oracle import isolate_cusps, region_membership
+                     GenericityNotCertified, NotZeroDimensional, OracleOverflow,
+                     ParseError)
+from .exprio import (ProblemInput, SolverOptions, format_monomial,
+                     format_polynomial, parse_problem)
+from .groebner import DEFAULT_DEGREE_GUARD
+from .oracle import DEFAULT_ORACLE_RADIUS, isolate_cusps, region_membership
 from .pipeline import CuspCensus, census, derive_system
 
 EXIT_OK = 0
@@ -66,8 +68,8 @@ def _build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_arg_parser().parse_args(argv)
-    if args.radius <= 0:
-        print("cuspcount: --radius must be positive", file=sys.stderr)
+    if not (math.isfinite(args.radius) and args.radius > 0):
+        print("cuspcount: --radius must be a positive finite number", file=sys.stderr)
         return EXIT_INTERNAL
     if args.degree_guard <= 0:
         print("cuspcount: --degree-guard must be positive", file=sys.stderr)
@@ -94,10 +96,7 @@ def run(options: RunOptions) -> int:
     timings: dict[str, float] = {}
     start = time.perf_counter()
     try:
-        problem = parse_problem(text, SolverOptions(
-            oracle_radius=options.oracle_radius,
-            degree_guard=options.degree_guard,
-        ))
+        problem = parse_problem(text, SolverOptions(degree_guard=options.degree_guard))
     except DegreeGuardExceeded as err:
         print(f"cuspcount: degree guard: {err}", file=sys.stderr)
         return EXIT_GUARD
@@ -127,13 +126,17 @@ def run(options: RunOptions) -> int:
 
     if options.run_oracle:
         t0 = time.perf_counter()
-        points = isolate_cusps(derive_system(problem.f1, problem.f2),
-                               box_radius=options.oracle_radius)
-        if problem.u is not None:
-            points = tuple(
-                dataclasses.replace(pt, in_region=region_membership(problem.u, pt))
-                if pt.kind == "cusp" else pt
-                for pt in points)
+        try:
+            points = isolate_cusps(derive_system(problem.f1, problem.f2),
+                                   box_radius=options.oracle_radius)
+            if problem.u is not None:
+                points = tuple(
+                    dataclasses.replace(pt, in_region=region_membership(problem.u, pt))
+                    if pt.kind == "cusp" else pt
+                    for pt in points)
+        except OracleOverflow as err:
+            print(f"cuspcount: oracle: {err}", file=sys.stderr)
+            return EXIT_GUARD
         result = dataclasses.replace(result, oracle=points)
         timings["oracle"] = time.perf_counter() - t0
         if any(pt.kind == "unresolved" for pt in points) and exit_code == EXIT_OK:

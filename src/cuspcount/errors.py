@@ -89,5 +89,12 @@ class DegenerateRegionForm(CuspCountError):
         super().__init__(message)
 
 
+class OracleOverflow(CuspCountError):
+    """A coefficient of the cusp system lies beyond the range of hardware doubles.
+
+    The interval oracle cannot enclose such a value, so it does not run.
+    """
+
+
 class Unclassifiable(CuspCountError):
     """A point where all classification polynomials vanish; outside the certified cases."""

@@ -20,17 +20,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DegreeGuardExceeded, DuplicateKeyError, MissingKeyError, ParseError
+from .groebner import DEFAULT_DEGREE_GUARD
 from .poly import Monomial, Polynomial
-
-DEFAULT_DEGREE_GUARD = 64
-DEFAULT_ORACLE_RADIUS = 16.0
 
 
 @dataclass(frozen=True)
 class SolverOptions:
     """Settings that tune the solver without changing the problem."""
 
-    oracle_radius: float = DEFAULT_ORACLE_RADIUS
     degree_guard: int = DEFAULT_DEGREE_GUARD
 
 

@@ -1,13 +1,24 @@
 """Buchberger's algorithm, multivariate reduction, and ideal certificates.
 
-The two certificates the cusp pipeline needs are decided here: whether an
-ideal is the whole ring (reduced basis {1}) and whether it is
-zero-dimensional (finitely many standard monomials, which then form a basis
-of the quotient algebra).
+Every computation uses one term order: graded reverse lexicographic with
+x > y.  The two certificates the cusp pipeline needs are decided here:
+whether an ideal is the whole ring (reduced basis {1}) and whether it is
+zero-dimensional (finitely many standard monomials).
 
-Internally the algorithm works on primitive integer-coefficient polynomials
-(content removed before and during reduction) to avoid rational blow-up;
-the published basis is monic with Fraction coefficients.
+One exact reduction kernel serves the whole module: `_reduce_full` divides
+primitive integer-coefficient polynomials fraction-free (content removed
+before and during reduction) to avoid rational blow-up, and reports the
+positive rational factor by which it scaled its input.  Buchberger's
+S-pair reductions call it directly; `normal_form` divides by that factor.
+The published basis is monic with Fraction coefficients.
+
+A basis is certified once, where it is consumed, in
+`quotient.build_algebra`: (1) the multiplication matrices by x and y on the
+standard monomials commute, (2) the basis is reduced (monic, no leading
+monomial divides another, every tail monomial standard), and (3) every
+input generator recorded on the basis has normal form zero.  The quotient
+module explains why these prove the standard monomials a basis of the
+quotient by the inputs.
 """
 
 from __future__ import annotations
@@ -15,7 +26,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import cached_property
+from math import gcd, lcm
 
 from .errors import DegreeGuardExceeded, NotZeroDimensional
 from .poly import Monomial, Polynomial
@@ -25,44 +37,20 @@ DEFAULT_DEGREE_GUARD = 64
 # Integer term dict used internally: Monomial -> nonzero int.
 _IntPoly = dict
 
+_ONE = Fraction(1)
+
 
 def _grevlex_key(m: Monomial) -> tuple[int, int]:
+    """Sort key of the term order: larger key means larger monomial."""
     return (m[0] + m[1], m[0])
-
-
-def _lex_key(m: Monomial) -> tuple[int, int]:
-    return m
-
-
-_ORDER_KEYS = {"grevlex": _grevlex_key, "lex": _lex_key}
-
-
-@dataclass(frozen=True)
-class TermOrder:
-    """A monomial order with x > y: graded-reverse-lexicographic or lexicographic."""
-
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in _ORDER_KEYS:
-            raise ValueError(f"unknown term order {self.kind!r}")
-
-    @property
-    def key(self):
-        """Sort key function: larger key means larger monomial."""
-        return _ORDER_KEYS[self.kind]
-
-
-GREVLEX = TermOrder("grevlex")
-LEX = TermOrder("lex")
 
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """A reduced, monic Groebner basis together with its term order."""
+    """A reduced, monic Groebner basis and the generators it was computed from."""
 
     generators: tuple[Polynomial, ...]
-    order: TermOrder
+    inputs: tuple[Polynomial, ...]
 
     def __iter__(self):
         return iter(self.generators)
@@ -70,56 +58,62 @@ class GroebnerBasis:
     def __len__(self) -> int:
         return len(self.generators)
 
+    @cached_property
+    def _reducers(self):
+        """The generators as primitive integer entries for `_reduce_full`."""
+        return tuple(_entry(_to_int_poly(g)[0]) for g in self.generators)
 
-def leading_monomial(p: Polynomial, order: TermOrder) -> Monomial:
-    """Largest monomial of a nonzero polynomial under the order."""
+
+def leading_monomial(p: Polynomial) -> Monomial:
+    """Largest monomial of a nonzero polynomial under the term order."""
     if p.is_zero():
         raise ValueError("the zero polynomial has no leading monomial")
-    return max(p.terms, key=order.key)
+    return max(p.terms, key=_grevlex_key)
 
 
 # -- internal integer-coefficient machinery ---------------------------------
 
-def _to_int_poly(p: Polynomial) -> _IntPoly:
-    """Clear denominators and remove integer content; keeps the term set."""
-    denom_lcm = 1
-    for coeff in p.terms.values():
-        denom_lcm = denom_lcm * coeff.denominator // gcd(denom_lcm, coeff.denominator)
-    out = {m: int(c * denom_lcm) for m, c in p.terms.items()}
-    return _make_primitive(out)
-
-
-def _make_primitive(terms: _IntPoly, key=None) -> _IntPoly:
-    """Divide by the integer content; if a key is given, make the lead positive."""
-    if not terms:
-        return terms
+def _content(terms: _IntPoly) -> int:
+    """Non-negative gcd of the coefficients (0 for the empty dict)."""
     content = 0
     for c in terms.values():
         content = gcd(content, c)
         if content == 1:
             break
-    if key is not None and terms[max(terms, key=key)] < 0:
-        content = -content
-    if content not in (1, 0):
-        return {m: c // content for m, c in terms.items()}
-    return terms
+    return content
+
+
+def _to_int_poly(p: Polynomial) -> tuple[_IntPoly, Fraction]:
+    """(s*p with coprime integer coefficients, s) for a rational s > 0."""
+    denom_lcm = 1
+    for coeff in p.terms.values():
+        denom_lcm = lcm(denom_lcm, coeff.denominator)
+    terms = {m: c.numerator * (denom_lcm // c.denominator) for m, c in p.terms.items()}
+    content = _content(terms) or 1
+    if content != 1:
+        terms = {m: c // content for m, c in terms.items()}
+    return terms, Fraction(denom_lcm, content)
 
 
 def _degree(terms: _IntPoly) -> int:
     return max(m[0] + m[1] for m in terms)
 
 
-def _reduce_full(p: _IntPoly, reducers, key) -> _IntPoly:
+def _reduce_full(p: _IntPoly, reducers) -> tuple[_IntPoly, Fraction]:
     """Full multivariate division, fraction-free over the integers.
 
     reducers is a sequence of (lead_monomial, lead_coeff > 0, terms) with
-    primitive integer terms.  Every term of the result is irreducible.  The
-    result is not content-normalized; callers do that as needed.
+    primitive integer terms.  Returns (r, s): every term of r is irreducible
+    and r is s times the remainder of dividing p over the rationals, where
+    s > 0 is the product of the fraction-free scalings divided by the
+    contents removed on the way.  r is not content-normalized; callers do
+    that as needed.
     """
     p = dict(p)
-    heap = [((-k[0], -k[1]), m) for m in p for k in (key(m),)]
+    heap = [((-k[0], -k[1]), m) for m in p for k in (_grevlex_key(m),)]
     heapq.heapify(heap)
     done: set[Monomial] = set()
+    scale = _ONE
     steps = 0
     while heap:
         _, mono = heapq.heappop(heap)
@@ -141,6 +135,7 @@ def _reduce_full(p: _IntPoly, reducers, key) -> _IntPoly:
         if scale_p != 1:
             for k in p:
                 p[k] *= scale_p
+            scale *= scale_p
         shift_x = mono.ex - lead.ex
         shift_y = mono.ey - lead.ey
         for mg, cg in terms.items():
@@ -148,7 +143,7 @@ def _reduce_full(p: _IntPoly, reducers, key) -> _IntPoly:
             new = p.get(target, 0) - scale_g * cg
             if new:
                 if target not in p and target not in done:
-                    k = key(target)
+                    k = _grevlex_key(target)
                     heapq.heappush(heap, ((-k[0], -k[1]), target))
                 p[target] = new
             else:
@@ -157,8 +152,11 @@ def _reduce_full(p: _IntPoly, reducers, key) -> _IntPoly:
         if steps % 64 == 0 and p:
             # periodic content removal keeps fraction-free growth bounded
             if max(abs(c) for c in p.values()).bit_length() > 1 << 12:
-                p = _make_primitive(p)
-    return p
+                content = _content(p)
+                if content > 1:
+                    p = {m: c // content for m, c in p.items()}
+                    scale /= content
+    return p, scale
 
 
 def _spoly(f, g) -> _IntPoly:
@@ -183,10 +181,14 @@ def _spoly(f, g) -> _IntPoly:
     return out
 
 
-def _entry(terms: _IntPoly, key):
-    """Package primitive terms as (lead, lead_coeff, terms) with positive lead."""
-    terms = _make_primitive(terms, key)
-    lead = max(terms, key=key)
+def _entry(terms: _IntPoly):
+    """Package integer terms as (lead, lead_coeff > 0, primitive terms)."""
+    lead = max(terms, key=_grevlex_key)
+    content = _content(terms)
+    if terms[lead] < 0:
+        content = -content
+    if content != 1:
+        terms = {m: c // content for m, c in terms.items()}
     return (lead, terms[lead], terms)
 
 
@@ -194,33 +196,30 @@ def _is_constant(terms: _IntPoly) -> bool:
     return len(terms) == 1 and Monomial(0, 0) in terms
 
 
-def buchberger(gens, order: TermOrder = GREVLEX,
-               degree_guard: int = DEFAULT_DEGREE_GUARD,
-               verify: bool = True) -> GroebnerBasis:
+def buchberger(gens, degree_guard: int = DEFAULT_DEGREE_GUARD) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by gens.
 
     gens must be a non-empty sequence of Polynomial; zero polynomials are
-    ignored.  Raises DegreeGuardExceeded if any generator or intermediate
-    reduction result exceeds degree_guard.  With verify=True (the default)
-    the Buchberger criterion — every S-polynomial reduces to zero — is
-    re-checked on the output basis.
+    ignored.  The result records gens as its inputs.  Raises
+    DegreeGuardExceeded if any generator or intermediate reduction result
+    exceeds degree_guard.
     """
-    gens = list(gens)
+    gens = tuple(gens)
     if not gens:
         raise ValueError("buchberger requires at least one generator")
-    key = order.key
+    unit = GroebnerBasis((Polynomial.constant(1),), gens)
     basis = []
     for g in gens:
         if g.is_zero():
             continue
         if g.degree > degree_guard:
             raise DegreeGuardExceeded(g.degree, degree_guard, context="buchberger input")
-        terms = _to_int_poly(g)
+        terms, _ = _to_int_poly(g)
         if _is_constant(terms):
-            return GroebnerBasis((Polynomial.constant(1),), order)
-        basis.append(_entry(terms, key))
+            return unit
+        basis.append(_entry(terms))
     if not basis:
-        return GroebnerBasis((), order)
+        return GroebnerBasis((), gens)
 
     pairs: set[tuple[int, int]] = {(i, j) for j in range(len(basis)) for i in range(j)}
     pair_lcm = {(i, j): basis[i][0].lcm(basis[j][0]) for (i, j) in pairs}
@@ -238,7 +237,7 @@ def buchberger(gens, order: TermOrder = GREVLEX,
         return False
 
     while pairs:
-        i, j = min(pairs, key=lambda ij: (key(pair_lcm[ij]), ij))
+        i, j = min(pairs, key=lambda ij: (_grevlex_key(pair_lcm[ij]), ij))
         pairs.discard((i, j))
         lcm_mono = pair_lcm.pop((i, j))
         lead_i, lead_j = basis[i][0], basis[j][0]
@@ -246,64 +245,41 @@ def buchberger(gens, order: TermOrder = GREVLEX,
             continue
         if chain_redundant(i, j, lcm_mono):
             continue
-        remainder = _reduce_full(_spoly(basis[i], basis[j]), basis, key)
+        remainder, _ = _reduce_full(_spoly(basis[i], basis[j]), basis)
         if not remainder:
             continue
         if _degree(remainder) > degree_guard:
             raise DegreeGuardExceeded(_degree(remainder), degree_guard,
                                       context="buchberger reduction")
         if _is_constant(remainder):
-            return GroebnerBasis((Polynomial.constant(1),), order)
-        entry = _entry(remainder, key)
+            return unit
+        entry = _entry(remainder)
         new_index = len(basis)
         basis.append(entry)
         for k in range(new_index):
             pairs.add((k, new_index))
             pair_lcm[(k, new_index)] = basis[k][0].lcm(entry[0])
 
-    reduced = _interreduce(basis, key)
-    result = GroebnerBasis(tuple(_to_monic_polynomial(t, key) for t in reduced), order)
-    if verify:
-        _verify_buchberger_criterion(result)
-    return result
+    return GroebnerBasis(tuple(_to_monic_polynomial(t) for t in _interreduce(basis)),
+                         gens)
 
 
-def _interreduce(basis, key):
+def _interreduce(basis):
     """Minimalize (drop entries with redundant leads) and fully reduce tails."""
     minimal = []
-    for entry in sorted(basis, key=lambda e: key(e[0])):
+    for entry in sorted(basis, key=lambda e: _grevlex_key(e[0])):
         if not any(kept[0].divides(entry[0]) for kept in minimal):
             minimal.append(entry)
     reduced = []
     for idx, entry in enumerate(minimal):
         others = minimal[:idx] + minimal[idx + 1:]
-        if others:
-            terms = _reduce_full(entry[2], others, key)
-        else:
-            terms = entry[2]
-        reduced.append(_make_primitive(terms, key))
+        reduced.append(_reduce_full(entry[2], others)[0] if others else entry[2])
     return reduced
 
 
-def _to_monic_polynomial(terms: _IntPoly, key) -> Polynomial:
-    lead_coeff = terms[max(terms, key=key)]
+def _to_monic_polynomial(terms: _IntPoly) -> Polynomial:
+    lead_coeff = terms[max(terms, key=_grevlex_key)]
     return Polynomial({m: Fraction(c, lead_coeff) for m, c in terms.items()})
-
-
-def _verify_buchberger_criterion(gb: GroebnerBasis) -> None:
-    gens = gb.generators
-    for j in range(len(gens)):
-        for i in range(j):
-            li = leading_monomial(gens[i], gb.order)
-            lj = leading_monomial(gens[j], gb.order)
-            if li.is_coprime(lj):
-                continue
-            lcm_mono = li.lcm(lj)
-            spoly = (Polynomial.monomial(lcm_mono.quotient(li)) * gens[i]
-                     - Polynomial.monomial(lcm_mono.quotient(lj)) * gens[j])
-            if not normal_form(spoly, gb).is_zero():
-                raise RuntimeError(
-                    f"Buchberger criterion violated for generators {i}, {j}")
 
 
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
@@ -313,39 +289,10 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     and p minus the result lies in the ideal.  Idempotent and linear over
     the rationals.
     """
-    key = gb.order.key
-    reducers = [(leading_monomial(g, gb.order), g) for g in gb.generators]
-    work = dict(p.terms)
-    heap = [((-k[0], -k[1]), m) for m in work for k in (key(m),)]
-    heapq.heapify(heap)
-    done: set[Monomial] = set()
-    while heap:
-        _, mono = heapq.heappop(heap)
-        if mono in done or mono not in work:
-            continue
-        hit = None
-        for lead, g in reducers:
-            if lead.ex <= mono.ex and lead.ey <= mono.ey:
-                hit = (lead, g)
-                break
-        if hit is None:
-            done.add(mono)
-            continue
-        lead, g = hit
-        coeff = work[mono]
-        shift_x = mono.ex - lead.ex
-        shift_y = mono.ey - lead.ey
-        for mg, cg in g.terms.items():
-            target = Monomial(mg.ex + shift_x, mg.ey + shift_y)
-            new = work.get(target, 0) - coeff * cg
-            if new:
-                if target not in work and target not in done:
-                    k = key(target)
-                    heapq.heappush(heap, ((-k[0], -k[1]), target))
-                work[target] = new
-            else:
-                work.pop(target, None)
-    return Polynomial(work)
+    terms, factor = _to_int_poly(p)
+    remainder, scale = _reduce_full(terms, gb._reducers)
+    scale *= factor
+    return Polynomial({m: c / scale for m, c in remainder.items()})
 
 
 def is_unit_ideal(gb: GroebnerBasis) -> bool:
@@ -362,7 +309,7 @@ def is_zero_dimensional(gb: GroebnerBasis) -> bool:
     has_x_power = False
     has_y_power = False
     for g in gb.generators:
-        lead = leading_monomial(g, gb.order)
+        lead = leading_monomial(g)
         if lead.ey == 0:
             has_x_power = True
         if lead.ex == 0:
@@ -380,7 +327,7 @@ def standard_monomials(gb: GroebnerBasis) -> tuple[Monomial, ...]:
         raise NotZeroDimensional(
             "the ideal is not zero-dimensional: no pure power of each "
             "variable occurs among the leading monomials")
-    leads = [leading_monomial(g, gb.order) for g in gb.generators]
+    leads = [leading_monomial(g) for g in gb.generators]
     bound_x = min(lm.ex for lm in leads if lm.ey == 0)
     bound_y = min(lm.ey for lm in leads if lm.ex == 0)
     out = [
@@ -389,5 +336,5 @@ def standard_monomials(gb: GroebnerBasis) -> tuple[Monomial, ...]:
         for b in range(bound_y)
         if not any(lm.divides(Monomial(a, b)) for lm in leads)
     ]
-    out.sort(key=gb.order.key)
+    out.sort(key=_grevlex_key)
     return tuple(out)

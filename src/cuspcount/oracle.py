@@ -19,11 +19,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import Unclassifiable
+from .errors import OracleOverflow, Unclassifiable
 from .pipeline import DerivedSystem
 from .poly import Polynomial
 
 _INF = math.inf
+
+#: Default half-width of the square searched for cusps.
+DEFAULT_ORACLE_RADIUS = 16.0
 
 #: Minimum subdivision box width; survivors below it are reported unresolved.
 MIN_BOX_WIDTH = 2.0 ** -40
@@ -167,7 +170,7 @@ class _IntervalPoly:
         self.max_ex = 0
         self.max_ey = 0
         for mono, coeff in p.terms.items():
-            approx = float(coeff)
+            approx = _to_float(coeff)
             if Fraction(approx) == coeff:
                 iv = Interval(approx, approx)
             else:
@@ -192,13 +195,22 @@ class _IntervalPoly:
         return self.range(Interval.point(px), Interval.point(py))
 
 
+def _to_float(coeff: Fraction) -> float:
+    try:
+        return float(coeff)
+    except OverflowError:
+        bits = abs(coeff.numerator).bit_length() - coeff.denominator.bit_length()
+        raise OracleOverflow(f"a coefficient of about 2^{bits} in the cusp system "
+                             "exceeds the range of hardware doubles") from None
+
+
 class _FloatPoly:
     """A polynomial compiled for fast approximate evaluation."""
 
     __slots__ = ("terms",)
 
     def __init__(self, p: Polynomial):
-        self.terms = [(m.ex, m.ey, float(c)) for m, c in p.terms.items()]
+        self.terms = [(m.ex, m.ey, _to_float(c)) for m, c in p.terms.items()]
 
     def __call__(self, px: float, py: float) -> float:
         return sum(c * px ** ex * py ** ey for ex, ey, c in self.terms)
@@ -342,7 +354,7 @@ def _try_certify(system: _System, px: float, py: float) -> Box | None:
     return None
 
 
-def isolate_cusps(derived: DerivedSystem, box_radius: float = 16.0,
+def isolate_cusps(derived: DerivedSystem, box_radius: float = DEFAULT_ORACLE_RADIUS,
                   min_width: float = MIN_BOX_WIDTH) -> tuple[CertifiedPoint, ...]:
     """Isolate all solutions of the cusp system in [-r, r]^2.
 
@@ -350,10 +362,11 @@ def isolate_cusps(derived: DerivedSystem, box_radius: float = 16.0,
     degree sign when the orientation polynomial's sign is decided) plus an
     'unresolved' entry for every box that could neither be excluded nor
     certified before reaching the minimum width.  Results are sorted by box
-    corner, so the output is deterministic.
+    corner, so the output is deterministic.  Raises OracleOverflow when a
+    coefficient of the system exceeds the range of doubles.
     """
-    if box_radius <= 0:
-        raise ValueError("box_radius must be positive")
+    if not 0 < box_radius < _INF:
+        raise ValueError("box_radius must be a positive finite number")
     system = _System(derived)
     full = (Interval(-box_radius, box_radius), Interval(-box_radius, box_radius))
     stack = [full]

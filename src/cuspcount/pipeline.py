@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 from .errors import DegenerateRegionForm, GenericityNotCertified
 from .exprio import ProblemInput
-from .groebner import (GREVLEX, DEFAULT_DEGREE_GUARD, TermOrder, buchberger,
-                       is_unit_ideal, normal_form)
+from .groebner import DEFAULT_DEGREE_GUARD, buchberger, is_unit_ideal, normal_form
 from .poly import Monomial, Polynomial, func_det
 from .quotient import build_algebra, form_matrix
 from .signature import signature_of
@@ -99,7 +98,7 @@ def derive_system(f1: Polynomial, f2: Polynomial) -> DerivedSystem:
     )
 
 
-def certify_genericity(derived: DerivedSystem, order: TermOrder = GREVLEX,
+def certify_genericity(derived: DerivedSystem,
                        degree_guard: int = DEFAULT_DEGREE_GUARD) -> bool:
     """True iff the five derived polynomials generate the unit ideal.
 
@@ -110,7 +109,7 @@ def certify_genericity(derived: DerivedSystem, order: TermOrder = GREVLEX,
     """
     gb = buchberger(
         [derived.jac, derived.vel1, derived.vel2, derived.minor1, derived.minor2],
-        order=order, degree_guard=degree_guard)
+        degree_guard=degree_guard)
     return is_unit_ideal(gb)
 
 
@@ -121,7 +120,7 @@ def _even_half(a: int, b: int, what: str) -> int:
     return (a + b) // 2
 
 
-def census(problem: ProblemInput, order: TermOrder = GREVLEX) -> CuspCensus:
+def census(problem: ProblemInput) -> CuspCensus:
     """Count cusps of the map, globally and (if u is given) inside {u > 0}.
 
     Raises GenericityNotCertified when the unit-ideal certificate fails,
@@ -132,14 +131,13 @@ def census(problem: ProblemInput, order: TermOrder = GREVLEX) -> CuspCensus:
     """
     guard = problem.options.degree_guard
     derived = derive_system(problem.f1, problem.f2)
-    if not certify_genericity(derived, order=order, degree_guard=guard):
+    if not certify_genericity(derived, degree_guard=guard):
         raise GenericityNotCertified(
             "one-genericity certificate failed: the jacobian, the two "
             "critical-curve velocity components and the two transversality "
             "minors do not generate the unit ideal")
 
-    gb = buchberger([derived.jac, derived.vel1, derived.vel2],
-                    order=order, degree_guard=guard)
+    gb = buchberger([derived.jac, derived.vel1, derived.vel2], degree_guard=guard)
     algebra = build_algebra(gb)
 
     vel_jac_reduced = normal_form(derived.vel_jac, gb)

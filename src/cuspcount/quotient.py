@@ -1,11 +1,20 @@
 """The finite-dimensional quotient algebra A = Q[x,y]/I and its trace forms.
 
-Given a reduced zero-dimensional Groebner basis, the standard monomials form
-a vector-space basis of A.  Multiplication by x and by y become commuting
-square matrices, the trace of multiplication-by-h defines a linear
-functional T, and each polynomial delta yields a symmetric quadratic form
-a -> T(delta * a^2) whose signature counts the real zeros of the ideal
-weighted by the sign of delta there.
+Given a reduced zero-dimensional Groebner basis G of I, the standard
+monomials form a vector-space basis of A.  Multiplication by x and by y
+become commuting square matrices, the trace of multiplication-by-h defines
+a linear functional T, and each polynomial delta yields a symmetric
+quadratic form a -> T(delta * a^2) whose signature counts the real zeros of
+the ideal weighted by the sign of delta there.
+
+`build_algebra` is where G is certified, once, with three conditions:
+(1) the multiplication matrices commute; (2) G is reduced: monic, no
+leading monomial divides another, and every tail monomial is standard, so
+each element of G belongs to the border prebasis; (3) every input generator
+recorded on G has normal form zero.  By the border-basis criterion (1) and
+(2) prove that the standard monomials are a basis of Q[x,y]/(G), and (3)
+proves that the inputs lie in (G); Buchberger builds G from the inputs, so
+A is the quotient by the ideal of the inputs.
 
 Normal forms of monomials are computed once and cached: the coordinate
 vector of x^a*y^b is reached from its neighbours by one matrix-vector
@@ -19,7 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exprio import format_polynomial
-from .groebner import GroebnerBasis, normal_form, standard_monomials
+from .groebner import (GroebnerBasis, leading_monomial, normal_form,
+                       standard_monomials)
 from .poly import Monomial, Polynomial
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -128,12 +138,14 @@ def _matmul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def build_algebra(gb: GroebnerBasis) -> QuotientAlgebra:
-    """Construct the quotient algebra for a reduced zero-dimensional basis.
+    """Construct and certify the quotient algebra of a zero-dimensional basis.
 
-    Raises NotZeroDimensional otherwise.  The multiplication matrices are
-    verified to commute before the algebra is returned.
+    Raises NotZeroDimensional when the basis has infinitely many standard
+    monomials, and RuntimeError naming the failed condition when any of the
+    three certificate conditions in the module docstring fails.
     """
     basis = standard_monomials(gb)
+    _require_reduced(gb)
     dim = len(basis)
     standard = set(basis)
     border: dict[Monomial, tuple[Fraction, ...]] = {}
@@ -159,9 +171,27 @@ def build_algebra(gb: GroebnerBasis) -> QuotientAlgebra:
     if _matmul(mult_x, mult_y) != _matmul(mult_y, mult_x):
         raise RuntimeError("multiplication matrices fail to commute; "
                            "the basis is not a Groebner basis of its ideal")
+    for i, p in enumerate(gb.inputs):
+        if not normal_form(p, gb).is_zero():
+            raise RuntimeError(f"input generator {i} has a nonzero normal form; "
+                               "the basis does not generate its inputs")
     algebra = QuotientAlgebra(gb, basis, mult_x, mult_y)
     algebra._vectors.update(border)
     return algebra
+
+
+def _require_reduced(gb: GroebnerBasis) -> None:
+    """Certificate condition (2): G is monic and every tail monomial is standard."""
+    leads = [leading_monomial(g) for g in gb.generators]
+    for i, (g, lead) in enumerate(zip(gb.generators, leads)):
+        if g.terms[lead] != 1:
+            raise RuntimeError(f"basis element {i} is not monic")
+        for mono in g.terms:
+            if any(other.divides(mono) for j, other in enumerate(leads)
+                   if j != i or mono != lead):
+                raise RuntimeError(
+                    f"basis element {i} is not reduced: its term {mono} is "
+                    "divisible by another leading monomial")
 
 
 def mult_matrix(algebra: QuotientAlgebra, h: Polynomial) -> Matrix:

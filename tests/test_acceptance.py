@@ -15,9 +15,10 @@ from cuspcount.oracle import isolate_cusps, region_membership
 from cuspcount.pipeline import census, derive_system
 from cuspcount.poly import Monomial, Polynomial, X, Y
 from cuspcount.quotient import build_algebra, form_matrix
-from cuspcount.signature import signature_by_elimination, signature_of
+from cuspcount.signature import signature_of
 from conftest import (FOLD_ONLY_TEXT, IDENTITY_TEXT, NON_GENERIC_TEXT,
                       random_polynomial, substitute)
+from elimination import signature_by_elimination
 
 
 def report(number: int, text: str) -> None:
@@ -123,12 +124,12 @@ class TestCriterion6PropertySuites:
             gens = [random_polynomial(rng, rng.randint(1, 3), lo=-5, hi=5)
                     for _ in range(rng.randint(1, 3))]
             gens = [g for g in gens if not g.is_zero()] or [X + Y]
-            gb = buchberger(gens, verify=False)
+            gb = buchberger(gens)
             for i in range(len(gb.generators)):
                 for j in range(i + 1, len(gb.generators)):
                     gi, gj = gb.generators[i], gb.generators[j]
-                    li = leading_monomial(gi, gb.order)
-                    lj = leading_monomial(gj, gb.order)
+                    li = leading_monomial(gi)
+                    lj = leading_monomial(gj)
                     lcm = li.lcm(lj)
                     spoly = (Polynomial.monomial(lcm.quotient(li)) * gi
                              - Polynomial.monomial(lcm.quotient(lj)) * gj)
@@ -141,7 +142,7 @@ class TestCriterion6PropertySuites:
             gens = [random_polynomial(rng, rng.randint(1, 3), lo=-5, hi=5)
                     for _ in range(rng.randint(1, 3))]
             gens = [g for g in gens if not g.is_zero()] or [X - Y]
-            gb = buchberger(gens, verify=False)
+            gb = buchberger(gens)
             p = random_polynomial(rng, 3, lo=-6, hi=6)
             q = random_polynomial(rng, 3, lo=-6, hi=6)
             nf_p = normal_form(p, gb)

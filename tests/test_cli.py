@@ -8,7 +8,7 @@ import pytest
 
 from cuspcount import cli
 from cuspcount.cli import RunOptions, run
-from conftest import IDENTITY_TEXT, NON_GENERIC_TEXT, TWO_CUSP_TEXT
+from conftest import IDENTITY_TEXT, NON_GENERIC_TEXT, TWO_CUSP_TEXT, WHITNEY_TEXT
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -57,6 +57,21 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, [path, "--degree-guard", "2"])
         assert code == 6
         assert "degree" in err
+
+    def test_oracle_overflow(self, tmp_path, capsys):
+        huge = "1" + "0" * 320  # 10^320, beyond the largest double
+        text = TWO_CUSP_TEXT.replace("x*y^2", f"{huge}*x*y^2", 1)
+        code, _, err = run_cli(capsys, [write_problem(tmp_path, text), "--oracle"])
+        assert code == 6
+        assert err.startswith("cuspcount: oracle:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("radius", ["0", "-1", "nan", "inf"])
+    def test_radius_must_be_positive_and_finite(self, tmp_path, capsys, radius):
+        path = write_problem(tmp_path, WHITNEY_TEXT)
+        code, out, err = run_cli(capsys, [path, "--oracle", f"--radius={radius}"])
+        assert code == 1
+        assert out == ""
+        assert "positive finite number" in err
 
     def test_unreadable_input(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, [str(tmp_path / "absent.txt")])

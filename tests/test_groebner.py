@@ -1,23 +1,24 @@
 """Buchberger, reduction and the ideal certificates."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from cuspcount.errors import DegreeGuardExceeded, NotZeroDimensional
-from cuspcount.exprio import parse_polynomial
-from cuspcount.groebner import (GREVLEX, LEX, buchberger, is_unit_ideal,
-                                is_zero_dimensional, leading_monomial,
-                                normal_form, standard_monomials)
-from cuspcount.pipeline import derive_system
+from cuspcount.exprio import parse_polynomial, parse_problem
+from cuspcount.groebner import (buchberger, is_unit_ideal, is_zero_dimensional,
+                                leading_monomial, normal_form, standard_monomials)
+from cuspcount.pipeline import certify_genericity, derive_system
 from cuspcount.poly import Monomial, Polynomial, X, Y
-from conftest import random_polynomial
+from conftest import (EIGHT_CUSP_TEXT, SIX_CUSP_TEXT, TWO_CUSP_TEXT,
+                      random_polynomial)
 
 ONE = Polynomial.constant(1)
 
 
-def gb_of(*texts, order=GREVLEX, **kwargs):
-    return buchberger([parse_polynomial(t) for t in texts], order=order, **kwargs)
+def gb_of(*texts, **kwargs):
+    return buchberger([parse_polynomial(t) for t in texts], **kwargs)
 
 
 def two_cusp_ideal():
@@ -62,7 +63,7 @@ class TestBuchberger:
 
     def test_output_is_monic_and_interreduced(self):
         gb = buchberger(two_cusp_ideal())
-        leads = [leading_monomial(g, gb.order) for g in gb.generators]
+        leads = [leading_monomial(g) for g in gb.generators]
         for i, g in enumerate(gb.generators):
             assert g.terms[leads[i]] == 1
             for j, lead in enumerate(leads):
@@ -97,7 +98,7 @@ class TestUnitIdeal:
         d = derive_system(X ** 2, Y ** 2)
         gb = buchberger([d.jac, d.vel1, d.vel2, d.minor1, d.minor2])
         assert not is_unit_ideal(gb)
-        assert {leading_monomial(g, gb.order) for g in gb.generators} == \
+        assert {leading_monomial(g) for g in gb.generators} == \
             {Monomial(2, 0), Monomial(1, 1), Monomial(0, 2)}
 
 
@@ -124,36 +125,6 @@ class TestZeroDimensionality:
     def test_line(self):
         assert not is_zero_dimensional(gb_of("x"))
 
-    def test_order_independence_of_dimension(self):
-        gens = two_cusp_ideal()
-        dim_grevlex = len(standard_monomials(buchberger(gens)))
-        dim_lex = len(standard_monomials(buchberger(gens, order=LEX)))
-        assert dim_grevlex == dim_lex == 2
-
-    def test_order_independence_eight_cusp_ideal(self):
-        from conftest import EIGHT_CUSP_TEXT
-        from cuspcount.exprio import parse_problem
-
-        problem = parse_problem(EIGHT_CUSP_TEXT)
-        d = derive_system(problem.f1, problem.f2)
-        gens = [d.jac, d.vel1, d.vel2]
-        assert len(standard_monomials(buchberger(gens))) == 38
-        gb_lex = buchberger(gens, order=LEX, degree_guard=256, verify=False)
-        assert len(standard_monomials(gb_lex)) == 38
-
-    @pytest.mark.slow
-    def test_order_independence_six_cusp_ideal(self):
-        # the lexicographic basis of this ideal takes many minutes
-        from conftest import SIX_CUSP_TEXT
-        from cuspcount.exprio import parse_problem
-
-        problem = parse_problem(SIX_CUSP_TEXT)
-        d = derive_system(problem.f1, problem.f2)
-        gens = [d.jac, d.vel1, d.vel2]
-        assert len(standard_monomials(buchberger(gens))) == 56
-        gb_lex = buchberger(gens, order=LEX, degree_guard=512, verify=False)
-        assert len(standard_monomials(gb_lex)) == 56
-
 
 class TestMembershipSoundness:
     def test_multiples_of_generators_reduce_to_zero(self):
@@ -163,3 +134,63 @@ class TestMembershipSoundness:
             multiplier = random_polynomial(rng, 3, lo=-4, hi=4)
             index = rng.randrange(len(gb.generators))
             assert normal_form(multiplier * gb.generators[index], gb).is_zero()
+
+
+PAPER_MAPS = {"two_cusps": TWO_CUSP_TEXT, "eight_cusps": EIGHT_CUSP_TEXT,
+              "six_cusps": SIX_CUSP_TEXT}
+
+
+def term_sets(generators):
+    return {frozenset(g.terms.items()) for g in generators}
+
+
+def sympy_basis(gens):
+    """sympy's monic reduced grevlex basis of the ideal, as term sets."""
+    from sympy import QQ
+    from sympy.polys.groebnertools import groebner
+    from sympy.polys.orderings import grevlex
+    from sympy.polys.rings import ring
+
+    R, _, _ = ring("x,y", QQ, grevlex)
+    elements = [R({tuple(m): QQ(c.numerator, c.denominator) for m, c in g.terms.items()})
+                for g in gens if not g.is_zero()]
+    return {frozenset((Monomial(*m), Fraction(int(c.numerator), int(c.denominator)))
+                      for m, c in g.terms())
+            for g in groebner(elements, R)}
+
+
+def five_generators(d):
+    return [d.jac, d.vel1, d.vel2, d.minor1, d.minor2]
+
+
+class TestSympyReference:
+    """Reduced bases and genericity verdicts against sympy's Buchberger."""
+
+    @pytest.mark.parametrize("name", PAPER_MAPS)
+    def test_paper_cusp_ideal(self, name):
+        problem = parse_problem(PAPER_MAPS[name])
+        d = derive_system(problem.f1, problem.f2)
+        gens = [d.jac, d.vel1, d.vel2]
+        assert term_sets(buchberger(gens)) == sympy_basis(gens)
+
+    def test_random_ideals(self):
+        rng = random.Random(20300)
+        for _ in range(200):
+            gens = [random_polynomial(rng, rng.randint(1, 4), lo=-5, hi=5)
+                    for _ in range(rng.randint(1, 3))]
+            gens = [g for g in gens if not g.is_zero()] or [X + Y]
+            assert term_sets(buchberger(gens)) == sympy_basis(gens)
+
+    @pytest.mark.parametrize("fixture_name",
+                             ["two_cusp_run", "eight_cusp_run", "six_cusp_run"])
+    def test_paper_maps_are_certified_generic(self, request, fixture_name):
+        run = request.getfixturevalue(fixture_name)
+        assert run.census.one_generic_certified
+        d = derive_system(run.problem.f1, run.problem.f2)
+        assert sympy_basis(five_generators(d)) == term_sets([ONE])
+
+    def test_squares_map_is_not_certified(self):
+        d = derive_system(X ** 2, Y ** 2)
+        assert not certify_genericity(d)
+        assert sympy_basis(five_generators(d)) == \
+            term_sets(buchberger(five_generators(d)))

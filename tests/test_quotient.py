@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from cuspcount.exprio import parse_polynomial
-from cuspcount.groebner import buchberger, normal_form
+from cuspcount.groebner import GroebnerBasis, buchberger, normal_form
 from cuspcount.pipeline import derive_system
 from cuspcount.poly import Monomial, Polynomial, X, Y
 from cuspcount.quotient import (build_algebra, form_matrix, mult_matrix,
@@ -56,6 +56,21 @@ class TestBuildAlgebra:
                                for j in range(n)) for i in range(n))
 
         assert matmul(mx, my) == matmul(my, mx)
+
+
+class TestCertificate:
+    def test_basis_must_generate_its_inputs(self):
+        gb = GroebnerBasis((X * X - 2, Y), (X * X - 1, Y))
+        with pytest.raises(RuntimeError, match="input generator 0"):
+            build_algebra(gb)
+
+    @pytest.mark.parametrize("gens", [
+        (X * X - Y * Y, Y * Y),          # tail y^2 is a leading monomial
+        (2 * X, Y),                      # not monic
+    ])
+    def test_basis_must_be_reduced(self, gens):
+        with pytest.raises(RuntimeError, match="basis element 0"):
+            build_algebra(GroebnerBasis(gens, gens))
 
 
 class TestMultMatrix:

@@ -9,9 +9,8 @@ import pytest
 
 from cuspcount.errors import NotSymmetric
 from cuspcount.signature import (SignatureResult, _char_poly_crt,
-                                 _faddeev_leverrier, char_poly,
-                                 is_nondegenerate, signature_by_elimination,
-                                 signature_of)
+                                 _faddeev_leverrier, char_poly, signature_of)
+from elimination import signature_by_elimination
 
 
 def _perm_sign(perm):
@@ -138,13 +137,13 @@ class TestSignatureOf:
 
 class TestNondegeneracy:
     def test_region_form_of_two_cusp_map(self):
-        assert is_nondegenerate([[-76, -38], [-38, -18]])
+        assert signature_of([[-76, -38], [-38, -18]]).nondegenerate
 
     def test_rank_one(self):
-        assert not is_nondegenerate([[1, 1], [1, 1]])
+        assert not signature_of([[1, 1], [1, 1]]).nondegenerate
 
     def test_empty(self):
-        assert is_nondegenerate([])
+        assert signature_of([]).nondegenerate
 
 
 class TestInvariance:
