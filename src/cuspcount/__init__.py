@@ -1,15 +1,16 @@
 """Exact cusp counting for polynomial maps of the plane into the plane.
 
-The symbolic pipeline certifies one-genericity by a unit-ideal test, builds
-the finite-dimensional quotient algebra of the cusp ideal, and reads the
+The symbolic pipeline builds the finite-dimensional quotient algebra of the
+cusp ideal, certifies one-genericity by a rank test on it, and reads the
 number of positive and negative cusps — globally and inside a region
 {u > 0} — off the signatures of four trace forms.  A certified numeric
 root-isolation oracle provides an independent cross-check.
 """
 
-from .errors import (CuspCountError, DegenerateRegionForm, DegreeGuardExceeded,
-                     DuplicateKeyError, GenericityNotCertified, MissingKeyError,
-                     NotSymmetric, NotZeroDimensional, OracleOverflow, ParseError,
+from .errors import (CertificateFailed, CuspCountError, DegenerateRegionForm,
+                     DegreeGuardExceeded, DuplicateKeyError,
+                     GenericityNotCertified, MissingKeyError, NotSymmetric,
+                     NotZeroDimensional, OracleOverflow, ParseError,
                      Unclassifiable)
 from .exprio import (ProblemInput, SolverOptions, format_monomial,
                      format_polynomial, parse_polynomial, parse_problem)
@@ -21,13 +22,15 @@ from .pipeline import (CuspCensus, DerivedSystem, RegionCount, census,
                        certify_genericity, derive_system)
 from .poly import Monomial, Polynomial, func_det
 from .quotient import (QuotientAlgebra, SymmetricForm, build_algebra,
-                       form_matrix, mult_matrix, trace_functional)
+                       form_matrix, generates_algebra, mult_matrix,
+                       trace_functional)
 from .signature import SignatureResult, char_poly, signature_of
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CuspCountError", "DegenerateRegionForm", "DegreeGuardExceeded",
+    "CertificateFailed", "CuspCountError", "DegenerateRegionForm",
+    "DegreeGuardExceeded",
     "DuplicateKeyError", "GenericityNotCertified", "MissingKeyError",
     "NotSymmetric", "NotZeroDimensional", "OracleOverflow", "ParseError",
     "Unclassifiable",
@@ -41,7 +44,7 @@ __all__ = [
     "certify_genericity", "derive_system",
     "Monomial", "Polynomial", "func_det",
     "QuotientAlgebra", "SymmetricForm", "build_algebra", "form_matrix",
-    "mult_matrix", "trace_functional",
+    "generates_algebra", "mult_matrix", "trace_functional",
     "SignatureResult", "char_poly", "signature_of",
     "__version__",
 ]

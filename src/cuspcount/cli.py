@@ -1,9 +1,11 @@
 """Command-line front end: read a problem file, count cusps, emit a report.
 
-Exit status: 0 success; 2 genericity certificate failed; 3 the cusp ideal is
-not zero-dimensional; 4 region form degenerate (report still printed, region
-counts withheld); 5 parse errors; 6 degree-guard or oracle-resolution
-trouble; 1 anything else (unreadable input, internal failure).
+Exit status: 0 success; 2 genericity certificate failed (also when the cusp
+ideal is not zero-dimensional); 4 region form degenerate (report still
+printed, region counts withheld); 5 parse errors; 6 degree-guard or
+oracle-resolution trouble; 1 anything else (unreadable input, a failed
+internal certificate).  Status 3, once "not zero-dimensional", is no longer
+produced.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ import math
 import sys
 import time
 
-from .errors import (DegenerateRegionForm, DegreeGuardExceeded,
-                     GenericityNotCertified, NotZeroDimensional, OracleOverflow,
+from .errors import (CertificateFailed, DegenerateRegionForm,
+                     DegreeGuardExceeded, GenericityNotCertified, OracleOverflow,
                      ParseError)
 from .exprio import (ProblemInput, SolverOptions, format_monomial,
                      format_polynomial, parse_problem)
@@ -27,7 +29,6 @@ from .pipeline import CuspCensus, census, derive_system
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_NOT_CERTIFIED = 2
-EXIT_NOT_ZERO_DIMENSIONAL = 3
 EXIT_DEGENERATE_REGION = 4
 EXIT_PARSE = 5
 EXIT_GUARD = 6
@@ -112,9 +113,9 @@ def run(options: RunOptions) -> int:
     except GenericityNotCertified as err:
         print(f"cuspcount: {err}", file=sys.stderr)
         return EXIT_NOT_CERTIFIED
-    except NotZeroDimensional as err:
-        print(f"cuspcount: cusp ideal is not zero-dimensional: {err}", file=sys.stderr)
-        return EXIT_NOT_ZERO_DIMENSIONAL
+    except CertificateFailed as err:
+        print(f"cuspcount: certificate failed: {err}", file=sys.stderr)
+        return EXIT_INTERNAL
     except DegreeGuardExceeded as err:
         print(f"cuspcount: degree guard: {err}", file=sys.stderr)
         return EXIT_GUARD

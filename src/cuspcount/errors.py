@@ -77,6 +77,16 @@ class GenericityNotCertified(CuspCountError):
     """
 
 
+class CertificateFailed(CuspCountError, RuntimeError):
+    """An exact certificate the computation relies on did not hold.
+
+    Raised by the quotient algebra's basis certificate, the census'
+    consistency checks on signatures and the internal checks of the
+    signature routines.  It means a result could not be backed, not that
+    the input is invalid.
+    """
+
+
 class DegenerateRegionForm(CuspCountError):
     """The region trace form is degenerate, so region counts are withheld.
 

@@ -44,6 +44,7 @@ class ProblemInput:
 # -- tokenizer -------------------------------------------------------------
 
 _SINGLE = {"+", "-", "*", "^", "/", "(", ")", "x", "y"}
+_DIGITS = "0123456789"  # str.isdigit also accepts '²' and other scripts' digits
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -56,9 +57,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(("int", text[i:j], i))
             i = j
@@ -71,6 +72,15 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
                          expected=("number", "x", "y", "operator", "parenthesis"))
     tokens.append(("end", "", n))
     return tokens
+
+
+def _natural(tok) -> int:
+    """Value of an 'int' token."""
+    try:
+        return int(tok[1])
+    except ValueError:  # more digits than the interpreter converts
+        raise ParseError(f"integer literal of {len(tok[1])} digits is too long",
+                         position=tok[2]) from None
 
 
 class _Parser:
@@ -123,20 +133,21 @@ class _Parser:
         if self.peek() == "^":
             self.next()
             tok = self.expect("int")
-            exponent = int(tok[1])
+            exponent = _natural(tok)
             if exponent > self.guard:
                 raise DegreeGuardExceeded(exponent, self.guard, context="parsing")
             return base ** exponent
         return base
 
     def parse_base(self) -> Polynomial:
-        kind, value, pos = self.next()
+        tok = self.next()
+        kind, value, pos = tok
         if kind == "int":
-            numerator = int(value)
+            numerator = _natural(tok)
             if self.peek() == "/":
                 self.next()
                 dtok = self.expect("int")
-                denominator = int(dtok[1])
+                denominator = _natural(dtok)
                 if denominator == 0:
                     raise ParseError("zero denominator in rational literal", position=dtok[2])
                 return Polynomial.constant(Fraction(numerator, denominator))

@@ -1,9 +1,12 @@
 """Buchberger's algorithm, multivariate reduction, and ideal certificates.
 
 Every computation uses one term order: graded reverse lexicographic with
-x > y.  The two certificates the cusp pipeline needs are decided here:
-whether an ideal is the whole ring (reduced basis {1}) and whether it is
-zero-dimensional (finitely many standard monomials).
+x > y.  Two ideal tests are decided here: whether an ideal is
+zero-dimensional (finitely many standard monomials), which the cusp
+pipeline needs, and whether it is the whole ring (reduced basis {1}).  The
+pipeline decides one-genericity on the quotient algebra instead (see
+`quotient.generates_algebra`); the unit-ideal test remains for callers
+and as the test suite's reference for that verdict.
 
 One exact reduction kernel serves the whole module: `_reduce_full` divides
 primitive integer-coefficient polynomials fraction-free (content removed

@@ -6,9 +6,19 @@ Jacobian are the cusp candidates); the functional determinant of that
 velocity pair, whose sign at a cusp equals the local topological degree;
 and two transversality minors.  When the five-generator ideal is the whole
 ring, every critical point is a fold or a simple cusp and the cusp set is
-finite, so the census runs on the quotient algebra by the three-generator
+finite, so the census runs on the quotient algebra A by the three-generator
 ideal: the signatures of four trace forms yield the number of cusps, the sum
 of their degrees, and the split of both inside a region {u > 0}.
+
+The census computes A first and decides genericity on it.  The five
+polynomials generate the unit ideal exactly when the two minors generate A
+itself, that is, when the block [M_minor1 | M_minor2] of their
+multiplication matrices on A has full row rank.  When A is not
+finite-dimensional the five cannot generate the unit ideal: the zero set of
+the three-generator ideal then contains a curve, along which the jacobian
+and both velocity components vanish, so their gradients annihilate the
+curve's tangent and both minors vanish on it as well.  That case is
+reported as a failed genericity certificate.
 
 All hypotheses are enforced: a failed certificate raises instead of
 producing numbers the theory does not back.
@@ -18,11 +28,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DegenerateRegionForm, GenericityNotCertified
+from .errors import (CertificateFailed, DegenerateRegionForm,
+                     GenericityNotCertified, NotZeroDimensional)
 from .exprio import ProblemInput
-from .groebner import DEFAULT_DEGREE_GUARD, buchberger, is_unit_ideal, normal_form
+from .groebner import buchberger, normal_form
 from .poly import Monomial, Polynomial, func_det
-from .quotient import build_algebra, form_matrix
+from .quotient import QuotientAlgebra, build_algebra, form_matrix, generates_algebra
 from .signature import signature_of
 
 
@@ -98,47 +109,55 @@ def derive_system(f1: Polynomial, f2: Polynomial) -> DerivedSystem:
     )
 
 
-def certify_genericity(derived: DerivedSystem,
-                       degree_guard: int = DEFAULT_DEGREE_GUARD) -> bool:
+def certify_genericity(derived: DerivedSystem, algebra: QuotientAlgebra) -> bool:
     """True iff the five derived polynomials generate the unit ideal.
+
+    algebra is the quotient A by (jac, vel1, vel2).  The five generate the
+    unit ideal exactly when minor1 and minor2 generate A, i.e. when the
+    n x 2n block [M_minor1 | M_minor2] has rank n = dim A (always so for
+    n = 0); `quotient.generates_algebra` decides that rank exactly.  A cusp
+    ideal that is not zero-dimensional has no such A and never certifies:
+    on a curve of common zeros of jac, vel1 and vel2 both minors vanish.
 
     A true verdict certifies that the map is one-generic, that its critical
     points are folds and simple cusps only, and that the cusp set is finite.
     False is a verdict, not an error: the certificate is sufficient but not
     necessary.
     """
-    gb = buchberger(
-        [derived.jac, derived.vel1, derived.vel2, derived.minor1, derived.minor2],
-        degree_guard=degree_guard)
-    return is_unit_ideal(gb)
+    return generates_algebra(algebra, (derived.minor1, derived.minor2))
+
+
+_NOT_CERTIFIED = ("one-genericity certificate failed: the jacobian, the two "
+                  "critical-curve velocity components and the two transversality "
+                  "minors do not generate the unit ideal")
 
 
 def _even_half(a: int, b: int, what: str) -> int:
     if (a + b) % 2:
-        raise RuntimeError(f"inconsistent signatures while computing {what}: "
-                           f"{a} and {b} have odd sum")
+        raise CertificateFailed(f"inconsistent signatures while computing {what}: "
+                                f"{a} and {b} have odd sum")
     return (a + b) // 2
 
 
 def census(problem: ProblemInput) -> CuspCensus:
     """Count cusps of the map, globally and (if u is given) inside {u > 0}.
 
-    Raises GenericityNotCertified when the unit-ideal certificate fails,
-    NotZeroDimensional if the cusp ideal is not zero-dimensional, and
-    DegenerateRegionForm (carrying the partial census) when a region was
-    requested but its trace form is degenerate.  DegreeGuardExceeded from
-    the basis computations propagates.
+    Raises GenericityNotCertified when the one-genericity certificate fails
+    (also when the cusp ideal is not zero-dimensional), CertificateFailed when
+    a consistency check on the signatures fails, and DegenerateRegionForm
+    (carrying the partial census) when a region was requested but its trace
+    form is degenerate.  DegreeGuardExceeded from the basis computation
+    propagates.
     """
-    guard = problem.options.degree_guard
     derived = derive_system(problem.f1, problem.f2)
-    if not certify_genericity(derived, degree_guard=guard):
-        raise GenericityNotCertified(
-            "one-genericity certificate failed: the jacobian, the two "
-            "critical-curve velocity components and the two transversality "
-            "minors do not generate the unit ideal")
-
-    gb = buchberger([derived.jac, derived.vel1, derived.vel2], degree_guard=guard)
-    algebra = build_algebra(gb)
+    gb = buchberger([derived.jac, derived.vel1, derived.vel2],
+                    degree_guard=problem.options.degree_guard)
+    try:
+        algebra = build_algebra(gb)
+    except NotZeroDimensional as err:
+        raise GenericityNotCertified(_NOT_CERTIFIED) from err
+    if not certify_genericity(derived, algebra):
+        raise GenericityNotCertified(_NOT_CERTIFIED)
 
     vel_jac_reduced = normal_form(derived.vel_jac, gb)
     sig1 = signature_of(form_matrix(algebra, Polynomial.constant(1), "1").matrix).signature
@@ -147,7 +166,8 @@ def census(problem: ProblemInput) -> CuspCensus:
     positive = _even_half(sig1, sig2, "positive cusp count")
     negative = _even_half(sig1, -sig2, "negative cusp count")
     if positive < 0 or negative < 0:
-        raise RuntimeError("negative cusp counts: signature computation is inconsistent")
+        raise CertificateFailed("negative cusp counts: "
+                                "signature computation is inconsistent")
 
     base = dict(
         one_generic_certified=True,
@@ -180,12 +200,12 @@ def census(problem: ProblemInput) -> CuspCensus:
     quarter_pos = sig1 + sig2 + sig3 + sig4
     quarter_neg = sig1 - sig2 + sig3 - sig4
     if quarter_pos % 4 or quarter_neg % 4:
-        raise RuntimeError("region signature sums not divisible by 4; "
-                           "signature computation is inconsistent")
+        raise CertificateFailed("region signature sums not divisible by 4; "
+                                "signature computation is inconsistent")
     positive_in = quarter_pos // 4
     negative_in = quarter_neg // 4
     if not (0 <= positive_in <= positive and 0 <= negative_in <= negative):
-        raise RuntimeError("region counts exceed global counts; "
-                           "signature computation is inconsistent")
+        raise CertificateFailed("region counts exceed global counts; "
+                                "signature computation is inconsistent")
     return CuspCensus(sig3=sig3, sig4=sig4,
                       region=RegionCount(positive_in, negative_in), **base)

@@ -16,6 +16,11 @@ recorded on G has normal form zero.  By the border-basis criterion (1) and
 proves that the inputs lie in (G); Buchberger builds G from the inputs, so
 A is the quotient by the ideal of the inputs.
 
+`generates_algebra` decides whether given polynomials generate A itself as
+an ideal, by the rank of their multiplication matrices side by side: modulo
+word-size primes first, exactly when those fall short.  The census uses it
+for the one-genericity certificate.
+
 Normal forms of monomials are computed once and cached: the coordinate
 vector of x^a*y^b is reached from its neighbours by one matrix-vector
 product, so assembling a form matrix costs O(dim^2) cached normal forms
@@ -27,14 +32,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
+from .errors import CertificateFailed
 from .exprio import format_polynomial
 from .groebner import (GroebnerBasis, leading_monomial, normal_form,
                        standard_monomials)
 from .poly import Monomial, Polynomial
+from .signature import _prime_pool, prime_cap, rank, rank_mod
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
 _ZERO = Fraction(0)
+
+#: Usable primes whose rank must all fall short before the exact rank runs.
+_RANK_PRIMES = 3
+
+#: Bits of the prime pool the modular rank draws from (about 38 primes).
+_RANK_POOL_BITS = 1024
 
 
 @dataclass(frozen=True)
@@ -141,8 +156,8 @@ def build_algebra(gb: GroebnerBasis) -> QuotientAlgebra:
     """Construct and certify the quotient algebra of a zero-dimensional basis.
 
     Raises NotZeroDimensional when the basis has infinitely many standard
-    monomials, and RuntimeError naming the failed condition when any of the
-    three certificate conditions in the module docstring fails.
+    monomials, and CertificateFailed naming the failed condition when any of
+    the three certificate conditions in the module docstring fails.
     """
     basis = standard_monomials(gb)
     _require_reduced(gb)
@@ -169,12 +184,12 @@ def build_algebra(gb: GroebnerBasis) -> QuotientAlgebra:
     mult_x = tuple(tuple(cols_x[c][r] for c in range(dim)) for r in range(dim))
     mult_y = tuple(tuple(cols_y[c][r] for c in range(dim)) for r in range(dim))
     if _matmul(mult_x, mult_y) != _matmul(mult_y, mult_x):
-        raise RuntimeError("multiplication matrices fail to commute; "
-                           "the basis is not a Groebner basis of its ideal")
+        raise CertificateFailed("multiplication matrices fail to commute; "
+                                "the basis is not a Groebner basis of its ideal")
     for i, p in enumerate(gb.inputs):
         if not normal_form(p, gb).is_zero():
-            raise RuntimeError(f"input generator {i} has a nonzero normal form; "
-                               "the basis does not generate its inputs")
+            raise CertificateFailed(f"input generator {i} has a nonzero normal form; "
+                                    "the basis does not generate its inputs")
     algebra = QuotientAlgebra(gb, basis, mult_x, mult_y)
     algebra._vectors.update(border)
     return algebra
@@ -185,11 +200,11 @@ def _require_reduced(gb: GroebnerBasis) -> None:
     leads = [leading_monomial(g) for g in gb.generators]
     for i, (g, lead) in enumerate(zip(gb.generators, leads)):
         if g.terms[lead] != 1:
-            raise RuntimeError(f"basis element {i} is not monic")
+            raise CertificateFailed(f"basis element {i} is not monic")
         for mono in g.terms:
             if any(other.divides(mono) for j, other in enumerate(leads)
                    if j != i or mono != lead):
-                raise RuntimeError(
+                raise CertificateFailed(
                     f"basis element {i} is not reduced: its term {mono} is "
                     "divisible by another leading monomial")
 
@@ -212,6 +227,67 @@ def mult_matrix(algebra: QuotientAlgebra, h: Polynomial) -> Matrix:
                     col[r] += coeff * vec[r]
         columns.append(col)
     return tuple(tuple(columns[c][r] for c in range(dim)) for r in range(dim))
+
+
+def generates_algebra(algebra: QuotientAlgebra, hs) -> bool:
+    """True iff the polynomials hs generate the whole algebra as an ideal.
+
+    The ideal they generate is the column space of the n x kn block
+    [M_h1 | ... | M_hk] of their multiplication matrices, so the answer is
+    whether that block has rank n = dim A; the zero algebra is generated by
+    anything.  Full rank modulo a prime that divides no denominator of M_x,
+    M_y or the reduced hs proves full rank over Q, because reduction modulo
+    such a prime is a ring map and cannot raise a rank.  When the rank falls
+    short modulo `_RANK_PRIMES` usable primes, the exact rank decides, so a
+    false verdict is exact too.
+    """
+    n = algebra.dim
+    if n == 0:
+        return True
+    reduced = [normal_form(h, algebra.gb) for h in hs]
+    deficient = 0
+    for p in _prime_pool(prime_cap(n), _RANK_POOL_BITS):
+        try:
+            block = _block_mod(algebra, reduced, p)
+        except ValueError:  # p divides a denominator
+            continue
+        if rank_mod(block, p) == n:
+            return True
+        deficient += 1
+        if deficient == _RANK_PRIMES:
+            break
+    blocks = [mult_matrix(algebra, h) for h in reduced]
+    return rank([sum((m[i] for m in blocks), ()) for i in range(n)]) == n
+
+
+def _residue(value: Fraction, p: int) -> int:
+    """value modulo p; ValueError when p divides its denominator."""
+    return value.numerator * pow(value.denominator, -1, p) % p
+
+
+def _block_mod(algebra: QuotientAlgebra, reduced, p: int) -> np.ndarray:
+    """[M_h1 | ... | M_hk] modulo p for hs already in normal form.
+
+    The column of M_h for a basis monomial b holds the coordinates of h*b:
+    those of h itself for b = 1, else M_x or M_y applied to the column of
+    b/x or b/y, which is standard because the basis is closed under
+    division.  p < prime_cap(n) keeps each product in int64.
+    """
+    n = algebra.dim
+    mx, my = (np.array([[_residue(v, p) if v else 0 for v in row] for row in m],
+                       dtype=np.int64)
+              for m in (algebra.mult_x, algebra.mult_y))
+    columns = np.zeros((n, n, len(reduced)), dtype=np.int64)
+    for k, h in enumerate(reduced):
+        for mono, coeff in h.terms.items():
+            columns[0, algebra._index[mono], k] = _residue(coeff, p)
+    for j, b in enumerate(algebra.basis[1:], start=1):
+        if b.ex:
+            previous, matrix = Monomial(b.ex - 1, b.ey), mx
+        else:
+            previous, matrix = Monomial(b.ex, b.ey - 1), my
+        columns[j] = matrix @ columns[algebra._index[previous]] % p
+    return columns.transpose(1, 2, 0).reshape(n, -1)
 
 
 def trace_functional(algebra: QuotientAlgebra, h: Polynomial) -> Fraction:

@@ -17,7 +17,12 @@ entries, far outside the pipeline's runtime budget.
 
 `signature_of` is the one runtime route to inertia, rank and
 nondegeneracy.  The test suite checks it against an independent symmetric
-elimination kept under tests/.
+elimination kept under tests/.  The exact rank of a rectangular matrix,
+`rank`, goes through it too, via the Gram matrix; `rank_mod` is the cheap
+rank over a prime field, a lower bound on the rank over the rationals when
+the prime divides no denominator.
+
+A failed internal check raises CertificateFailed.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NotSymmetric
+from .errors import CertificateFailed, NotSymmetric
 
 _ONE = Fraction(1)
 _ZERO = Fraction(0)
@@ -72,7 +77,7 @@ def _require_symmetric(matrix: MatrixLike, n: int) -> None:
                     f"{matrix[i][j]} vs {matrix[j][i]}")
 
 
-def _scaled_integer_matrix(matrix: MatrixLike, n: int) -> tuple[list[list[int]], Fraction]:
+def _scaled_integer_matrix(matrix: MatrixLike) -> tuple[list[list[int]], Fraction]:
     """Return (s*M as integers, s) for the smallest convenient rational s > 0."""
     denominator_lcm = 1
     for row in matrix:
@@ -108,7 +113,7 @@ def _faddeev_leverrier(matrix: list[list[int]]) -> list[int]:
         trace = sum(work[i][i] for i in range(n))
         quotient, remainder = divmod(-trace, k)
         if remainder:
-            raise RuntimeError("Faddeev-LeVerrier division was not exact")
+            raise CertificateFailed("Faddeev-LeVerrier division was not exact")
         coeffs.append(quotient)
         if k == n:
             break
@@ -161,6 +166,12 @@ def _is_prime(p: int) -> bool:
 _PRIME_POOLS: dict[int, list[int]] = {}
 
 
+def prime_cap(n: int) -> int:
+    """Bound on the primes for dimension n: a sum of n products of two
+    residues, as in a matrix product, stays below 2**62 and fits in int64."""
+    return isqrt(2 ** 62 // max(n, 64))
+
+
 def _prime_pool(cap: int, min_bits: int) -> list[int]:
     """Descending primes below cap whose product exceeds 2**min_bits."""
     pool = _PRIME_POOLS.setdefault(cap, [])
@@ -175,13 +186,51 @@ def _prime_pool(cap: int, min_bits: int) -> list[int]:
             have += candidate.bit_length() - 1
         candidate -= 2
         if candidate < 3:
-            raise RuntimeError("prime pool exhausted")
+            raise CertificateFailed("prime pool exhausted")
     have = 0
     for count, p in enumerate(pool, start=1):
         have += p.bit_length() - 1
         if have >= min_bits:
             return pool[:count]
     return pool
+
+
+def rank(matrix: MatrixLike) -> int:
+    """Exact rank of a rational matrix of any shape.
+
+    Over the rationals rank B = rank B B^T, and a positive scaling of B
+    changes neither, so the rank is read off the integer Gram matrix by the
+    exact route of `signature_of`.
+    """
+    if not matrix:
+        return 0
+    scaled, _ = _scaled_integer_matrix(matrix)
+    gram = [[sum(a * b for a, b in zip(r, s)) for s in scaled] for r in scaled]
+    return signature_of(gram).rank
+
+
+def rank_mod(matrix: np.ndarray, p: int) -> int:
+    """Rank over GF(p) of an int64 matrix, by row echelon reduction.
+
+    p must be below 2**31, so that the product of two residues fits in
+    int64.  The input is not modified.
+    """
+    a = matrix % p
+    rows, cols = a.shape
+    r = 0  # rows reduced so far
+    for c in range(cols):
+        if r == rows:
+            break
+        nonzero = np.nonzero(a[r:, c])[0]
+        if not nonzero.size:
+            continue
+        pivot = r + int(nonzero[0])
+        if pivot != r:
+            a[[r, pivot]] = a[[pivot, r]]
+        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
+        a[r + 1:] = (a[r + 1:] - a[r + 1:, c:c + 1] * a[r]) % p
+        r += 1
+    return r
 
 
 def _mod_inverse(values: np.ndarray, primes: np.ndarray) -> np.ndarray:
@@ -281,8 +330,7 @@ def _char_poly_crt(matrix: list[list[int]]) -> list[int]:
     """Exact integer char poly through enough primes to beat the Hadamard bound."""
     n = len(matrix)
     bound_bits = _coefficient_bound_bits(matrix, n)
-    cap = isqrt(2 ** 62 // max(n, 64))
-    primes = _prime_pool(cap, bound_bits + 1)
+    primes = _prime_pool(prime_cap(n), bound_bits + 1)
     table = _entry_residue_table(matrix, primes)
     residues = np.empty((len(primes), n + 1), dtype=np.int64)
     for start in range(0, len(primes), _PRIME_CHUNK):
@@ -311,7 +359,7 @@ def _char_poly_crt(matrix: list[list[int]]) -> list[int]:
             value -= modulus
         out.append(value)
     if out[0] != 1:
-        raise RuntimeError("modular characteristic polynomial reconstruction failed")
+        raise CertificateFailed("modular characteristic polynomial reconstruction failed")
     return out
 
 
@@ -329,7 +377,7 @@ def char_poly(matrix: MatrixLike) -> tuple[Fraction, ...]:
     n = _dimension_of(matrix)
     if n == 0:
         return (_ONE,)
-    scaled, scale = _scaled_integer_matrix(matrix, n)
+    scaled, scale = _scaled_integer_matrix(matrix)
     raw = _char_poly_int(scaled)
     # char(M) coefficients recover from char(s*M) by c_j / s^j
     power = _ONE
@@ -365,7 +413,7 @@ def _descartes_counts(coeffs: list, n: int) -> tuple[int, int, int]:
     positive = _sign_variations(pos_signs)
     negative = _sign_variations(neg_signs)
     if positive + negative + zero_mult != n:
-        raise RuntimeError("Descartes counts are inconsistent; "
+        raise CertificateFailed("Descartes counts are inconsistent; "
                            "input cannot have been symmetric")
     return positive, negative, zero_mult
 
@@ -381,7 +429,7 @@ def signature_of(matrix: MatrixLike) -> SignatureResult:
     if n == 0:
         return SignatureResult(0, 0, 0, 0, True)
     # positive rescaling preserves inertia, so count on the integer matrix
-    scaled, _ = _scaled_integer_matrix(matrix, n)
+    scaled, _ = _scaled_integer_matrix(matrix)
     positive, negative, zero_mult = _descartes_counts(_char_poly_int(scaled), n)
     return SignatureResult(
         signature=positive - negative,

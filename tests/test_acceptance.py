@@ -6,13 +6,14 @@ census fixtures, which time a single cold run of each pipeline.
 """
 
 import random
+import time
 from fractions import Fraction
 
 from cuspcount import cli
 from cuspcount.exprio import ProblemInput, format_polynomial, parse_polynomial
 from cuspcount.groebner import buchberger, leading_monomial, normal_form
 from cuspcount.oracle import isolate_cusps, region_membership
-from cuspcount.pipeline import census, derive_system
+from cuspcount.pipeline import census, certify_genericity, derive_system
 from cuspcount.poly import Monomial, Polynomial, X, Y
 from cuspcount.quotient import build_algebra, form_matrix
 from cuspcount.signature import signature_of
@@ -84,6 +85,19 @@ def test_criterion_3_six_cusp_map(six_cusp_run):
     assert six_cusp_run.seconds < 60.0
     report(3, f"dim 56, 6 cusps (5 positive, 1 negative), negative one in "
               f"region, sig3-sig4 = 2, in {six_cusp_run.seconds:.1f}s")
+
+
+def test_criterion_3_genericity_certificate_runtime(six_cusp_run):
+    # a ceiling no 5-generator Buchberger run (about 12 s here) could meet
+    problem = six_cusp_run.problem
+    d = derive_system(problem.f1, problem.f2)
+    algebra = build_algebra(buchberger([d.jac, d.vel1, d.vel2]))
+    start = time.perf_counter()
+    assert certify_genericity(d, algebra)
+    seconds = time.perf_counter() - start
+    assert seconds < 2.0
+    report(3, f"six-cusp map certified one-generic on its dim-56 quotient "
+              f"in {seconds:.3f}s")
 
 
 def test_criterion_4_cusp_normal_form(whitney_run):

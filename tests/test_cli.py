@@ -8,6 +8,7 @@ import pytest
 
 from cuspcount import cli
 from cuspcount.cli import RunOptions, run
+from cuspcount.signature import SignatureResult
 from conftest import IDENTITY_TEXT, NON_GENERIC_TEXT, TWO_CUSP_TEXT, WHITNEY_TEXT
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -35,6 +36,37 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, [write_problem(tmp_path, NON_GENERIC_TEXT)])
         assert code == 2
         assert "certificate" in err
+
+    def test_cusp_ideal_not_zero_dimensional(self, tmp_path, capsys):
+        # jac, vel1 and vel2 all vanish on {y = 0}: reported as not generic
+        code, out, err = run_cli(capsys, [write_problem(tmp_path, "f1 = x\nf2 = y^3\n")])
+        assert code == 2
+        assert out == ""
+        assert err == ("cuspcount: one-genericity certificate failed: the jacobian, "
+                       "the two critical-curve velocity components and the two "
+                       "transversality minors do not generate the unit ideal\n")
+
+    def test_rank_deficient_minors(self, tmp_path, capsys):
+        # zero-dimensional cusp ideal of dimension 2; the minors span rank 1
+        text = "f1 = x\nf2 = y^4 + x*y\n"
+        code, out, err = run_cli(capsys, [write_problem(tmp_path, text)])
+        assert code == 2
+        assert out == ""
+        assert "one-genericity certificate failed" in err
+
+    def test_certificate_failure_is_one_line(self, tmp_path, capsys, monkeypatch):
+        signatures = iter([2, 1])  # odd sum: no integer count of positive cusps
+
+        def inconsistent(matrix):
+            value = next(signatures)
+            return SignatureResult(value, len(matrix), 0, 0, True)
+
+        monkeypatch.setattr("cuspcount.pipeline.signature_of", inconsistent)
+        code, out, err = run_cli(capsys, [write_problem(tmp_path, TWO_CUSP_TEXT)])
+        assert code == 1
+        assert out == ""
+        assert err == ("cuspcount: certificate failed: inconsistent signatures while "
+                       "computing positive cusp count: 2 and 1 have odd sum\n")
 
     def test_degenerate_region(self, tmp_path, capsys):
         text = "f1 = x*y^2 - x^2 + y^2 + x - y\nf2 = x - y\nu = x\n"

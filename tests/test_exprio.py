@@ -38,7 +38,8 @@ class TestParsePolynomial:
 
     @pytest.mark.parametrize("bad", [
         "", "x +", "x y", "(x", "x ^ y", "x^-2", "3/0", "x**2", "z", "1..2", "x + @",
-    ])
+        "\u00b2", "x^\u00b3", "\u0663*x", "9" * 5000, "x^" + "9" * 5000,
+    ], ids=lambda text: text if len(text) < 20 else f"{len(text)} characters")
     def test_malformed_inputs_raise(self, bad):
         with pytest.raises(ParseError):
             parse_polynomial(bad)

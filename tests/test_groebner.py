@@ -11,6 +11,7 @@ from cuspcount.groebner import (buchberger, is_unit_ideal, is_zero_dimensional,
                                 leading_monomial, normal_form, standard_monomials)
 from cuspcount.pipeline import certify_genericity, derive_system
 from cuspcount.poly import Monomial, Polynomial, X, Y
+from cuspcount.quotient import build_algebra
 from conftest import (EIGHT_CUSP_TEXT, SIX_CUSP_TEXT, TWO_CUSP_TEXT,
                       random_polynomial)
 
@@ -163,6 +164,34 @@ def five_generators(d):
     return [d.jac, d.vel1, d.vel2, d.minor1, d.minor2]
 
 
+def census_verdict(d):
+    """The census' genericity verdict and the case that decided it."""
+    try:
+        algebra = build_algebra(buchberger([d.jac, d.vel1, d.vel2]))
+    except NotZeroDimensional:
+        return False, "not zero-dimensional"
+    verdict = certify_genericity(d, algebra)
+    return verdict, "certified" if verdict else "rank-deficient"
+
+
+def dense_polynomial(rng, degree, bound=5):
+    """Every monomial up to degree, top-degree coefficients nonzero."""
+    nonzero = [c for c in range(-bound, bound + 1) if c]
+    return Polynomial({
+        Monomial(ex, ey): rng.choice(nonzero) if ex + ey == degree
+        else rng.randint(-bound, bound)
+        for ex in range(degree + 1) for ey in range(degree + 1 - ex)})
+
+
+def sparse_polynomial(rng, degree=3, bound=3):
+    """Two or three random monomials of degree 1..degree."""
+    monos = [Monomial(ex, ey) for ex in range(degree + 1)
+             for ey in range(degree + 1 - ex) if ex + ey]
+    nonzero = [c for c in range(-bound, bound + 1) if c]
+    return Polynomial({m: rng.choice(nonzero)
+                       for m in rng.sample(monos, rng.randint(2, 3))})
+
+
 class TestSympyReference:
     """Reduced bases and genericity verdicts against sympy's Buchberger."""
 
@@ -191,6 +220,29 @@ class TestSympyReference:
 
     def test_squares_map_is_not_certified(self):
         d = derive_system(X ** 2, Y ** 2)
-        assert not certify_genericity(d)
+        assert census_verdict(d) == (False, "rank-deficient")
         assert sympy_basis(five_generators(d)) == \
             term_sets(buchberger(five_generators(d)))
+
+    def test_random_map_verdicts(self):
+        """The rank certificate agrees with the 5-generator unit-ideal test.
+
+        Maps are shaped like the benchmark's random batch: dense of degrees
+        (2,2), (3,2) and (3,3), and sparse with two or three monomials of
+        degree at most 3; the sparse ones supply the rank-deficient and the
+        not zero-dimensional cases.
+        """
+        rng = random.Random(20310)
+        cases = {}
+        for degrees, count in (((2, 2), 20), ((3, 2), 40), ((3, 3), 20), (None, 70)):
+            for _ in range(count):
+                if degrees is None:
+                    f1, f2 = sparse_polynomial(rng), sparse_polynomial(rng)
+                else:
+                    f1, f2 = (dense_polynomial(rng, degree) for degree in degrees)
+                d = derive_system(f1, f2)
+                verdict, case = census_verdict(d)
+                assert verdict == (sympy_basis(five_generators(d)) == term_sets([ONE])), \
+                    (f1, f2)
+                cases[case] = cases.get(case, 0) + 1
+        assert set(cases) == {"certified", "rank-deficient", "not zero-dimensional"}

@@ -4,12 +4,28 @@ import random
 
 import pytest
 
-from cuspcount.errors import DegenerateRegionForm, GenericityNotCertified
+from cuspcount import quotient
+from cuspcount.errors import (DegenerateRegionForm, GenericityNotCertified,
+                              NotZeroDimensional)
 from cuspcount.exprio import parse_polynomial, parse_problem
+from cuspcount.groebner import buchberger, normal_form
 from cuspcount.pipeline import CuspCensus, census, certify_genericity, derive_system
 from cuspcount.poly import Monomial, Polynomial, X, Y, func_det
-from conftest import (FOLD_ONLY_TEXT, IDENTITY_TEXT, NON_GENERIC_TEXT,
-                      TWO_CUSP_TEXT, random_polynomial)
+from cuspcount.quotient import build_algebra, mult_matrix
+from cuspcount.signature import rank
+from conftest import (EIGHT_CUSP_TEXT, FOLD_ONLY_TEXT, IDENTITY_TEXT,
+                      NON_GENERIC_TEXT, TWO_CUSP_TEXT, WHITNEY_TEXT,
+                      random_polynomial)
+
+
+def cusp_algebra(derived):
+    """The quotient algebra by (jac, vel1, vel2) that the census builds."""
+    return build_algebra(buchberger([derived.jac, derived.vel1, derived.vel2]))
+
+
+def derived_of(text):
+    problem = parse_problem(text)
+    return derive_system(problem.f1, problem.f2)
 
 
 class TestDeriveSystem:
@@ -49,14 +65,63 @@ class TestDeriveSystem:
 
 class TestGenericityCertificate:
     def test_two_cusp_map_certified(self):
-        problem = parse_problem(TWO_CUSP_TEXT)
-        assert certify_genericity(derive_system(problem.f1, problem.f2))
+        d = derived_of(TWO_CUSP_TEXT)
+        assert certify_genericity(d, cusp_algebra(d))
 
     def test_squares_map_not_certified(self):
-        assert not certify_genericity(derive_system(X ** 2, Y ** 2))
+        d = derive_system(X ** 2, Y ** 2)
+        assert not certify_genericity(d, cusp_algebra(d))
 
     def test_identity_certified(self):
-        assert certify_genericity(derive_system(X, Y))
+        d = derive_system(X, Y)
+        algebra = cusp_algebra(d)
+        assert algebra.dim == 0
+        assert certify_genericity(d, algebra)
+
+    def test_rank_deficient_minors(self):
+        # A = Q[x,y]/(x, y^2); the minors generate only the ideal (y) of A
+        d = derive_system(X, Y ** 4 + X * Y)
+        algebra = cusp_algebra(d)
+        assert algebra.dim == 2
+        blocks = [mult_matrix(algebra, normal_form(h, algebra.gb))
+                  for h in (d.minor1, d.minor2)]
+        assert rank([a + b for a, b in zip(*blocks)]) == 1
+        assert not certify_genericity(d, algebra)
+
+    def test_curve_of_cusp_candidates_is_not_certified(self):
+        # jac, vel1 and vel2 all vanish on the line {y = 0}
+        d = derive_system(X, Y ** 3)
+        with pytest.raises(NotZeroDimensional):
+            cusp_algebra(d)
+        with pytest.raises(GenericityNotCertified,
+                           match="do not generate the unit ideal"):
+            census(parse_problem("f1 = x\nf2 = y^3\n"))
+
+    @pytest.mark.parametrize("text", [TWO_CUSP_TEXT, WHITNEY_TEXT, EIGHT_CUSP_TEXT],
+                             ids=["two_cusp", "whitney", "eight_cusp"])
+    def test_modular_rank_certifies_on_its_own(self, monkeypatch, text):
+        def no_exact_rank(matrix):
+            raise AssertionError("the exact rank ran")
+
+        monkeypatch.setattr(quotient, "rank", no_exact_rank)
+        d = derived_of(text)
+        assert certify_genericity(d, cusp_algebra(d))
+
+    @pytest.mark.parametrize("text, verdict", [
+        (TWO_CUSP_TEXT, True), (WHITNEY_TEXT, True), (EIGHT_CUSP_TEXT, True),
+        (NON_GENERIC_TEXT, False)], ids=["two_cusp", "whitney", "eight_cusp", "squares"])
+    def test_exact_rank_decides_when_every_prime_falls_short(
+            self, monkeypatch, text, verdict):
+        calls = []
+
+        def deficient(matrix, p):
+            calls.append(p)
+            return 0
+
+        monkeypatch.setattr(quotient, "rank_mod", deficient)
+        d = derived_of(text)
+        assert certify_genericity(d, cusp_algebra(d)) is verdict
+        assert len(calls) == quotient._RANK_PRIMES
 
 
 class TestCensus:

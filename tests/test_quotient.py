@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from cuspcount.errors import NotZeroDimensional
 from cuspcount.exprio import parse_polynomial
 from cuspcount.groebner import GroebnerBasis, buchberger, normal_form
 from cuspcount.pipeline import derive_system
 from cuspcount.poly import Monomial, Polynomial, X, Y
-from cuspcount.quotient import (build_algebra, form_matrix, mult_matrix,
-                                trace_functional)
+from cuspcount.quotient import (_block_mod, build_algebra, form_matrix,
+                                mult_matrix, trace_functional)
 from conftest import random_polynomial
 
 ONE = Polynomial.constant(1)
@@ -212,3 +213,27 @@ class TestFormMatrix:
                             for i in range(len(coords))
                             for j in range(len(coords)))
             assert quadratic == trace_functional(algebra, delta * a * a)
+
+
+class TestGeneratesAlgebra:
+    def test_modular_block_is_the_exact_block_mod_p(self):
+        """_block_mod is [M_h1 | M_h2] of mult_matrix, reduced modulo p."""
+        rng = random.Random(20330)
+        p = 268435399
+        checked = 0
+        while checked < 40:
+            gens = [random_polynomial(rng, rng.randint(1, 3), lo=-5, hi=5)
+                    for _ in range(3)]
+            try:
+                algebra = build_algebra(buchberger([g for g in gens if not g.is_zero()]
+                                                   or [X]))
+            except NotZeroDimensional:
+                continue
+            if not algebra.dim:  # generates_algebra answers n = 0 by itself
+                continue
+            hs = [normal_form(random_polynomial(rng, 3), algebra.gb) for _ in range(2)]
+            exact = [mult_matrix(algebra, h) for h in hs]
+            expected = [[v.numerator * pow(v.denominator, -1, p) % p
+                         for m in exact for v in m[i]] for i in range(algebra.dim)]
+            assert _block_mod(algebra, hs, p).tolist() == expected
+            checked += 1

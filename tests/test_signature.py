@@ -5,11 +5,13 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from cuspcount.errors import NotSymmetric
 from cuspcount.signature import (SignatureResult, _char_poly_crt,
-                                 _faddeev_leverrier, char_poly, signature_of)
+                                 _faddeev_leverrier, char_poly, rank, rank_mod,
+                                 signature_of)
 from elimination import signature_by_elimination
 
 
@@ -164,3 +166,35 @@ class TestInvariance:
         hyperbolic = [[0, 5], [5, 0]]
         assert signature_by_elimination(hyperbolic) == SignatureResult(0, 2, 1, 1, True)
         assert signature_of(hyperbolic) == SignatureResult(0, 2, 1, 1, True)
+
+
+class TestRank:
+    """Exact and modular rank of rectangular matrices against sympy."""
+
+    def test_planted_ranks(self):
+        from sympy import Matrix
+
+        rng = random.Random(20320)
+        p = 268435399  # a prime below 2**28
+        for _ in range(60):
+            rows, cols = rng.randint(1, 7), rng.randint(1, 14)
+            inner = rng.randint(0, min(rows, cols))
+            left = [[rng.randint(-3, 3) for _ in range(inner)] for _ in range(rows)]
+            right = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                      for _ in range(cols)] for _ in range(inner)]
+            m = [[sum((left[i][k] * right[k][j] for k in range(inner)), Fraction(0))
+                  for j in range(cols)] for i in range(rows)]
+            expected = Matrix(m).rank()
+            assert rank(m) == expected
+            # times the common denominator 6 the entries are integers; the
+            # rank mod p falls short only if p divides every nonzero maximal
+            # minor, which the fixed seed shows does not happen here
+            scaled = np.array([[int(v * 6) for v in row] for row in m], dtype=np.int64)
+            assert rank_mod(scaled, p) == expected
+
+    def test_modular_rank_can_fall_short(self):
+        assert rank([[7, 0], [0, 1]]) == 2
+        assert rank_mod(np.array([[7, 0], [0, 1]], dtype=np.int64), 7) == 1
+
+    def test_empty(self):
+        assert rank([]) == 0
