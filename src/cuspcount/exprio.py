@@ -12,10 +12,18 @@ Unary minus binds more loosely than '^', so "-x^2" denotes -(x^2).
 
 Problem files are UTF-8 text with one "key = expression" per line, where key
 is f1, f2 or u; '#' starts a comment and blank lines are ignored.
+
+No parsed coefficient has a numerator or denominator of more than 4300
+decimal digits, the interpreter's default limit on converting integers to
+and from text (which already bounds integer literals), so every parsed
+polynomial can be formatted and parsed again.  A power that could exceed the
+limit is rejected before it is computed, which keeps nested powers from
+building numbers of unbounded size.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -42,6 +50,9 @@ class ProblemInput:
 
 
 # -- tokenizer -------------------------------------------------------------
+
+_MAX_DIGITS = 4300
+_COEFFICIENT_LIMIT = 10 ** _MAX_DIGITS
 
 _SINGLE = {"+", "-", "*", "^", "/", "(", ")", "x", "y"}
 _DIGITS = "0123456789"  # str.isdigit also accepts '²' and other scripts' digits
@@ -81,6 +92,23 @@ def _natural(tok) -> int:
     except ValueError:  # more digits than the interpreter converts
         raise ParseError(f"integer literal of {len(tok[1])} digits is too long",
                          position=tok[2]) from None
+
+
+def _check_power_size(base: Polynomial, exponent: int, position: int) -> None:
+    """Reject base^exponent when its coefficients could exceed _MAX_DIGITS digits.
+
+    With D the lcm of the base's denominators and N the sum of the absolute
+    values of D times its coefficients, every coefficient of the power has a
+    numerator of at most N^exponent and a denominator dividing D^exponent.
+    """
+    coeffs = base.terms.values()
+    if not coeffs:
+        return
+    denominator = math.lcm(*(c.denominator for c in coeffs))
+    norm = sum(abs(c.numerator) * (denominator // c.denominator) for c in coeffs)
+    if exponent * math.log10(max(norm, denominator)) >= _MAX_DIGITS:
+        raise ParseError(f"^{exponent} could give coefficients of more "
+                         f"than {_MAX_DIGITS} digits", position=position)
 
 
 class _Parser:
@@ -136,6 +164,7 @@ class _Parser:
             exponent = _natural(tok)
             if exponent > self.guard:
                 raise DegreeGuardExceeded(exponent, self.guard, context="parsing")
+            _check_power_size(base, exponent, tok[2])
             return base ** exponent
         return base
 
@@ -176,6 +205,9 @@ def parse_polynomial(text: str, degree_guard: int = DEFAULT_DEGREE_GUARD) -> Pol
                          expected=("+", "-", "*", "^", "end of input"))
     if result.degree != float("-inf") and result.degree > degree_guard:
         raise DegreeGuardExceeded(result.degree, degree_guard, context="parsing")
+    for coeff in result.terms.values():
+        if abs(coeff.numerator) >= _COEFFICIENT_LIMIT or coeff.denominator >= _COEFFICIENT_LIMIT:
+            raise ParseError(f"a coefficient has more than {_MAX_DIGITS} digits")
     return result
 
 

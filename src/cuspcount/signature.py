@@ -6,14 +6,15 @@ characteristic polynomial is real, which makes the Descartes counts exact
 rather than upper bounds.  Rescaling a matrix by a positive rational never
 disturbs inertia, so the counts run on a denominator-cleared integer matrix.
 
-The integer characteristic polynomial itself comes from one of two exact
-routes: the Faddeev-LeVerrier trace recursion (all divisions exact) for
-small matrices, and for larger ones a multimodular Hessenberg reduction —
-the coefficients are computed modulo enough word-size primes to exceed a
-Hadamard-style bound and reconstructed by the Chinese remainder theorem.
-Both are exact; the modular route exists because rational Hessenberg and
-plain Faddeev-LeVerrier take minutes at dimension 56 with thousand-bit
-entries, far outside the pipeline's runtime budget.
+The integer characteristic polynomial has one exact route, a multimodular
+Hessenberg reduction: the coefficients are computed modulo enough
+word-size primes to exceed a Hadamard-style bound and reconstructed by the
+Chinese remainder theorem.  Primes are processed in chunks; each chunk
+reduces every distinct matrix entry modulo its primes into one residue
+table of the chunk's own size, and each Hessenberg pivot is inverted by one
+modular power per prime.  Rational Hessenberg and the Faddeev-LeVerrier
+trace recursion take minutes at dimension 56 with thousand-bit entries,
+far outside the pipeline's runtime budget.
 
 `signature_of` is the one runtime route to inertia, rank and
 nondegeneracy.  The test suite checks it against an independent symmetric
@@ -41,9 +42,6 @@ _ONE = Fraction(1)
 _ZERO = Fraction(0)
 
 MatrixLike = Sequence[Sequence]
-
-#: Matrices up to this dimension use Faddeev-LeVerrier directly.
-_SMALL_DIMENSION = 12
 
 #: Primes are processed in batches of this many.
 _PRIME_CHUNK = 256
@@ -99,31 +97,6 @@ def _scaled_integer_matrix(matrix: MatrixLike) -> tuple[list[list[int]], Fractio
 
 
 # -- integer characteristic polynomial ---------------------------------------
-
-def _faddeev_leverrier(matrix: list[list[int]]) -> list[int]:
-    """Integer characteristic polynomial, descending coefficients, leading 1.
-
-    M_1 = A, c_k = -tr(M_k)/k (an exact division), M_{k+1} = A(M_k + c_k I).
-    """
-    n = len(matrix)
-    a = matrix
-    work = [list(row) for row in a]
-    coeffs = [1]
-    for k in range(1, n + 1):
-        trace = sum(work[i][i] for i in range(n))
-        quotient, remainder = divmod(-trace, k)
-        if remainder:
-            raise CertificateFailed("Faddeev-LeVerrier division was not exact")
-        coeffs.append(quotient)
-        if k == n:
-            break
-        for i in range(n):
-            work[i][i] += quotient
-        columns = list(zip(*work))
-        work = [[sum(x * y for x, y in zip(row, col)) for col in columns]
-                for row in a]
-    return coeffs
-
 
 def _coefficient_bound_bits(matrix: list[list[int]], n: int) -> int:
     """Bits of a bound on |char poly coefficients|, via Hadamard on minors."""
@@ -234,16 +207,10 @@ def rank_mod(matrix: np.ndarray, p: int) -> int:
 
 
 def _mod_inverse(values: np.ndarray, primes: np.ndarray) -> np.ndarray:
-    """Batched modular inverse by Fermat; zero maps to zero."""
-    result = np.ones_like(values)
-    base = values % primes
-    exponent = primes - 2
-    while exponent.any():
-        odd = (exponent & 1).astype(bool)
-        result = np.where(odd, (result * base) % primes, result)
-        base = (base * base) % primes
-        exponent >>= 1
-    return result
+    """Inverse of each value modulo its prime; zero maps to zero."""
+    return np.array([pow(v, -1, p) if v % p else 0
+                     for v, p in zip(values.tolist(), primes.tolist())],
+                    dtype=np.int64)
 
 
 def _hessenberg_mod(h: np.ndarray, primes: np.ndarray) -> None:
@@ -293,51 +260,23 @@ def _charpoly_mod(h: np.ndarray, primes: np.ndarray) -> np.ndarray:
     return polys[n]
 
 
-def _entry_residue_table(matrix: list[list[int]], primes: list[int]) -> np.ndarray:
-    """Residues of every entry modulo every prime, shape (n, n, len(primes)).
-
-    Big entries are first reduced modulo products of prime pairs (one big
-    division serves two primes) and repeated entries — every entry twice in
-    a symmetric matrix — are cached.
-    """
-    n = len(matrix)
-    count = len(primes)
-    parr = np.array(primes, dtype=np.int64)
-    paired = (count // 2) * 2
-    pair_products = [primes[k] * primes[k + 1] for k in range(0, paired, 2)]
-    even, odd = parr[0:paired:2], parr[1:paired:2]
-    cache: dict[int, np.ndarray] = {}
-    table = np.empty((n, n, count), dtype=np.int64)
-    for i in range(n):
-        row = matrix[i]
-        for j in range(n):
-            v = row[j]
-            residues = cache.get(v)
-            if residues is None:
-                pair_res = np.fromiter((v % q for q in pair_products),
-                                       dtype=np.int64, count=len(pair_products))
-                residues = np.empty(count, dtype=np.int64)
-                residues[0:paired:2] = pair_res % even
-                residues[1:paired:2] = pair_res % odd
-                for k in range(paired, count):
-                    residues[k] = v % primes[k]
-                cache[v] = residues
-            table[i, j] = residues
-    return table
-
-
 def _char_poly_crt(matrix: list[list[int]]) -> list[int]:
     """Exact integer char poly through enough primes to beat the Hadamard bound."""
     n = len(matrix)
     bound_bits = _coefficient_bound_bits(matrix, n)
     primes = _prime_pool(prime_cap(n), bound_bits + 1)
-    table = _entry_residue_table(matrix, primes)
+    # residues are taken once per distinct entry: a symmetric matrix repeats
+    # every off-diagonal entry
+    slot: dict[int, int] = {}
+    layout = np.array([[slot.setdefault(v, len(slot)) for v in row] for row in matrix],
+                      dtype=np.intp)
+    distinct = list(slot)
     residues = np.empty((len(primes), n + 1), dtype=np.int64)
     for start in range(0, len(primes), _PRIME_CHUNK):
         chunk = primes[start:start + _PRIME_CHUNK]
         parr = np.array(chunk, dtype=np.int64)
-        h = np.ascontiguousarray(
-            table[:, :, start:start + len(chunk)].transpose(2, 0, 1))
+        table = np.array([[v % p for v in distinct] for p in chunk], dtype=np.int64)
+        h = table[:, layout]
         _hessenberg_mod(h, parr)
         residues[start:start + len(chunk)] = _charpoly_mod(h, parr)
 
@@ -363,12 +302,6 @@ def _char_poly_crt(matrix: list[list[int]]) -> list[int]:
     return out
 
 
-def _char_poly_int(matrix: list[list[int]]) -> list[int]:
-    if len(matrix) <= _SMALL_DIMENSION:
-        return _faddeev_leverrier(matrix)
-    return _char_poly_crt(matrix)
-
-
 def char_poly(matrix: MatrixLike) -> tuple[Fraction, ...]:
     """Coefficients of det(lambda*I - M), descending from lambda^n; leading 1.
 
@@ -378,7 +311,7 @@ def char_poly(matrix: MatrixLike) -> tuple[Fraction, ...]:
     if n == 0:
         return (_ONE,)
     scaled, scale = _scaled_integer_matrix(matrix)
-    raw = _char_poly_int(scaled)
+    raw = _char_poly_crt(scaled)
     # char(M) coefficients recover from char(s*M) by c_j / s^j
     power = _ONE
     out = []
@@ -430,7 +363,7 @@ def signature_of(matrix: MatrixLike) -> SignatureResult:
         return SignatureResult(0, 0, 0, 0, True)
     # positive rescaling preserves inertia, so count on the integer matrix
     scaled, _ = _scaled_integer_matrix(matrix)
-    positive, negative, zero_mult = _descartes_counts(_char_poly_int(scaled), n)
+    positive, negative, zero_mult = _descartes_counts(_char_poly_crt(scaled), n)
     return SignatureResult(
         signature=positive - negative,
         rank=n - zero_mult,

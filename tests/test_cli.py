@@ -2,12 +2,14 @@
 
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
 
 from cuspcount import cli
 from cuspcount.cli import RunOptions, run
+from cuspcount.exprio import parse_polynomial
 from cuspcount.signature import SignatureResult
 from conftest import IDENTITY_TEXT, NON_GENERIC_TEXT, TWO_CUSP_TEXT, WHITNEY_TEXT
 
@@ -96,6 +98,28 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, [write_problem(tmp_path, text), "--oracle"])
         assert code == 6
         assert err.startswith("cuspcount: oracle:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize("f1", [
+        "((10^64)^64)^2*x", "((((10^64)^64)^64)^64)*x", "(((((10^64)^64)^64)^64)^64)*x",
+    ], ids=["two levels", "four levels", "five levels"])
+    def test_coefficient_beyond_digit_limit(self, tmp_path, capsys, f1, mode):
+        # each level of ^64 multiplies the digits by 64; the bound stops the
+        # nest before the power is computed
+        path = write_problem(tmp_path, f"f1 = {f1}\nf2 = y\n")
+        start = time.process_time()
+        code, out, err = run_cli(capsys, [path, *mode])
+        assert time.process_time() - start < 1
+        assert code == 5
+        assert out == ""
+        assert err.startswith("cuspcount: parse error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("f1", ["(10^64)^64*x", "1/" + "9" * 4300 + "*x"],
+                             ids=["4097 digits", "4300-digit denominator"])
+    def test_large_coefficient_echo_round_trips(self, tmp_path, capsys, f1):
+        code, out, _ = run_cli(capsys, [write_problem(tmp_path, f"f1 = {f1}\nf2 = y\n"), "--json"])
+        assert code == 0
+        assert parse_polynomial(json.loads(out)["input_echo"]["f1"]) == parse_polynomial(f1)
 
     @pytest.mark.parametrize("radius", ["0", "-1", "nan", "inf"])
     def test_radius_must_be_positive_and_finite(self, tmp_path, capsys, radius):

@@ -39,6 +39,11 @@ class TestParsePolynomial:
     @pytest.mark.parametrize("bad", [
         "", "x +", "x y", "(x", "x ^ y", "x^-2", "3/0", "x**2", "z", "1..2", "x + @",
         "\u00b2", "x^\u00b3", "\u0663*x", "9" * 5000, "x^" + "9" * 5000,
+        # coefficients beyond 4300 digits: a power, found before it is
+        # computed, and products and quotients of literals, found at the end
+        "((10^64)^64)^2*x", "(((((10^64)^64)^64)^64)^64)*x",
+        "((10^50)^10)^10*x - ((10^50)^10)^10*x + x",
+        "9" * 4300 + "*" + "9" * 4300, "1/" + "9" * 4300 + "*1/" + "9" * 4300,
     ], ids=lambda text: text if len(text) < 20 else f"{len(text)} characters")
     def test_malformed_inputs_raise(self, bad):
         with pytest.raises(ParseError):

@@ -1,5 +1,6 @@
-"""Signature machinery: char poly against a brute-force oracle, Descartes
-counts, Sylvester invariance, and agreement of the two independent routes."""
+"""Signature machinery: char poly against a brute-force oracle and sympy,
+Descartes counts, Sylvester invariance, and agreement with the elimination
+route."""
 
 import random
 from fractions import Fraction
@@ -9,9 +10,9 @@ import numpy as np
 import pytest
 
 from cuspcount.errors import NotSymmetric
-from cuspcount.signature import (SignatureResult, _char_poly_crt,
-                                 _faddeev_leverrier, char_poly, rank, rank_mod,
-                                 signature_of)
+from cuspcount.signature import (_PRIME_CHUNK, SignatureResult, _char_poly_crt,
+                                 _coefficient_bound_bits, _prime_pool, char_poly,
+                                 prime_cap, rank, rank_mod, signature_of)
 from elimination import signature_by_elimination
 
 
@@ -95,14 +96,38 @@ class TestCharPoly:
             assert char_poly(m) == brute_force_char_poly(m)
 
     def test_modular_route_matches_trace_recursion(self):
+        """The multimodular route against sympy's characteristic polynomial."""
+        from sympy import Matrix
+
         rng = random.Random(20282)
-        for _ in range(10):
-            n = rng.randint(13, 16)
+
+        def symmetric(n, entry):
             m = [[0] * n for _ in range(n)]
             for i in range(n):
                 for j in range(i, n):
-                    m[i][j] = m[j][i] = rng.randint(-50, 50) * 10 ** rng.randint(0, 9)
-            assert _char_poly_crt(m) == _faddeev_leverrier(m)
+                    m[i][j] = m[j][i] = entry()
+            return m
+
+        cases = [("dim 13-16", symmetric(rng.randint(13, 16), lambda: rng.randint(-50, 50)
+                                         * 10 ** rng.randint(0, 9))) for _ in range(10)]
+        # entries of about 1100 bits, the size of the paper's trace forms
+        cases += [(f"dim {n}, 1100-bit", symmetric(n, lambda: rng.randint(-2 ** 1100, 2 ** 1100)))
+                  for n in range(1, 13)]
+        # zero subdiagonal entries make the Hessenberg reduction swap rows
+        # or meet a zero pivot
+        for n in range(3, 11):
+            m = symmetric(n, lambda: rng.randint(-9, 9) if rng.random() < 0.3 else 0)
+            m[0][1] = m[1][0] = 0
+            m[0][2] = m[2][0] = 7
+            cases.append((f"dim {n}, sparse", m))
+        cases.append(("block diagonal", [[2, 0, 0, 0], [0, 3, 1, 0], [0, 1, 0, 0], [0, 0, 0, 5]]))
+        # a bound beyond one chunk of primes, with a short last chunk
+        chunked = symmetric(4, lambda: rng.randint(-2 ** 2000, 2 ** 2000))
+        primes = _prime_pool(prime_cap(4), _coefficient_bound_bits(chunked, 4) + 1)
+        assert len(primes) > _PRIME_CHUNK and len(primes) % _PRIME_CHUNK
+        cases.append(("several prime chunks", chunked))
+        for label, m in cases:
+            assert _char_poly_crt(m) == Matrix(m).charpoly().all_coeffs(), label
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
