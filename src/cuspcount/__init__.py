@@ -10,14 +10,12 @@ root-isolation oracle provides an independent cross-check.
 from .errors import (CertificateFailed, CuspCountError, DegenerateRegionForm,
                      DegreeGuardExceeded, DuplicateKeyError,
                      GenericityNotCertified, MissingKeyError, NotSymmetric,
-                     NotZeroDimensional, OracleOverflow, ParseError,
-                     Unclassifiable)
+                     NotZeroDimensional, OracleOverflow, ParseError)
 from .exprio import (ProblemInput, SolverOptions, format_monomial,
                      format_polynomial, parse_polynomial, parse_problem)
 from .groebner import (GroebnerBasis, buchberger, is_unit_ideal,
                        is_zero_dimensional, normal_form, standard_monomials)
-from .oracle import (CertifiedPoint, Interval, classify_critical_point,
-                     isolate_cusps, region_membership)
+from .oracle import CertifiedPoint, Interval, isolate_cusps, region_membership
 from .pipeline import (CuspCensus, DerivedSystem, RegionCount, census,
                        certify_genericity, derive_system)
 from .poly import Monomial, Polynomial, func_det
@@ -33,13 +31,11 @@ __all__ = [
     "DegreeGuardExceeded",
     "DuplicateKeyError", "GenericityNotCertified", "MissingKeyError",
     "NotSymmetric", "NotZeroDimensional", "OracleOverflow", "ParseError",
-    "Unclassifiable",
     "ProblemInput", "SolverOptions", "format_monomial", "format_polynomial",
     "parse_polynomial", "parse_problem",
     "GroebnerBasis", "buchberger",
     "is_unit_ideal", "is_zero_dimensional", "normal_form", "standard_monomials",
-    "CertifiedPoint", "Interval", "classify_critical_point", "isolate_cusps",
-    "region_membership",
+    "CertifiedPoint", "Interval", "isolate_cusps", "region_membership",
     "CuspCensus", "DerivedSystem", "RegionCount", "census",
     "certify_genericity", "derive_system",
     "Monomial", "Polynomial", "func_det",

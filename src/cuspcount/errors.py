@@ -100,11 +100,9 @@ class DegenerateRegionForm(CuspCountError):
 
 
 class OracleOverflow(CuspCountError):
-    """A coefficient of the cusp system lies beyond the range of hardware doubles.
+    """The interval oracle left the range of hardware doubles.
 
-    The interval oracle cannot enclose such a value, so it does not run.
+    Either a coefficient of the cusp system lies beyond that range, so the
+    oracle cannot enclose it and does not run, or an interval endpoint
+    overflowed during subdivision and an enclosure became NaN.
     """
-
-
-class Unclassifiable(CuspCountError):
-    """A point where all classification polynomials vanish; outside the certified cases."""

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import OracleOverflow, Unclassifiable
+from .errors import OracleOverflow
 from .pipeline import DerivedSystem
 from .poly import Polynomial
 
@@ -58,6 +58,8 @@ class Interval:
 
     def __post_init__(self):
         if not self.lo <= self.hi:
+            if math.isnan(self.lo) or math.isnan(self.hi):
+                raise OracleOverflow("interval arithmetic overflowed the range of doubles")
             raise ValueError(f"invalid interval [{self.lo}, {self.hi}]")
 
     @classmethod
@@ -94,18 +96,7 @@ class Interval:
         return Interval(_down(min(quotients)), _up(max(quotients)))
 
     def power(self, n: int) -> "Interval":
-        if n == 0:
-            return Interval(1.0, 1.0)
-        if self.lo >= 0.0:
-            return Interval(_point_pow(self.lo, n).lo, _point_pow(self.hi, n).hi)
-        if self.hi <= 0.0:
-            if n % 2 == 0:
-                return Interval(_point_pow(self.hi, n).lo, _point_pow(self.lo, n).hi)
-            return Interval(_point_pow(self.lo, n).lo, _point_pow(self.hi, n).hi)
-        if n % 2 == 0:
-            bound = max(-self.lo, self.hi)
-            return Interval(0.0, _point_pow(bound, n).hi)
-        return Interval(_point_pow(self.lo, n).lo, _point_pow(self.hi, n).hi)
+        return _powers(self, n)[n]
 
     def contains(self, v: float) -> bool:
         return self.lo <= v <= self.hi
@@ -131,13 +122,28 @@ class Interval:
         return self.lo <= other.lo and other.hi <= self.hi
 
 
-def _point_pow(base: float, n: int) -> "Interval":
-    """Outward-rounded enclosure of base**n by repeated interval multiplication."""
-    result = Interval(1.0, 1.0)
-    factor = Interval(base, base)
-    for _ in range(n):
-        result = result * factor
-    return result
+def _powers(iv: Interval, k: int) -> list[Interval]:
+    """Outward-rounded enclosures of iv**0, ..., iv**k.
+
+    One running product per endpoint e does, once, the float operations that
+    multiplying [e, e] into [1, 1] n times repeats for every n; the ends of
+    iv**n are chosen by the endpoints' signs and the parity of n.
+    """
+    lo, hi = iv.lo, iv.hi
+    lo_lo = lo_hi = hi_lo = hi_hi = 1.0  # [lo_lo, lo_hi] encloses lo**n, [hi_lo, hi_hi] hi**n
+    table = [Interval(1.0, 1.0)]
+    for n in range(1, k + 1):
+        a, b = lo_lo * lo, lo_hi * lo
+        lo_lo, lo_hi = _down(min(a, b)), _up(max(a, b))
+        a, b = hi_lo * hi, hi_hi * hi
+        hi_lo, hi_hi = _down(min(a, b)), _up(max(a, b))
+        if n % 2 or lo >= 0.0:
+            table.append(Interval(lo_lo, hi_hi))
+        elif hi <= 0.0:
+            table.append(Interval(hi_lo, lo_hi))
+        else:
+            table.append(Interval(0.0, lo_hi if -lo > hi else hi_hi))
+    return table
 
 
 Box = tuple[Interval, Interval]
@@ -155,7 +161,7 @@ class CertifiedPoint:
     """
 
     box: Box
-    kind: str  # 'cusp' | 'fold' | 'unresolved'
+    kind: str  # 'cusp' | 'unresolved'
     degree_sign: int | None = None
     in_region: bool | None = None
 
@@ -180,12 +186,8 @@ class _IntervalPoly:
             self.max_ey = max(self.max_ey, mono.ey)
 
     def range(self, x: Interval, y: Interval) -> Interval:
-        xp = [Interval(1.0, 1.0)]
-        for _ in range(self.max_ex):
-            xp.append(x.power(len(xp)))
-        yp = [Interval(1.0, 1.0)]
-        for _ in range(self.max_ey):
-            yp.append(y.power(len(yp)))
+        xp = _powers(x, self.max_ex)
+        yp = _powers(y, self.max_ey)
         total = Interval(0.0, 0.0)
         for ex, ey, coeff in self.terms:
             total = total + coeff * xp[ex] * yp[ey]
@@ -225,24 +227,6 @@ def region_membership(u: Polynomial, point: CertifiedPoint) -> bool | None:
     value = _IntervalPoly(u).range(*point.box)
     sign = value.sign()
     return None if sign is None else sign > 0
-
-
-def classify_critical_point(derived: DerivedSystem,
-                            point: tuple) -> str:
-    """Exact classification of a rational point: 'not_critical', 'fold' or 'cusp'.
-
-    Raises Unclassifiable when the jacobian, both velocity components and
-    both minors all vanish there (outside the certified situation).
-    """
-    if derived.jac.evaluate(point) != 0:
-        return "not_critical"
-    if derived.vel1.evaluate(point) != 0 or derived.vel2.evaluate(point) != 0:
-        return "fold"
-    if derived.minor1.evaluate(point) != 0 or derived.minor2.evaluate(point) != 0:
-        return "cusp"
-    raise Unclassifiable(
-        f"all classification polynomials vanish at {point}; "
-        "the point is outside the certified fold/cusp dichotomy")
 
 
 # -- root isolation ----------------------------------------------------------

@@ -110,9 +110,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def is_constant(self) -> bool:
-        return all(m == UNIT_MONOMIAL for m in self._terms)
-
     @property
     def degree(self) -> int | float:
         """Total degree, or -inf for the zero polynomial."""
@@ -122,9 +119,6 @@ class Polynomial:
 
     def coefficient(self, mono: Monomial) -> Fraction:
         return self._terms.get(Monomial(*mono), _ZERO_FRAC)
-
-    def constant_term(self) -> Fraction:
-        return self._terms.get(UNIT_MONOMIAL, _ZERO_FRAC)
 
     # -- ring operations -------------------------------------------------
 

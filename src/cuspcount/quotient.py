@@ -23,8 +23,10 @@ for the one-genericity certificate.
 
 Normal forms of monomials are computed once and cached: the coordinate
 vector of x^a*y^b is reached from its neighbours by one matrix-vector
-product, so assembling a form matrix costs O(dim^2) cached normal forms
-rather than a fresh division per entry.
+product rather than a fresh division.  A form matrix needs only the
+coordinates of the products b_i*b_j of basis monomials, which the trace
+vector needs too, and one weight vector per form: entry (i, j) is the
+weight vector w_k = T(delta * b_k) applied to the coordinates of b_i*b_j.
 """
 
 from __future__ import annotations
@@ -58,10 +60,6 @@ class SymmetricForm:
 
     matrix: Matrix
     delta_label: str
-
-    @property
-    def dimension(self) -> int:
-        return len(self.matrix)
 
 
 class QuotientAlgebra:
@@ -302,19 +300,17 @@ def form_matrix(algebra: QuotientAlgebra, delta: Polynomial,
                 label: str | None = None) -> SymmetricForm:
     """Symmetric matrix of the quadratic form a -> trace(delta * a^2).
 
-    Entry (i, j) is the trace of multiplication by delta * b_i * b_j, so the
-    matrix is symmetric by construction.
+    Entry (i, j) is the trace of multiplication by delta * b_i * b_j.  Modulo
+    the ideal b_i * b_j = sum_k c_ij[k] * b_k, where c_ij is the coordinate
+    vector of the product, and the trace is linear and blind to the ideal, so
+    the entry equals w . c_ij for the weight vector w_k = trace(delta * b_k),
+    computed once per form.  The matrix is symmetric by construction.
     """
-    dim = algebra.dim
-    terms = list(delta.terms.items())
-    rows = [[_ZERO] * dim for _ in range(dim)]
-    for i in range(dim):
-        bi = algebra.basis[i]
-        for j in range(i, dim):
-            product = bi * algebra.basis[j]
-            value = _ZERO
-            for mono, coeff in terms:
-                value += coeff * algebra._trace_of_monomial(product * mono)
-            rows[i][j] = rows[j][i] = value
-    return SymmetricForm(tuple(tuple(r) for r in rows),
-                         label if label is not None else format_polynomial(delta))
+    basis = algebra.basis
+    weights = [trace_functional(algebra, delta * Polynomial.monomial(b)) for b in basis]
+    entries = {}
+    for product in {bi * bj for bi in basis for bj in basis}:
+        coords = algebra.coordinates(product)
+        entries[product] = sum((w * c for w, c in zip(weights, coords) if c), _ZERO)
+    matrix = tuple(tuple(entries[bi * bj] for bj in basis) for bi in basis)
+    return SymmetricForm(matrix, label if label is not None else format_polynomial(delta))

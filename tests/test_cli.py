@@ -99,6 +99,14 @@ class TestExitCodes:
         assert code == 6
         assert err.startswith("cuspcount: oracle:") and err.count("\n") == 1
 
+    def test_oracle_interval_overflow(self, tmp_path, capsys):
+        # the box endpoints overflow to infinity and a product 0 * inf is NaN
+        path = write_problem(tmp_path, TWO_CUSP_TEXT)
+        code, out, err = run_cli(capsys, [path, "--oracle", "--radius", "1e308"])
+        assert code == 6
+        assert out == ""
+        assert err.startswith("cuspcount: oracle:") and err.count("\n") == 1
+
     @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
     @pytest.mark.parametrize("f1", [
         "((10^64)^64)^2*x", "((((10^64)^64)^64)^64)*x", "(((((10^64)^64)^64)^64)^64)*x",

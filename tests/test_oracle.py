@@ -1,19 +1,75 @@
 """Numeric referee: interval soundness, isolation of the fixtures, and
 agreement with the symbolic census on random maps."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from cuspcount.errors import GenericityNotCertified, NotZeroDimensional, Unclassifiable
+from cuspcount.errors import GenericityNotCertified, NotZeroDimensional, OracleOverflow
 from cuspcount.exprio import ProblemInput, parse_problem
-from cuspcount.oracle import (CertifiedPoint, Interval, _IntervalPoly,
-                              classify_critical_point, isolate_cusps,
-                              region_membership)
+from cuspcount.oracle import (CertifiedPoint, Interval, _IntervalPoly, _powers,
+                              isolate_cusps, region_membership)
 from cuspcount.pipeline import census, derive_system
 from cuspcount.poly import X, Y
+from classification import Unclassifiable, classify_critical_point
 from conftest import TWO_CUSP_TEXT, WHITNEY_TEXT, random_polynomial
+
+
+def reference_point_pow(base: float, n: int) -> Interval:
+    """base**n by repeated interval multiplication (the per-exponent route)."""
+    result = Interval(1.0, 1.0)
+    factor = Interval(base, base)
+    for _ in range(n):
+        result = result * factor
+    return result
+
+
+def reference_power(iv: Interval, n: int) -> Interval:
+    """iv**n from the endpoint powers, case by case (the per-exponent route)."""
+    if n == 0:
+        return Interval(1.0, 1.0)
+    if iv.lo >= 0.0:
+        return Interval(reference_point_pow(iv.lo, n).lo, reference_point_pow(iv.hi, n).hi)
+    if iv.hi <= 0.0:
+        if n % 2 == 0:
+            return Interval(reference_point_pow(iv.hi, n).lo,
+                            reference_point_pow(iv.lo, n).hi)
+        return Interval(reference_point_pow(iv.lo, n).lo, reference_point_pow(iv.hi, n).hi)
+    if n % 2 == 0:
+        bound = max(-iv.lo, iv.hi)
+        return Interval(0.0, reference_point_pow(bound, n).hi)
+    return Interval(reference_point_pow(iv.lo, n).lo, reference_point_pow(iv.hi, n).hi)
+
+
+def sample_intervals(rng: random.Random, count: int):
+    """Positive, negative, straddling, zero-endpoint and point intervals."""
+
+    def magnitude():
+        return rng.uniform(0.5, 2.0) * 2.0 ** rng.choice((0, 0, 1, 3, -1, -3, 12, -12, 90))
+
+    for i in range(count):
+        a, b = sorted((magnitude(), magnitude()))
+        kind = i % 8
+        if kind == 0:
+            yield Interval(a, b)
+        elif kind == 1:
+            yield Interval(-b, -a)
+        elif kind == 2:
+            yield Interval(-a, b)
+        elif kind == 3:
+            yield Interval(-b, a)
+        elif kind == 4:
+            yield Interval(-a, a)
+        elif kind == 5:
+            yield rng.choice((Interval(0.0, a), Interval(-a, 0.0)))
+        elif kind == 6:
+            v = rng.choice((a, -a))
+            yield Interval(v, v)
+        else:
+            yield rng.choice((Interval(0.0, 0.0), Interval(-a, math.nextafter(a, 0.0)),
+                              Interval(-b, b)))
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +94,23 @@ class TestInterval:
         assert cube.lo <= -8.0 and cube.hi >= 27.0
         neg = Interval(-3.0, -2.0).power(2)
         assert neg.lo <= 4.0 <= 9.0 <= neg.hi
+
+    def test_power_table_matches_per_exponent_powers(self):
+        rng = random.Random(20410)
+        for iv in sample_intervals(rng, 2000):
+            k = rng.randint(0, 12)
+            table = _powers(iv, k)
+            assert len(table) == k + 1
+            for n, enclosure in enumerate(table):
+                expected = reference_power(iv, n)
+                assert (enclosure.lo, enclosure.hi) == (expected.lo, expected.hi), (iv, n)
+            assert iv.power(k) == table[k]
+
+    def test_nan_endpoint_is_overflow(self):
+        with pytest.raises(OracleOverflow):
+            Interval(-math.inf, 1.0) * Interval(0.0, 1.0)
+        with pytest.raises(ValueError):
+            Interval(2.0, 1.0)
 
     def test_division_by_zero_interval(self):
         with pytest.raises(ZeroDivisionError):

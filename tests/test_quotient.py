@@ -28,6 +28,16 @@ def frac_matrix(rows):
     return tuple(tuple(Fraction(v) for v in row) for row in rows)
 
 
+def random_algebra(rng):
+    """Quotient by two random generators of degree at most 4 (dimension 0-16);
+    None when it is not finite."""
+    gens = [random_polynomial(rng, rng.randint(1, 4), lo=-5, hi=5) for _ in range(2)]
+    try:
+        return build_algebra(buchberger([g for g in gens if not g.is_zero()] or [X]))
+    except NotZeroDimensional:
+        return None
+
+
 class TestBuildAlgebra:
     def test_origin_point_algebra(self):
         algebra = build_algebra(buchberger([X, Y]))
@@ -213,6 +223,25 @@ class TestFormMatrix:
                             for i in range(len(coords))
                             for j in range(len(coords)))
             assert quadratic == trace_functional(algebra, delta * a * a)
+
+    def test_equals_per_entry_traces(self):
+        # entry (i, j) is by definition the trace of delta * b_i * b_j
+        rng = random.Random(20420)
+        dims = set()
+        for _ in range(40):
+            algebra = random_algebra(rng)
+            if algebra is None:
+                continue
+            dims.add(algebra.dim)
+            fresh = build_algebra(algebra.gb)  # caches the form builder never saw
+            for delta in (random_polynomial(rng, 4, lo=-9, hi=9),
+                          normal_form(random_polynomial(rng, 4), algebra.gb)):
+                expected = tuple(
+                    tuple(trace_functional(fresh, delta * Polynomial.monomial(bi * bj))
+                          for bj in algebra.basis)
+                    for bi in algebra.basis)
+                assert form_matrix(algebra, delta).matrix == expected
+        assert min(dims) == 0 and max(dims) == 16
 
 
 class TestGeneratesAlgebra:
