@@ -21,18 +21,27 @@ an ideal, by the rank of their multiplication matrices side by side: modulo
 word-size primes first, exactly when those fall short.  The census uses it
 for the one-genericity certificate.
 
-Normal forms of monomials are computed once and cached: the coordinate
-vector of x^a*y^b is reached from its neighbours by one matrix-vector
-product rather than a fresh division.  A form matrix needs only the
-coordinates of the products b_i*b_j of basis monomials, which the trace
-vector needs too, and one weight vector per form: entry (i, j) is the
-weight vector w_k = T(delta * b_k) applied to the coordinates of b_i*b_j.
+The exact arithmetic runs on integers: M_x and M_y are held as integer
+matrices over one positive denominator each, X/dx and Y/dy, and the
+coordinate vector of every monomial as integer numerators over one
+positive denominator, content-reduced by one gcd per vector.  Normal forms
+of monomials are computed once and cached: the coordinate vector of
+x^a*y^b is reached from its neighbours by one integer matrix-vector
+product, X*v over dx*d, rather than a fresh division.  A form matrix needs
+only the coordinates of the products b_i*b_j of basis monomials, which the
+trace vector needs too, and one weight vector per form: entry (i, j) is
+the weight vector w_k = T(delta * b_k), put over one denominator, applied
+to the coordinates of b_i*b_j, so each entry is one integer dot product
+and one Fraction.  The Fraction matrices and coordinates of the public
+interface are built from the integers on request.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 import numpy as np
 
@@ -44,6 +53,11 @@ from .poly import Monomial, Polynomial
 from .signature import _prime_pool, prime_cap, rank, rank_mod
 
 Matrix = tuple[tuple[Fraction, ...], ...]
+
+#: Integer numerators over one positive denominator: a vector (nums, d)
+#: stands for nums/d, a matrix (rows, d) for rows/d.
+Scaled = tuple[tuple[int, ...], int]
+ScaledMatrix = tuple[tuple[tuple[int, ...], ...], int]
 
 _ZERO = Fraction(0)
 
@@ -62,35 +76,64 @@ class SymmetricForm:
     delta_label: str
 
 
+def _over_one_denominator(values) -> Scaled:
+    """Reduced Fractions as integer numerators over their least common
+    denominator; no prime divides that denominator and every numerator."""
+    den = lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
+
+
+def _to_fractions(scaled: ScaledMatrix) -> Matrix:
+    rows, den = scaled
+    return tuple(tuple(Fraction(v, den) for v in row) for row in rows)
+
+
 class QuotientAlgebra:
     """Basis, multiplication matrices and trace data of Q[x,y]/I.
 
-    Immutable after construction (internal caches only grow); instances may
-    be shared freely between threads and the form builders below.
+    `mx` and `my` are the multiplication matrices by x and y as integer
+    rows over one positive denominator each.  Immutable after construction
+    (internal caches only grow); instances may be shared freely between
+    threads and the form builders below.
     """
 
     def __init__(self, gb: GroebnerBasis, basis: tuple[Monomial, ...],
-                 mult_x: Matrix, mult_y: Matrix):
+                 mx: ScaledMatrix, my: ScaledMatrix):
         self.gb = gb
         self.basis = basis
-        self.mult_x = mult_x
-        self.mult_y = mult_y
+        self._mx = mx
+        self._my = my
         self._index = {m: i for i, m in enumerate(basis)}
-        self._vectors: dict[Monomial, tuple[Fraction, ...]] = {}
+        self._vectors: dict[Monomial, Scaled] = {}
         for i, mono in enumerate(basis):
-            unit = tuple(Fraction(int(j == i)) for j in range(len(basis)))
-            self._vectors[mono] = unit
+            self._vectors[mono] = (tuple(int(j == i) for j in range(len(basis))), 1)
         if not basis:
-            self._vectors[Monomial(0, 0)] = ()
+            self._vectors[Monomial(0, 0)] = ((), 1)
         self._traces: dict[Monomial, Fraction] = {}
-        self._tau: tuple[Fraction, ...] | None = None
+        self._tau: Scaled | None = None
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
+    @property
+    def mult_x(self) -> Matrix:
+        """Matrix of multiplication by x, in Fractions."""
+        return _to_fractions(self._mx)
+
+    @property
+    def mult_y(self) -> Matrix:
+        """Matrix of multiplication by y, in Fractions."""
+        return _to_fractions(self._my)
+
     def coordinates(self, mono: Monomial) -> tuple[Fraction, ...]:
         """Coordinate vector of the residue class of a monomial."""
+        nums, den = self._vector(mono)
+        return tuple(Fraction(v, den) for v in nums)
+
+    def _vector(self, mono: Monomial) -> Scaled:
+        """Coordinates of a monomial as reduced integer numerators over one
+        positive denominator."""
         cached = self._vectors.get(mono)
         if cached is not None:
             return cached
@@ -106,52 +149,45 @@ class QuotientAlgebra:
             if prev_vec is None:
                 pending.append(prev)
                 continue
-            matrix = self.mult_x if m.ex else self.mult_y
-            self._vectors[m] = _matvec(matrix, prev_vec)
+            # M*(v/d) = (rows*v)/(dm*d)
+            rows, dm = self._mx if m.ex else self._my
+            nums, den = prev_vec
+            product = [sum(map(mul, row, nums)) for row in rows]
+            den *= dm
+            g = gcd(den, *product)
+            self._vectors[m] = tuple(v // g for v in product), den // g
             pending.pop()
         return self._vectors[mono]
 
     def _trace_of_monomial(self, mono: Monomial) -> Fraction:
         cached = self._traces.get(mono)
         if cached is None:
-            tau = self._tau_vector()
-            vec = self.coordinates(mono)
-            cached = sum((t * v for t, v in zip(tau, vec) if v), _ZERO)
+            tau, tau_den = self._tau_vector()
+            nums, den = self._vector(mono)
+            cached = Fraction(sum(map(mul, tau, nums)), tau_den * den)
             self._traces[mono] = cached
         return cached
 
-    def _tau_vector(self) -> tuple[Fraction, ...]:
-        """Traces of multiplication by each basis monomial."""
+    def _tau_vector(self) -> Scaled:
+        """Traces of multiplication by each basis monomial, over one
+        denominator: the trace for b is the sum over j of coordinate j of
+        b*b_j."""
         if self._tau is None:
-            tau = []
-            for b in self.basis:
-                total = _ZERO
-                for j, other in enumerate(self.basis):
-                    total += self.coordinates(b * other)[j]
-                tau.append(total)
-            self._tau = tuple(tau)
+            rows = [[self._vector(b * other) for other in self.basis] for b in self.basis]
+            den = lcm(*(d for row in rows for _, d in row))
+            tau = [sum(nums[j] * (den // d) for j, (nums, d) in enumerate(row))
+                   for row in rows]
+            g = gcd(den, *tau)
+            self._tau = tuple(t // g for t in tau), den // g
         return self._tau
-
-
-def _matvec(matrix: Matrix, vec) -> tuple[Fraction, ...]:
-    return tuple(
-        sum((row[c] * vec[c] for c in range(len(vec)) if vec[c]), _ZERO)
-        for row in matrix
-    )
-
-
-def _matmul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    cols = len(b[0]) if b else 0
-    return tuple(
-        tuple(sum((a[r][k] * b[k][c] for k in range(n) if a[r][k]), _ZERO)
-              for c in range(cols))
-        for r in range(n)
-    )
 
 
 def build_algebra(gb: GroebnerBasis) -> QuotientAlgebra:
     """Construct and certify the quotient algebra of a zero-dimensional basis.
+
+    Condition (1) is checked on integer numerators: with M_x = X/dx and
+    M_y = Y/dy, M_x*M_y = XY/(dx*dy) and M_y*M_x = YX/(dx*dy), so the
+    matrices commute exactly when XY = YX.
 
     Raises NotZeroDimensional when the basis has infinitely many standard
     monomials, and CertificateFailed naming the failed condition when any of
@@ -161,34 +197,41 @@ def build_algebra(gb: GroebnerBasis) -> QuotientAlgebra:
     _require_reduced(gb)
     dim = len(basis)
     standard = set(basis)
-    border: dict[Monomial, tuple[Fraction, ...]] = {}
+    border: dict[Monomial, Scaled] = {}
     index = {m: i for i, m in enumerate(basis)}
 
-    def column(product: Monomial) -> tuple[Fraction, ...]:
+    def column(product: Monomial) -> Scaled:
         if product in standard:
-            return tuple(Fraction(int(j == index[product])) for j in range(dim))
+            return tuple(int(j == index[product]) for j in range(dim)), 1
         vec = border.get(product)
         if vec is None:
             residue = normal_form(Polynomial.monomial(product), gb)
             coords = [_ZERO] * dim
             for mono, coeff in residue.terms.items():
                 coords[index[mono]] = coeff
-            vec = tuple(coords)
+            vec = _over_one_denominator(coords)
             border[product] = vec
         return vec
 
-    cols_x = [column(Monomial(b.ex + 1, b.ey)) for b in basis]
-    cols_y = [column(Monomial(b.ex, b.ey + 1)) for b in basis]
-    mult_x = tuple(tuple(cols_x[c][r] for c in range(dim)) for r in range(dim))
-    mult_y = tuple(tuple(cols_y[c][r] for c in range(dim)) for r in range(dim))
-    if _matmul(mult_x, mult_y) != _matmul(mult_y, mult_x):
+    def matrix(columns: list[Scaled]) -> ScaledMatrix:
+        # the least common denominator of reduced columns leaves the matrix reduced
+        den = lcm(*(d for _, d in columns))
+        scaled = [[v * (den // d) for v in nums] for nums, d in columns]
+        return tuple(zip(*scaled)), den
+
+    mx = matrix([column(Monomial(b.ex + 1, b.ey)) for b in basis])
+    my = matrix([column(Monomial(b.ex, b.ey + 1)) for b in basis])
+    x, y = mx[0], my[0]
+    x_cols, y_cols = tuple(zip(*x)), tuple(zip(*y))
+    if any(sum(map(mul, xr, yc)) != sum(map(mul, yr, xc))
+           for xr, yr in zip(x, y) for xc, yc in zip(x_cols, y_cols)):
         raise CertificateFailed("multiplication matrices fail to commute; "
                                 "the basis is not a Groebner basis of its ideal")
     for i, p in enumerate(gb.inputs):
         if not normal_form(p, gb).is_zero():
             raise CertificateFailed(f"input generator {i} has a nonzero normal form; "
                                     "the basis does not generate its inputs")
-    algebra = QuotientAlgebra(gb, basis, mult_x, mult_y)
+    algebra = QuotientAlgebra(gb, basis, mx, my)
     algebra._vectors.update(border)
     return algebra
 
@@ -217,14 +260,14 @@ def mult_matrix(algebra: QuotientAlgebra, h: Polynomial) -> Matrix:
     terms = list(h.terms.items())
     columns = []
     for b in algebra.basis:
-        col = [_ZERO] * dim
-        for mono, coeff in terms:
-            vec = algebra.coordinates(mono * b)
-            for r in range(dim):
-                if vec[r]:
-                    col[r] += coeff * vec[r]
-        columns.append(col)
-    return tuple(tuple(columns[c][r] for c in range(dim)) for r in range(dim))
+        parts = [(coeff, algebra._vector(mono * b)) for mono, coeff in terms]
+        den = lcm(*(c.denominator * d for c, (_, d) in parts))
+        col = [0] * dim
+        for c, (nums, d) in parts:
+            scale = c.numerator * (den // (c.denominator * d))
+            col = [a + scale * v for a, v in zip(col, nums)]
+        columns.append([Fraction(v, den) for v in col])
+    return tuple(zip(*columns))
 
 
 def generates_algebra(algebra: QuotientAlgebra, hs) -> bool:
@@ -272,9 +315,8 @@ def _block_mod(algebra: QuotientAlgebra, reduced, p: int) -> np.ndarray:
     division.  p < prime_cap(n) keeps each product in int64.
     """
     n = algebra.dim
-    mx, my = (np.array([[_residue(v, p) if v else 0 for v in row] for row in m],
-                       dtype=np.int64)
-              for m in (algebra.mult_x, algebra.mult_y))
+    mx, my = (np.array([[v % p for v in row] for row in rows], dtype=np.int64)
+              * pow(den, -1, p) % p for rows, den in (algebra._mx, algebra._my))
     columns = np.zeros((n, n, len(reduced)), dtype=np.int64)
     for k, h in enumerate(reduced):
         for mono, coeff in h.terms.items():
@@ -290,10 +332,17 @@ def _block_mod(algebra: QuotientAlgebra, reduced, p: int) -> np.ndarray:
 
 def trace_functional(algebra: QuotientAlgebra, h: Polynomial) -> Fraction:
     """Trace of multiplication by h; linear in h and blind to ideal members."""
-    total = _ZERO
-    for mono, coeff in h.terms.items():
-        total += coeff * algebra._trace_of_monomial(mono)
-    return total
+    return _shifted_trace(algebra, h, Monomial(0, 0))
+
+
+def _shifted_trace(algebra: QuotientAlgebra, h: Polynomial, shift: Monomial) -> Fraction:
+    """Trace of multiplication by h * shift for a monomial shift."""
+    terms = [(coeff, algebra._trace_of_monomial(mono * shift))
+             for mono, coeff in h.terms.items()]
+    # one common denominator, so one gcd for the sum rather than one per term
+    den = lcm(*(c.denominator * t.denominator for c, t in terms))
+    return Fraction(sum(c.numerator * t.numerator * (den // (c.denominator * t.denominator))
+                        for c, t in terms), den)
 
 
 def form_matrix(algebra: QuotientAlgebra, delta: Polynomial,
@@ -307,10 +356,11 @@ def form_matrix(algebra: QuotientAlgebra, delta: Polynomial,
     computed once per form.  The matrix is symmetric by construction.
     """
     basis = algebra.basis
-    weights = [trace_functional(algebra, delta * Polynomial.monomial(b)) for b in basis]
+    weights, den = _over_one_denominator(
+        [_shifted_trace(algebra, delta, b) for b in basis])
     entries = {}
     for product in {bi * bj for bi in basis for bj in basis}:
-        coords = algebra.coordinates(product)
-        entries[product] = sum((w * c for w, c in zip(weights, coords) if c), _ZERO)
+        nums, d = algebra._vector(product)
+        entries[product] = Fraction(sum(map(mul, weights, nums)), den * d)
     matrix = tuple(tuple(entries[bi * bj] for bj in basis) for bi in basis)
     return SymmetricForm(matrix, label if label is not None else format_polynomial(delta))

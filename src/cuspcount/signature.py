@@ -12,7 +12,10 @@ word-size primes to exceed a Hadamard-style bound and reconstructed by the
 Chinese remainder theorem.  Primes are processed in chunks; each chunk
 reduces every distinct matrix entry modulo its primes into one residue
 table of the chunk's own size, and each Hessenberg pivot is inverted by one
-modular power per prime.  Rational Hessenberg and the Faddeev-LeVerrier
+modular power per prime.  The Chinese remaindering sums the scaled
+residues of each coefficient up a product tree of the primes, two integer
+products per merge and one reduction at the root, instead of against one
+modulus-sized weight per prime.  Rational Hessenberg and the Faddeev-LeVerrier
 trace recursion take minutes at dimension 56 with thousand-bit entries,
 far outside the pipeline's runtime budget.
 
@@ -28,10 +31,9 @@ A failed internal check raises CertificateFailed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, isqrt
+from math import comb, gcd, isqrt, lcm
 from typing import Sequence
 
 import numpy as np
@@ -77,12 +79,9 @@ def _require_symmetric(matrix: MatrixLike, n: int) -> None:
 
 def _scaled_integer_matrix(matrix: MatrixLike) -> tuple[list[list[int]], Fraction]:
     """Return (s*M as integers, s) for the smallest convenient rational s > 0."""
-    denominator_lcm = 1
-    for row in matrix:
-        for value in row:
-            d = Fraction(value).denominator
-            denominator_lcm = denominator_lcm * d // gcd(denominator_lcm, d)
-    scaled = [[int(Fraction(v) * denominator_lcm) for v in row] for row in matrix]
+    denominator_lcm = lcm(*(v.denominator for row in matrix for v in row))
+    scaled = [[v.numerator * (denominator_lcm // v.denominator) for v in row]
+              for row in matrix]
     content = 0
     for row in scaled:
         for v in row:
@@ -280,25 +279,44 @@ def _char_poly_crt(matrix: list[list[int]]) -> list[int]:
         _hessenberg_mod(h, parr)
         residues[start:start + len(chunk)] = _charpoly_mod(h, parr)
 
-    modulus = math.prod(primes)
-    half = modulus // 2
-    weights = []
-    for p in primes:
-        m = modulus // p
-        weights.append(m * pow(m % p, p - 2, p) % modulus)
-    out = []
-    for column in range(n, -1, -1):
-        total = 0
-        for i, w in enumerate(weights):
-            r = int(residues[i, column])
-            if r:
-                total += r * w
-        value = total % modulus
-        if value > half:
-            value -= modulus
-        out.append(value)
+    out = _crt_symmetric(residues, primes)[::-1]
     if out[0] != 1:
         raise CertificateFailed("modular characteristic polynomial reconstruction failed")
+    return out
+
+
+def _crt_symmetric(residues: np.ndarray, primes: list[int]) -> list[int]:
+    """The integer of least absolute value with the given residues, per column.
+
+    residues has one row per prime.  With M the product of the primes, the
+    value is sum_i s_i * M/p_i modulo M, s_i = r_i * (M/p_i)^-1 mod p_i,
+    which numpy forms for all columns at once (each product is below p_i^2).
+    The sum runs up a product tree of the primes, one column at a time: a
+    node holds x = sum over its leaves of s_i * m/p_i for its own modulus m,
+    so two children merge as x_L*m_R + x_R*m_L, with no division.  The root
+    sum is below k*M for k primes, and one reduction modulo M ends it.
+    """
+    levels = [primes]
+    while len(levels[-1]) > 1:
+        below = levels[-1]
+        levels.append([a * b for a, b in zip(below[::2], below[1::2])]
+                      + below[len(below) - len(below) % 2:])
+    modulus = levels[-1][0]
+    half = modulus // 2
+    parr = np.array(primes, dtype=np.int64)[:, None]
+    inverses = np.array([pow(modulus // p % p, -1, p) for p in primes], dtype=np.int64)
+    scaled = residues * inverses[:, None] % parr
+    out = []
+    for column in scaled.T:
+        nodes = column.tolist()
+        for moduli in levels[:-1]:
+            merged = [xl * mr + xr * ml for xl, xr, ml, mr in
+                      zip(nodes[::2], nodes[1::2], moduli[::2], moduli[1::2])]
+            if len(nodes) % 2:  # the odd node rises unmerged
+                merged.append(nodes[-1])
+            nodes = merged
+        value = nodes[0] % modulus
+        out.append(value - modulus if value > half else value)
     return out
 
 

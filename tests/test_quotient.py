@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -82,6 +83,110 @@ class TestCertificate:
     def test_basis_must_be_reduced(self, gens):
         with pytest.raises(RuntimeError, match="basis element 0"):
             build_algebra(GroebnerBasis(gens, gens))
+
+    def test_multiplication_matrices_must_commute(self):
+        # reduced and monic, its inputs reduce to 0 and its standard
+        # monomials are 1, y, x; but x*(x*y) = y and y*(x*x) = 0 disagree
+        gens = (X * X - Y, Y * Y, X * Y - 1)
+        with pytest.raises(RuntimeError, match="fail to commute"):
+            build_algebra(GroebnerBasis(gens, gens))
+
+
+def coordinates_by_fractions(algebra, mono, cache):
+    """Coordinates of a monomial by Fraction matrix-vector products with
+    M_x and M_y, from the unit vectors of the basis up."""
+    if not cache:
+        n = algebra.dim
+        cache.update({b: tuple(Fraction(int(j == i)) for j in range(n))
+                      for i, b in enumerate(algebra.basis)})
+        cache.setdefault(Monomial(0, 0), ())
+    if mono not in cache:
+        prev = Monomial(mono.ex - 1, mono.ey) if mono.ex else Monomial(mono.ex, mono.ey - 1)
+        vec = coordinates_by_fractions(algebra, prev, cache)
+        matrix = algebra.mult_x if mono.ex else algebra.mult_y
+        cache[mono] = tuple(
+            sum((row[c] * vec[c] for c in range(len(vec)) if vec[c]), Fraction(0))
+            for row in matrix)
+    return cache[mono]
+
+
+def is_fraction_matrix(m, n):
+    return (type(m) is tuple and len(m) == n
+            and all(type(row) is tuple and len(row) == n
+                    and all(type(v) is Fraction for v in row) for row in m))
+
+
+class TestIntegerRepresentation:
+    """The integer numerators over one denominator stand for the same
+    Fractions as before, and the public matrices keep their types."""
+
+    def test_coordinates_match_fraction_recursion(self):
+        rng = random.Random(20702)
+        dims = set()
+        for _ in range(40):
+            algebra = random_algebra(rng)
+            if algebra is None:
+                continue
+            dims.add(algebra.dim)
+            basis = algebra.basis
+            monomials = {bi * bj for bi in basis for bj in basis}
+            monomials |= {Monomial(a, d - a) for d in range(9) for a in range(d + 1)}
+            cache = {}
+            for mono in sorted(monomials):
+                expected = coordinates_by_fractions(algebra, mono, cache)
+                assert algebra.coordinates(mono) == expected
+                assert all(type(v) is Fraction for v in algebra.coordinates(mono))
+            # every cached vector is reduced, over a positive denominator
+            for nums, den in algebra._vectors.values():
+                assert den > 0 and gcd(den, *nums) == 1
+            for rows, den in (algebra._mx, algebra._my):
+                assert den > 0 and gcd(den, *(v for row in rows for v in row)) == 1
+        assert min(dims) == 0 and max(dims) == 16
+
+    def test_multiplication_matrices_are_normal_forms(self):
+        rng = random.Random(20703)
+        for _ in range(30):
+            algebra = random_algebra(rng)
+            if algebra is None:
+                continue
+            basis, n = algebra.basis, algebra.dim
+            for matrix, var in ((algebra.mult_x, X), (algebra.mult_y, Y)):
+                assert is_fraction_matrix(matrix, n)
+                columns = [normal_form(var * Polynomial.monomial(b), algebra.gb)
+                           for b in basis]
+                assert matrix == tuple(tuple(columns[c].coefficient(basis[r])
+                                             for c in range(n)) for r in range(n))
+
+    def test_mult_matrix_equals_evaluation_at_generator_matrices(self):
+        rng = random.Random(20704)
+
+        def matmul(a, b):
+            n = len(a)
+            return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0))
+                               for j in range(n)) for i in range(n))
+
+        checked = 0
+        while checked < 25:
+            algebra = random_algebra(rng)
+            if algebra is None:
+                continue
+            n = algebra.dim
+            identity = tuple(tuple(Fraction(int(i == j)) for j in range(n))
+                             for i in range(n))
+            h = random_polynomial(rng, 3) + Polynomial({Monomial(1, 1): Fraction(-2, 3)})
+            expected = tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n))
+            for mono, coeff in h.terms.items():
+                term = identity
+                for _ in range(mono.ex):
+                    term = matmul(term, algebra.mult_x)
+                for _ in range(mono.ey):
+                    term = matmul(term, algebra.mult_y)
+                expected = tuple(tuple(e + coeff * t for e, t in zip(er, tr))
+                                 for er, tr in zip(expected, term))
+            result = mult_matrix(algebra, h)
+            assert is_fraction_matrix(result, n)
+            assert result == expected
+            checked += 1
 
 
 class TestMultMatrix:

@@ -2,8 +2,10 @@
 Descartes counts, Sylvester invariance, and agreement with the elimination
 route."""
 
+import math
 import random
 from fractions import Fraction
+from math import gcd
 from itertools import permutations
 
 import numpy as np
@@ -11,8 +13,9 @@ import pytest
 
 from cuspcount.errors import NotSymmetric
 from cuspcount.signature import (_PRIME_CHUNK, SignatureResult, _char_poly_crt,
-                                 _coefficient_bound_bits, _prime_pool, char_poly,
-                                 prime_cap, rank, rank_mod, signature_of)
+                                 _coefficient_bound_bits, _crt_symmetric, _prime_pool,
+                                 _scaled_integer_matrix, char_poly, prime_cap, rank,
+                                 rank_mod, signature_of)
 from elimination import signature_by_elimination
 
 
@@ -223,3 +226,80 @@ class TestRank:
 
     def test_empty(self):
         assert rank([]) == 0
+
+
+def crt_by_weights(residues, primes):
+    """Symmetric CRT lift by one modulus-sized weight per prime, column by column."""
+    modulus = math.prod(primes)
+    half = modulus // 2
+    weights = []
+    for p in primes:
+        m = modulus // p
+        weights.append(m * pow(m % p, p - 2, p) % modulus)
+    out = []
+    for column in range(residues.shape[1]):
+        total = 0
+        for i, w in enumerate(weights):
+            r = int(residues[i, column])
+            if r:
+                total += r * w
+        value = total % modulus
+        if value > half:
+            value -= modulus
+        out.append(value)
+    return out
+
+
+class TestCrtSymmetric:
+    # 2275 primes reconstruct the six-cusp map's orientation form
+    @pytest.mark.parametrize("count", [1, 2, 3, 255, 256, 257, 2275])
+    def test_product_tree_matches_weights(self, count):
+        primes = _prime_pool(prime_cap(56), 28 * count)[:count]
+        assert len(primes) == count
+        modulus = math.prod(primes)
+        half = (modulus - 1) // 2
+        rng = random.Random(20700 + count)
+        values = [0, 1, -1, half, -half, half - 1, -half + 1]
+        values += [rng.randint(-half, half) for _ in range(6)]
+        values += [rng.randint(-9, 9) for _ in range(3)]
+        residues = np.array([[v % p for v in values] for p in primes], dtype=np.int64)
+        assert _crt_symmetric(residues, primes) == values
+        assert crt_by_weights(residues, primes) == values
+
+
+def scaled_by_fractions(matrix):
+    """(s*M as integers, s) with per-entry Fraction products."""
+    denominator_lcm = 1
+    for row in matrix:
+        for value in row:
+            d = Fraction(value).denominator
+            denominator_lcm = denominator_lcm * d // gcd(denominator_lcm, d)
+    scaled = [[int(Fraction(v) * denominator_lcm) for v in row] for row in matrix]
+    content = 0
+    for row in scaled:
+        for v in row:
+            content = gcd(content, v)
+            if content == 1:
+                break
+    if content > 1:
+        scaled = [[v // content for v in row] for row in scaled]
+    else:
+        content = 1
+    return scaled, Fraction(denominator_lcm, content)
+
+
+class TestScaledIntegerMatrix:
+    def test_matches_fraction_products(self):
+        rng = random.Random(20701)
+        cases = [[[0, 0], [0, 0]], [[Fraction(0)]], [[5]], [[Fraction(-3, 7)]],
+                 [[6, -4], [-4, 10]], [[Fraction(4, 3), Fraction(-8, 9)]]]
+        while len(cases) < 200:
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            content = rng.choice([1, 1, 2, 6, 35])
+            m = [[content * rng.randint(-20, 20) for _ in range(cols)] for _ in range(rows)]
+            if rng.random() < 0.7:
+                m = [[Fraction(v, rng.choice([1, 2, 3, 4, 9, 10])) for v in row]
+                     for row in m]
+            cases.append(m)
+        for m in cases:
+            assert _scaled_integer_matrix(m) == scaled_by_fractions(m), m
