@@ -22,7 +22,7 @@ from .poly import Monomial, Polynomial, func_det
 from .quotient import (QuotientAlgebra, SymmetricForm, build_algebra,
                        form_matrix, generates_algebra, mult_matrix,
                        trace_functional)
-from .signature import SignatureResult, char_poly, signature_of
+from .signature import SignatureResult, signature_of
 
 __version__ = "0.1.0"
 
@@ -41,6 +41,6 @@ __all__ = [
     "Monomial", "Polynomial", "func_det",
     "QuotientAlgebra", "SymmetricForm", "build_algebra", "form_matrix",
     "generates_algebra", "mult_matrix", "trace_functional",
-    "SignatureResult", "char_poly", "signature_of",
+    "SignatureResult", "signature_of",
     "__version__",
 ]

@@ -205,7 +205,7 @@ class TestCriterion6PropertySuites:
                     m[k][n - 1] = m[k][0]
                 m[n - 1][n - 1] = m[0][0]
             assert signature_of(m) == signature_by_elimination(m)
-        report(6, "signature: char-poly route agrees with elimination on 500 matrices")
+        report(6, "signature: Jacobi leading-minor route agrees with elimination on 500 matrices")
 
     def test_polynomial_ring_axioms(self):
         rng = random.Random(9005)

@@ -10,7 +10,7 @@ PUBLIC_NAMES = [
     "OracleOverflow", "ParseError", "Polynomial", "ProblemInput",
     "QuotientAlgebra", "RegionCount", "SignatureResult", "SolverOptions",
     "SymmetricForm", "__version__", "buchberger", "build_algebra", "census",
-    "certify_genericity", "char_poly", "derive_system", "form_matrix",
+    "certify_genericity", "derive_system", "form_matrix",
     "format_monomial", "format_polynomial", "func_det", "generates_algebra",
     "is_unit_ideal", "is_zero_dimensional", "isolate_cusps", "mult_matrix",
     "normal_form", "parse_polynomial", "parse_problem", "region_membership",

@@ -70,6 +70,15 @@ class TestExitCodes:
         assert err == ("cuspcount: certificate failed: inconsistent signatures while "
                        "computing positive cusp count: 2 and 1 have odd sum\n")
 
+    def test_inertia_certificate_failure_is_one_line(self, tmp_path, capsys, monkeypatch):
+        # every congruent copy meets a zero leading minor before its rank
+        monkeypatch.setattr("cuspcount.signature._leading_minors", lambda matrix: None)
+        code, out, err = run_cli(capsys, [write_problem(tmp_path, TWO_CUSP_TEXT)])
+        assert code == 1
+        assert out == ""
+        assert err == ("cuspcount: certificate failed: inertia: a leading minor vanished "
+                       "before the rank in all 4 attempts\n")
+
     def test_degenerate_region(self, tmp_path, capsys):
         text = "f1 = x*y^2 - x^2 + y^2 + x - y\nf2 = x - y\nu = x\n"
         code, out, err = run_cli(capsys, [write_problem(tmp_path, text)])

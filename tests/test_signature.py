@@ -1,6 +1,6 @@
-"""Signature machinery: char poly against a brute-force oracle and sympy,
-Descartes counts, Sylvester invariance, and agreement with the elimination
-route."""
+"""Signature machinery: leading minors against a brute-force oracle and
+sympy, the modular kernels, unlucky primes and congruence retries, Sylvester
+invariance, and agreement with Descartes' rule and the elimination route."""
 
 import math
 import random
@@ -11,11 +11,14 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from cuspcount.errors import NotSymmetric
-from cuspcount.signature import (_PRIME_CHUNK, SignatureResult, _char_poly_crt,
-                                 _coefficient_bound_bits, _crt_symmetric, _prime_pool,
-                                 _scaled_integer_matrix, char_poly, prime_cap, rank,
-                                 rank_mod, signature_of)
+from cuspcount import signature
+from cuspcount.errors import CertificateFailed, NotSymmetric
+from cuspcount.signature import (_ATTEMPTS, _PRIME_CHUNK, SignatureResult, _certified_minors,
+                                 _coefficient_bound_bits, _crt_symmetric, _eliminate,
+                                 _exponent_bits, _inverse_mod, _leading_minors, _limbs,
+                                 _prime_pool, _residue_table, _row_bits,
+                                 _scaled_integer_matrix, prime_cap, rank, rank_mod,
+                                 signature_of)
 from elimination import signature_by_elimination
 
 
@@ -28,29 +31,11 @@ def _perm_sign(perm):
     return sign
 
 
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def brute_force_char_poly(matrix):
-    """det(lambda*I - M) by Leibniz expansion over permutations; oracle for n <= 6."""
+def brute_force_det(matrix):
+    """det M by Leibniz expansion over permutations; oracle for n <= 6."""
     n = len(matrix)
-    total = [Fraction(0)] * (n + 1)
-    for perm in permutations(range(n)):
-        prod = [Fraction(1)]
-        for i in range(n):
-            if perm[i] == i:
-                prod = _poly_mul(prod, [-Fraction(matrix[i][i]), Fraction(1)])
-            else:
-                prod = [-Fraction(matrix[i][perm[i]]) * c for c in prod]
-        sign = _perm_sign(perm)
-        for k, c in enumerate(prod):
-            total[k] += sign * c
-    return tuple(reversed(total))
+    return sum(_perm_sign(perm) * math.prod(matrix[i][perm[i]] for i in range(n))
+               for perm in permutations(range(n)))
 
 
 def random_symmetric(rng, n, lo=-9, hi=9, singular_bias=False):
@@ -70,71 +55,199 @@ def random_symmetric(rng, n, lo=-9, hi=9, singular_bias=False):
     return m
 
 
-class TestCharPoly:
+def integer_symmetric(n, entry):
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = entry()
+    return m
+
+
+def expected_minors(leading, rank_of):
+    """D_1..D_r when the first r leading minors are nonzero and r is the rank,
+    else None: what _leading_minors must return."""
+    minors = []
+    for d in leading:
+        if not d:
+            break
+        minors.append(d)
+    return minors if len(minors) == rank_of else None
+
+
+def sympy_expected_minors(m):
+    from sympy import Matrix
+
+    matrix = Matrix(m)
+    leading = (int(matrix[:k, :k].det()) for k in range(1, len(m) + 1))
+    return expected_minors(leading, matrix.rank())
+
+
+def descartes_counts(coeffs):
+    """(positive, negative, zero) roots of a real-rooted polynomial from its
+    descending coefficients, by Descartes' rule of signs."""
+    coeffs = list(coeffs)
+    zero = 0
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+        zero += 1
+    top = len(coeffs) - 1
+
+    def variations(values):
+        signs = [v > 0 for v in values if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    mirrored = [c if (top - i) % 2 == 0 else -c for i, c in enumerate(coeffs)]
+    return variations(coeffs), variations(mirrored), zero
+
+
+class TestLeadingMinors:
     def test_two_by_two(self):
-        assert char_poly([[4, 2], [2, 2]]) == (1, -6, 4)
+        assert _certified_minors([[4, 2], [2, 2]]) == ([4, 4], 1)
 
     def test_zero_one_by_one(self):
-        assert char_poly([[0]]) == (1, 0)
+        assert _certified_minors([[0]]) == ([], 1)
+        assert signature_of([[0]]) == SignatureResult(0, 0, 0, 0, False)
 
     def test_empty_matrix(self):
-        assert char_poly([]) == (1,)
+        # signature_of answers the 0x0 matrix without an elimination; a zero
+        # matrix of any size stops every prime at step 0 with a zero block
+        assert signature_of([]) == SignatureResult(0, 0, 0, 0, True)
+        for n in range(1, 5):
+            assert _certified_minors([[0] * n for _ in range(n)]) == ([], 1)
 
     def test_rational_entries(self):
         m = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(1, 5)]]
-        assert char_poly(m) == brute_force_char_poly(m)
+        scaled, scale = _scaled_integer_matrix(m)
+        assert scale == 30 and scaled == [[15, 10], [10, 6]]
+        assert _certified_minors(scaled) == ([15, -10], 1)
+        assert signature_of(m) == signature_by_elimination(m) == SignatureResult(0, 2, 1, 1, True)
 
     def test_against_brute_force(self):
         rng = random.Random(20280)
         for _ in range(200):
             n = rng.randint(1, 5)
-            m = random_symmetric(rng, n)
-            assert char_poly(m) == brute_force_char_poly(m)
+            m, _ = _scaled_integer_matrix(random_symmetric(rng, n, singular_bias=True))
+            leading = [brute_force_det([row[:k] for row in m[:k]]) for k in range(1, n + 1)]
+            assert _leading_minors(m) == expected_minors(leading, rank(m)), m
 
-    def test_non_symmetric_input_still_exact(self):
-        rng = random.Random(20281)
-        for _ in range(100):
-            n = rng.randint(1, 4)
-            m = [[Fraction(rng.randint(-9, 9)) for _ in range(n)] for _ in range(n)]
-            assert char_poly(m) == brute_force_char_poly(m)
-
-    def test_modular_route_matches_trace_recursion(self):
-        """The multimodular route against sympy's characteristic polynomial."""
-        from sympy import Matrix
-
+    def test_minors_match_sympy(self):
+        """The multimodular minors against sympy's determinants of the leading blocks."""
         rng = random.Random(20282)
-
-        def symmetric(n, entry):
-            m = [[0] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(i, n):
-                    m[i][j] = m[j][i] = entry()
-            return m
-
-        cases = [("dim 13-16", symmetric(rng.randint(13, 16), lambda: rng.randint(-50, 50)
-                                         * 10 ** rng.randint(0, 9))) for _ in range(10)]
+        cases = [("dim 13-16", integer_symmetric(rng.randint(13, 16), lambda: rng.randint(-50, 50)
+                                                 * 10 ** rng.randint(0, 9))) for _ in range(4)]
         # entries of about 1100 bits, the size of the paper's trace forms
-        cases += [(f"dim {n}, 1100-bit", symmetric(n, lambda: rng.randint(-2 ** 1100, 2 ** 1100)))
+        cases += [(f"dim {n}, 1100-bit", integer_symmetric(n, lambda: rng.randint(-2 ** 1100, 2 ** 1100)))
                   for n in range(1, 13)]
-        # zero subdiagonal entries make the Hessenberg reduction swap rows
-        # or meet a zero pivot
+        # zero entries give zero leading minors before the rank, or a zero pivot
         for n in range(3, 11):
-            m = symmetric(n, lambda: rng.randint(-9, 9) if rng.random() < 0.3 else 0)
+            m = integer_symmetric(n, lambda: rng.randint(-9, 9) if rng.random() < 0.3 else 0)
             m[0][1] = m[1][0] = 0
             m[0][2] = m[2][0] = 7
             cases.append((f"dim {n}, sparse", m))
         cases.append(("block diagonal", [[2, 0, 0, 0], [0, 3, 1, 0], [0, 1, 0, 0], [0, 0, 0, 5]]))
         # a bound beyond one chunk of primes, with a short last chunk
-        chunked = symmetric(4, lambda: rng.randint(-2 ** 2000, 2 ** 2000))
-        primes = _prime_pool(prime_cap(4), _coefficient_bound_bits(chunked, 4) + 1)
+        chunked = integer_symmetric(4, lambda: rng.randint(-2 ** 2000, 2 ** 2000))
+        primes = _prime_pool(prime_cap(4), _coefficient_bound_bits(_row_bits(chunked)) + 1)
         assert len(primes) > _PRIME_CHUNK and len(primes) % _PRIME_CHUNK
         cases.append(("several prime chunks", chunked))
+        outcomes = set()
         for label, m in cases:
-            assert _char_poly_crt(m) == Matrix(m).charpoly().all_coeffs(), label
+            expected = sympy_expected_minors(m)
+            assert _leading_minors(m) == expected, label
+            outcomes.add(expected is None)
+        assert outcomes == {True, False}  # both certified chains and retries occur
 
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            char_poly([[1, 2]])
+    def test_unlucky_prime_is_dropped_and_the_pool_extended(self, monkeypatch):
+        p = _prime_pool(prime_cap(56), 1)[0]  # the largest prime of the pool
+        assert prime_cap(2) == prime_cap(56)
+        seen = []
+
+        def spy(h, primes):
+            seen.extend(primes.tolist())
+            return _eliminate(h, primes)
+
+        monkeypatch.setattr(signature, "_eliminate", spy)
+        two = [[p, 1], [1, 1]]
+        initial = _prime_pool(prime_cap(2), _coefficient_bound_bits(_row_bits(two)) + 1)
+        assert _certified_minors(two) == ([p, p - 1], 1)
+        assert p in seen and len(seen) > len(initial)
+        assert signature_of(two) == SignatureResult(2, 2, 2, 0, True)
+
+        rng = random.Random(20290)
+        big = integer_symmetric(56, lambda: rng.randint(-3, 3))
+        big[0][0] = p
+        seen.clear()
+        minors, attempts = _certified_minors(big)
+        assert attempts == 1 and minors[0] == p and p in seen
+        assert signature_of(big) == signature_by_elimination(big)
+
+    @pytest.mark.parametrize("matrix, expected", [
+        ([[0, 1], [1, 0]], SignatureResult(0, 2, 1, 1, True)),
+        ([[0, 0], [0, 1]], SignatureResult(1, 1, 1, 0, False)),
+        # a Gram matrix of rank 2 whose kernel lies along e_1
+        ([[0, 0, 0], [0, 5, 11], [0, 11, 25]], SignatureResult(2, 2, 2, 0, False)),
+    ], ids=["hyperbolic plane", "zero first pivot", "gram kernel along e1"])
+    def test_congruence_retry(self, matrix, expected):
+        assert _leading_minors(matrix) is None
+        minors, attempts = _certified_minors(matrix)
+        assert attempts == 2 and len(minors) == expected.rank
+        assert signature_of(matrix) == expected
+
+    def test_every_attempt_failing_raises(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(signature, "_leading_minors", lambda m: calls.append(m))
+        with pytest.raises(CertificateFailed, match="in all 4 attempts"):
+            signature_of([[1, 2], [2, 1]])
+        assert len(calls) == _ATTEMPTS
+        assert calls[0] == [[1, 2], [2, 1]] and calls[1] != calls[0]
+
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_delayed_reduction_stays_in_int64(self, n):
+        """Entries near the largest primes, eliminated in int64 and in exact
+        Python integers: the unreduced trailing block never overflows."""
+        cap = prime_cap(n)
+        assert max(n, 64) * cap ** 2 <= 2 ** 62
+        primes = np.array(_prime_pool(cap, 27 * 8)[:8], dtype=np.int64)
+        rng = np.random.default_rng(20291 + n)
+        h = primes - 1 - rng.integers(0, 1 << 10, size=(n, n, len(primes)))
+        h = np.minimum(h, h.transpose(1, 0, 2))
+        exact = _eliminate(h.astype(object), primes.astype(object))
+        fast = _eliminate(h.copy(), primes)
+        for a, b in zip(fast, exact):
+            assert (a == b).all()
+        m = [[int(cap - 1 - v) for v in row] for row in rng.integers(0, 1 << 10, size=(n, n))]
+        m = [[min(m[i][j], m[j][i]) for j in range(n)] for i in range(n)]
+        assert signature_of(m) == signature_by_elimination(m)
+
+
+class TestModularKernels:
+    def test_residue_table_matches_python_mod(self):
+        primes = _prime_pool(prime_cap(56), 27 * 300)[:300]  # a chunk and a short one
+        rng = random.Random(20292)
+        values = [0, 1, -1]
+        for p in primes[:3] + primes[-3:]:
+            values += [p - 1, -(p - 1), p, -p, p + 1, -(p + 1)]
+        values += [rng.randint(-2 ** 1100, 2 ** 1100) for _ in range(20)]
+        # more than 8192 bits needs more than one block of 512 limbs
+        values += [rng.randint(-2 ** 20000, 2 ** 20000) for _ in range(5)]
+        values += [2 ** 8192 - 1, -(2 ** 8192), 2 ** 8192 + 1, 2 ** 20000 - 1, 1 - 2 ** 20000]
+        limbs, negative = _limbs(values)
+        assert limbs.shape[1] > 512
+        for start in range(0, len(primes), _PRIME_CHUNK):
+            chunk = primes[start:start + _PRIME_CHUNK]
+            table = _residue_table(limbs, negative, np.array(chunk, dtype=np.int64))
+            assert table.tolist() == [[v % p for p in chunk] for v in values]
+
+    def test_fermat_inverse_matches_pow(self):
+        rng = random.Random(20293)
+        for cap, count in ((prime_cap(2), 300), (prime_cap(65), 300),
+                           (prime_cap(10 ** 6), 300), (1000, 100)):
+            primes = _prime_pool(cap, 9 * count)[:count]
+            values = [0, 1] + [rng.randrange(1, p) for p in primes[2:]]
+            values[-1] = primes[-1] - 1
+            parr = np.array(primes, dtype=np.int64)
+            out = _inverse_mod(np.array(values, dtype=np.int64), parr, _exponent_bits(parr))
+            assert out.tolist() == [pow(v, -1, p) if v else 0 for v, p in zip(values, primes)]
 
 
 class TestSignatureOf:
@@ -163,6 +276,34 @@ class TestSignatureOf:
     def test_requires_symmetry(self):
         with pytest.raises(NotSymmetric):
             signature_of([[1, 2], [3, 4]])
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError):
+            signature_of([[1, 2]])
+
+    def test_matches_descartes_and_elimination(self):
+        """X D X^T has the inertia of D (Sylvester) and every rank from 0 to n;
+        signature_of agrees with it, with Descartes' rule on sympy's
+        characteristic polynomial, and with the elimination route."""
+        from sympy import Matrix
+
+        rng = random.Random(20294)
+        for n in range(1, 8):
+            for r in range(n + 1):
+                while True:
+                    x = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+                    if Matrix(x).det():
+                        break
+                d = [rng.choice([-1, 1]) * rng.randint(1, 5) for _ in range(r)] + [0] * (n - r)
+                m = [[sum(x[i][k] * d[k] * x[j][k] for k in range(n)) for j in range(n)]
+                     for i in range(n)]
+                positive = sum(v > 0 for v in d)
+                negative = r - positive
+                expected = SignatureResult(positive - negative, r, positive, negative, r == n)
+                assert signature_of(m) == expected
+                assert descartes_counts(Matrix(m).charpoly().all_coeffs()) == (
+                    positive, negative, n - r)
+                assert signature_by_elimination(m) == expected
 
 
 class TestNondegeneracy:
