@@ -55,9 +55,6 @@ class GroebnerBasis:
     generators: tuple[Polynomial, ...]
     inputs: tuple[Polynomial, ...]
 
-    def __iter__(self):
-        return iter(self.generators)
-
     def __len__(self) -> int:
         return len(self.generators)
 

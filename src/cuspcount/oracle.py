@@ -167,7 +167,9 @@ class CertifiedPoint:
 
 
 class _IntervalPoly:
-    """A polynomial compiled for interval evaluation over boxes."""
+    """A polynomial compiled for interval evaluation over boxes and for fast
+    approximate evaluation at points: each term keeps its exponents, the
+    nearest double to its coefficient, and an interval enclosing it."""
 
     __slots__ = ("terms", "max_ex", "max_ey")
 
@@ -181,7 +183,7 @@ class _IntervalPoly:
                 iv = Interval(approx, approx)
             else:
                 iv = Interval(_down(approx), _up(approx))
-            self.terms.append((mono.ex, mono.ey, iv))
+            self.terms.append((mono.ex, mono.ey, approx, iv))
             self.max_ex = max(self.max_ex, mono.ex)
             self.max_ey = max(self.max_ey, mono.ey)
 
@@ -189,9 +191,12 @@ class _IntervalPoly:
         xp = _powers(x, self.max_ex)
         yp = _powers(y, self.max_ey)
         total = Interval(0.0, 0.0)
-        for ex, ey, coeff in self.terms:
+        for ex, ey, _, coeff in self.terms:
             total = total + coeff * xp[ex] * yp[ey]
         return total
+
+    def approx(self, px: float, py: float) -> float:
+        return sum(c * px ** ex * py ** ey for ex, ey, c, _ in self.terms)
 
     def at_point(self, px: float, py: float) -> Interval:
         return self.range(Interval.point(px), Interval.point(py))
@@ -204,18 +209,6 @@ def _to_float(coeff: Fraction) -> float:
         bits = abs(coeff.numerator).bit_length() - coeff.denominator.bit_length()
         raise OracleOverflow(f"a coefficient of about 2^{bits} in the cusp system "
                              "exceeds the range of hardware doubles") from None
-
-
-class _FloatPoly:
-    """A polynomial compiled for fast approximate evaluation."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, p: Polynomial):
-        self.terms = [(m.ex, m.ey, _to_float(c)) for m, c in p.terms.items()]
-
-    def __call__(self, px: float, py: float) -> float:
-        return sum(c * px ** ex * py ** ey for ex, ey, c in self.terms)
 
 
 def region_membership(u: Polynomial, point: CertifiedPoint) -> bool | None:
@@ -236,18 +229,15 @@ class _System:
 
     def __init__(self, derived: DerivedSystem):
         eqs = (derived.jac, derived.vel1, derived.vel2)
-        self.interval = [_IntervalPoly(p) for p in eqs]
-        self.float_eq = [_FloatPoly(p) for p in eqs]
-        self.float_grad = [( _FloatPoly(p.partial("x")), _FloatPoly(p.partial("y")))
-                           for p in eqs]
-        self.interval_grad = [(_IntervalPoly(p.partial("x")), _IntervalPoly(p.partial("y")))
-                              for p in eqs]
+        self.eqs = [_IntervalPoly(p) for p in eqs]
+        self.grads = [(_IntervalPoly(p.partial("x")), _IntervalPoly(p.partial("y")))
+                      for p in eqs]
         self.orientation = _IntervalPoly(derived.vel_jac)
 
 
 def _best_pair(system: _System, px: float, py: float) -> tuple[int, int]:
     """Indices of the two equations whose gradients are best conditioned."""
-    grads = [(gx(px, py), gy(px, py)) for gx, gy in system.float_grad]
+    grads = [(gx.approx(px, py), gy.approx(px, py)) for gx, gy in system.grads]
     norms = [math.hypot(gx, gy) for gx, gy in grads]
     best, best_score = (0, 1), -1.0
     for i in range(3):
@@ -263,12 +253,12 @@ def _best_pair(system: _System, px: float, py: float) -> tuple[int, int]:
 def _polish(system: _System, pair: tuple[int, int],
             px: float, py: float) -> tuple[float, float] | None:
     """Float Newton iteration on a square subsystem; None if it fails to settle."""
-    f1, f2 = system.float_eq[pair[0]], system.float_eq[pair[1]]
-    (g1x, g1y), (g2x, g2y) = system.float_grad[pair[0]], system.float_grad[pair[1]]
+    f1, f2 = system.eqs[pair[0]].approx, system.eqs[pair[1]].approx
+    (g1x, g1y), (g2x, g2y) = system.grads[pair[0]], system.grads[pair[1]]
     for _ in range(40):
         v1, v2 = f1(px, py), f2(px, py)
-        a, b = g1x(px, py), g1y(px, py)
-        c, d = g2x(px, py), g2y(px, py)
+        a, b = g1x.approx(px, py), g1y.approx(px, py)
+        c, d = g2x.approx(px, py), g2y.approx(px, py)
         det = a * d - b * c
         if det == 0 or not math.isfinite(det):
             return None
@@ -292,15 +282,15 @@ def _interval_newton(system: _System, pair: tuple[int, int],
     box_x = Interval(px - radius, px + radius)
     box_y = Interval(py - radius, py + radius)
     i, j = pair
-    j11 = system.interval_grad[i][0].range(box_x, box_y)
-    j12 = system.interval_grad[i][1].range(box_x, box_y)
-    j21 = system.interval_grad[j][0].range(box_x, box_y)
-    j22 = system.interval_grad[j][1].range(box_x, box_y)
+    j11 = system.grads[i][0].range(box_x, box_y)
+    j12 = system.grads[i][1].range(box_x, box_y)
+    j21 = system.grads[j][0].range(box_x, box_y)
+    j22 = system.grads[j][1].range(box_x, box_y)
     det = j11 * j22 - j12 * j21
     if not det.excludes_zero():
         return None
-    v1 = system.interval[i].at_point(px, py)
-    v2 = system.interval[j].at_point(px, py)
+    v1 = system.eqs[i].at_point(px, py)
+    v2 = system.eqs[j].at_point(px, py)
     centre_x = Interval.point(px)
     centre_y = Interval.point(py)
     newton_x = centre_x - (j22 * v1 - j12 * v2) / det
@@ -314,9 +304,9 @@ def _third_equation_plausible(system: _System, pair: tuple[int, int],
                               px: float, py: float, box: Box) -> bool:
     """Check the remaining equation vanishes within its Lipschitz slack."""
     third = next(k for k in range(3) if k not in pair)
-    value = system.interval[third].at_point(px, py)
-    gx = system.interval_grad[third][0].range(*box)
-    gy = system.interval_grad[third][1].range(*box)
+    value = system.eqs[third].at_point(px, py)
+    gx = system.grads[third][0].range(*box)
+    gy = system.grads[third][1].range(*box)
     lipschitz = max(abs(gx.lo), abs(gx.hi)) + max(abs(gy.lo), abs(gy.hi))
     radius = 0.5 * max(box[0].width, box[1].width)
     slack = _up(lipschitz * radius)
@@ -338,8 +328,8 @@ def _try_certify(system: _System, px: float, py: float) -> Box | None:
     return None
 
 
-def isolate_cusps(derived: DerivedSystem, box_radius: float = DEFAULT_ORACLE_RADIUS,
-                  min_width: float = MIN_BOX_WIDTH) -> tuple[CertifiedPoint, ...]:
+def isolate_cusps(derived: DerivedSystem,
+                  box_radius: float = DEFAULT_ORACLE_RADIUS) -> tuple[CertifiedPoint, ...]:
     """Isolate all solutions of the cusp system in [-r, r]^2.
 
     Returns certified cusp points (disjoint isolating boxes, each with a
@@ -363,7 +353,7 @@ def isolate_cusps(derived: DerivedSystem, box_radius: float = DEFAULT_ORACLE_RAD
         if processed > _MAX_BOXES:
             unresolved.append(box)
             continue
-        if any(p.range(*box).excludes_zero() for p in system.interval):
+        if any(p.range(*box).excludes_zero() for p in system.eqs):
             continue
         if any(c[0].contains_interval(box[0]) and c[1].contains_interval(box[1])
                for c in certified):
@@ -376,7 +366,7 @@ def isolate_cusps(derived: DerivedSystem, box_radius: float = DEFAULT_ORACLE_RAD
                 if (result[0].contains_interval(box[0])
                         and result[1].contains_interval(box[1])):
                     continue
-        if width <= min_width:
+        if width <= MIN_BOX_WIDTH:
             unresolved.append(box)
             continue
         mx, my = box[0].mid, box[1].mid

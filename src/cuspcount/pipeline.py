@@ -160,8 +160,8 @@ def census(problem: ProblemInput) -> CuspCensus:
         raise GenericityNotCertified(_NOT_CERTIFIED)
 
     vel_jac_reduced = normal_form(derived.vel_jac, gb)
-    sig1 = signature_of(form_matrix(algebra, Polynomial.constant(1), "1").matrix).signature
-    sig2 = signature_of(form_matrix(algebra, vel_jac_reduced, "orientation").matrix).signature
+    sig1 = signature_of(form_matrix(algebra, Polynomial.constant(1)).matrix).signature
+    sig2 = signature_of(form_matrix(algebra, vel_jac_reduced).matrix).signature
 
     positive = _even_half(sig1, sig2, "positive cusp count")
     negative = _even_half(sig1, -sig2, "negative cusp count")
@@ -184,12 +184,11 @@ def census(problem: ProblemInput) -> CuspCensus:
         return CuspCensus(sig3=None, sig4=None, region=None, **base)
 
     u_reduced = normal_form(problem.u, gb)
-    region_form = form_matrix(algebra, u_reduced, "region")
+    region_form = form_matrix(algebra, u_reduced)
     region_result = signature_of(region_form.matrix)
     sig3 = region_result.signature
     sig4 = signature_of(
-        form_matrix(algebra, normal_form(u_reduced * vel_jac_reduced, gb),
-                    "region*orientation").matrix).signature
+        form_matrix(algebra, normal_form(u_reduced * vel_jac_reduced, gb)).matrix).signature
 
     if not region_result.nondegenerate:
         partial = CuspCensus(sig3=sig3, sig4=sig4, region=None, **base)

@@ -18,7 +18,7 @@ A is the quotient by the ideal of the inputs.
 
 `generates_algebra` decides whether given polynomials generate A itself as
 an ideal, by the rank of their multiplication matrices side by side: modulo
-word-size primes first, exactly when those fall short.  The census uses it
+one word-size prime first, exactly when that falls short.  The census uses it
 for the one-genericity certificate.
 
 The exact arithmetic runs on integers: M_x and M_y are held as integer
@@ -46,7 +46,6 @@ from operator import mul
 import numpy as np
 
 from .errors import CertificateFailed
-from .exprio import format_polynomial
 from .groebner import (GroebnerBasis, leading_monomial, normal_form,
                        standard_monomials)
 from .poly import Monomial, Polynomial
@@ -61,9 +60,6 @@ ScaledMatrix = tuple[tuple[tuple[int, ...], ...], int]
 
 _ZERO = Fraction(0)
 
-#: Usable primes whose rank must all fall short before the exact rank runs.
-_RANK_PRIMES = 3
-
 #: Bits of the prime pool the modular rank draws from (about 38 primes).
 _RANK_POOL_BITS = 1024
 
@@ -73,7 +69,6 @@ class SymmetricForm:
     """Exact symmetric matrix of a quadratic form on the quotient algebra."""
 
     matrix: Matrix
-    delta_label: str
 
 
 def _over_one_denominator(values) -> Scaled:
@@ -278,15 +273,14 @@ def generates_algebra(algebra: QuotientAlgebra, hs) -> bool:
     whether that block has rank n = dim A; the zero algebra is generated by
     anything.  Full rank modulo a prime that divides no denominator of M_x,
     M_y or the reduced hs proves full rank over Q, because reduction modulo
-    such a prime is a ring map and cannot raise a rank.  When the rank falls
-    short modulo `_RANK_PRIMES` usable primes, the exact rank decides, so a
-    false verdict is exact too.
+    such a prime is a ring map and cannot raise a rank.  One usable prime
+    is tried; when the rank falls short modulo it, the exact rank decides,
+    so a false verdict is exact too.
     """
     n = algebra.dim
     if n == 0:
         return True
     reduced = [normal_form(h, algebra.gb) for h in hs]
-    deficient = 0
     for p in _prime_pool(prime_cap(n), _RANK_POOL_BITS):
         try:
             block = _block_mod(algebra, reduced, p)
@@ -294,9 +288,7 @@ def generates_algebra(algebra: QuotientAlgebra, hs) -> bool:
             continue
         if rank_mod(block, p) == n:
             return True
-        deficient += 1
-        if deficient == _RANK_PRIMES:
-            break
+        break
     blocks = [mult_matrix(algebra, h) for h in reduced]
     return rank([sum((m[i] for m in blocks), ()) for i in range(n)]) == n
 
@@ -345,8 +337,7 @@ def _shifted_trace(algebra: QuotientAlgebra, h: Polynomial, shift: Monomial) -> 
                         for c, t in terms), den)
 
 
-def form_matrix(algebra: QuotientAlgebra, delta: Polynomial,
-                label: str | None = None) -> SymmetricForm:
+def form_matrix(algebra: QuotientAlgebra, delta: Polynomial) -> SymmetricForm:
     """Symmetric matrix of the quadratic form a -> trace(delta * a^2).
 
     Entry (i, j) is the trace of multiplication by delta * b_i * b_j.  Modulo
@@ -363,4 +354,4 @@ def form_matrix(algebra: QuotientAlgebra, delta: Polynomial,
         nums, d = algebra._vector(product)
         entries[product] = Fraction(sum(map(mul, weights, nums)), den * d)
     matrix = tuple(tuple(entries[bi * bj] for bj in basis) for bi in basis)
-    return SymmetricForm(matrix, label if label is not None else format_polynomial(delta))
+    return SymmetricForm(matrix)

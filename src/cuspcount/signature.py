@@ -12,12 +12,15 @@ The minors come from one symmetric Gaussian elimination without pivoting
 modulo each of a pool of word-size primes, in chunks of primes laid out as
 one (n, n, chunk) int64 array.  The pivot of step k is D_(k+1)/D_k mod p,
 so D_k mod p is the running product of the pivots.  Chinese remaindering
-up a product tree of the primes rebuilds each D_k from enough primes to
-exceed a Hadamard bound, which covers every minor of A, principal,
-bordered or not.  Each prime's residue table comes from one float64
-product of the entries' 16-bit limbs with the powers 2**(16j) mod p.  The
-pivots are taken two at a time, as 2 x 2 blocks, and each pair of steps
-inverts its blocks' determinants by one vectorized Fermat power.
+up a product tree of the primes rebuilds each D_k from primes whose
+product reaches 2**(b + 1), where 2**b bounds the product of the row
+norms of A: by Hadamard's inequality a minor is at most the product of the
+norms of its rows, so every minor of A, leading or bordered, is below 2**b
+in absolute value and equals its symmetric residue modulo those primes.
+Each prime's residue table comes from one float64 product of the entries'
+16-bit limbs with the powers 2**(16j) mod p.  The pivots are taken two at
+a time, as 2 x 2 blocks, and each pair of steps inverts its blocks'
+determinants by one vectorized Fermat power.
 
 Delayed reduction: `prime_cap` keeps max(n, 64) * p**2 <= 2**62.  A pair
 of steps reduces only its two pivot rows into [0, p) and subtracts two
@@ -56,9 +59,10 @@ A failed internal check raises CertificateFailed.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import Sequence
 
 import numpy as np
@@ -137,22 +141,6 @@ def _row_bits(matrix: list[list[int]]) -> list[int]:
     return [((sum(v * v for v in row)).bit_length() + 1) // 2 + 1 for row in matrix]
 
 
-def _coefficient_bound_bits(row_bits: list[int]) -> int:
-    """Bits of a bound on each sum of the k x k principal minors, via Hadamard.
-
-    A k x k minor, principal or not, is at most the product of the k largest
-    row norms, so the bound covers every single minor too.
-    """
-    n = len(row_bits)
-    half_bits = sorted(row_bits, reverse=True)
-    best = 1
-    acc = 0
-    for k in range(1, n + 1):
-        acc += half_bits[k - 1]
-        best = max(best, comb(n, k).bit_length() + acc)
-    return best + 2
-
-
 def _is_prime(p: int) -> bool:
     """Deterministic Miller-Rabin for p < 3.2e9."""
     if p < 2:
@@ -178,7 +166,8 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-_PRIME_POOLS: dict[int, list[int]] = {}
+#: Per cap, the descending primes found so far and their running bit totals.
+_PRIME_POOLS: dict[int, tuple[list[int], list[int]]] = {}
 
 
 def prime_cap(n: int) -> int:
@@ -189,26 +178,20 @@ def prime_cap(n: int) -> int:
 
 
 def _prime_pool(cap: int, min_bits: int) -> list[int]:
-    """Descending primes below cap whose product exceeds 2**min_bits."""
-    pool = _PRIME_POOLS.setdefault(cap, [])
-    have = sum(p.bit_length() - 1 for p in pool)
-    if pool:
-        candidate = pool[-1] - 2
-    else:
-        candidate = cap if cap % 2 else cap - 1
+    """The shortest prefix of the descending primes below cap whose bits,
+    p.bit_length() - 1 each, reach min_bits: its product exceeds 2**min_bits."""
+    pool, totals = _PRIME_POOLS.setdefault(cap, ([], []))
+    candidate = pool[-1] - 2 if pool else cap - 1 + cap % 2
+    have = totals[-1] if totals else 0
     while have < min_bits:
         if _is_prime(candidate):
             pool.append(candidate)
             have += candidate.bit_length() - 1
+            totals.append(have)
         candidate -= 2
         if candidate < 3:
             raise CertificateFailed("prime pool exhausted")
-    have = 0
-    for count, p in enumerate(pool, start=1):
-        have += p.bit_length() - 1
-        if have >= min_bits:
-            return pool[:count]
-    return pool
+    return pool[:bisect_left(totals, min_bits) + 1]
 
 
 def rank(matrix: MatrixLike) -> int:
@@ -417,7 +400,7 @@ def _leading_minors(matrix: list[list[int]]) -> list[int] | None:
     leading minor vanishes before the rank."""
     n = len(matrix)
     row_bits = _row_bits(matrix)
-    need = _coefficient_bound_bits(row_bits) + 1
+    need = sum(row_bits) + 1
     cap = prime_cap(n)
     # residues are taken once per distinct entry: a symmetric matrix repeats
     # every off-diagonal entry

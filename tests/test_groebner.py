@@ -200,7 +200,7 @@ class TestSympyReference:
         problem = parse_problem(PAPER_MAPS[name])
         d = derive_system(problem.f1, problem.f2)
         gens = [d.jac, d.vel1, d.vel2]
-        assert term_sets(buchberger(gens)) == sympy_basis(gens)
+        assert term_sets(buchberger(gens).generators) == sympy_basis(gens)
 
     def test_random_ideals(self):
         rng = random.Random(20300)
@@ -208,7 +208,7 @@ class TestSympyReference:
             gens = [random_polynomial(rng, rng.randint(1, 4), lo=-5, hi=5)
                     for _ in range(rng.randint(1, 3))]
             gens = [g for g in gens if not g.is_zero()] or [X + Y]
-            assert term_sets(buchberger(gens)) == sympy_basis(gens)
+            assert term_sets(buchberger(gens).generators) == sympy_basis(gens)
 
     @pytest.mark.parametrize("fixture_name",
                              ["two_cusp_run", "eight_cusp_run", "six_cusp_run"])
@@ -222,7 +222,7 @@ class TestSympyReference:
         d = derive_system(X ** 2, Y ** 2)
         assert census_verdict(d) == (False, "rank-deficient")
         assert sympy_basis(five_generators(d)) == \
-            term_sets(buchberger(five_generators(d)))
+            term_sets(buchberger(five_generators(d)).generators)
 
     def test_random_map_verdicts(self):
         """The rank certificate agrees with the 5-generator unit-ideal test.

@@ -9,8 +9,9 @@ import pytest
 
 from cuspcount.errors import GenericityNotCertified, NotZeroDimensional, OracleOverflow
 from cuspcount.exprio import ProblemInput, parse_problem
-from cuspcount.oracle import (CertifiedPoint, Interval, _IntervalPoly, _powers,
-                              isolate_cusps, region_membership)
+from cuspcount.oracle import (_CERTIFY_RADII, CertifiedPoint, Interval, _best_pair,
+                              _interval_newton, _IntervalPoly, _powers, _System,
+                              _try_certify, isolate_cusps, region_membership)
 from cuspcount.pipeline import census, derive_system
 from cuspcount.poly import X, Y
 from classification import Unclassifiable, classify_critical_point
@@ -173,6 +174,20 @@ class TestIsolateCusps:
         _, derived, _ = two_cusp_points
         with pytest.raises(ValueError):
             isolate_cusps(derived, box_radius=0.0)
+
+    def test_certification_widens_to_the_second_radius(self):
+        """The Whitney cusp moved to x = 2**27, where one ulp is 2**-25: the
+        box of half-width 1e-7 is a few ulps wide and interval Newton fails
+        on it, the box of half-width 4e-7 certifies."""
+        shift = 2 ** 27
+        problem = parse_problem(f"f1 = x - {shift}\nf2 = (x - {shift})*y + y^3\n")
+        system = _System(derive_system(problem.f1, problem.f2))
+        px, py = float(shift), 0.0
+        assert _interval_newton(system, _best_pair(system, px, py), px, py,
+                                _CERTIFY_RADII[0]) is None
+        box = _try_certify(system, px, py)
+        assert box is not None and box[0].contains(px)
+        assert box[1] == Interval(-_CERTIFY_RADII[1], _CERTIFY_RADII[1])
 
 
 class TestClassifyCriticalPoint:

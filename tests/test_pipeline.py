@@ -121,7 +121,7 @@ class TestGenericityCertificate:
         monkeypatch.setattr(quotient, "rank_mod", deficient)
         d = derived_of(text)
         assert certify_genericity(d, cusp_algebra(d)) is verdict
-        assert len(calls) == quotient._RANK_PRIMES
+        assert len(calls) == 1
 
 
 class TestCensus:

@@ -282,9 +282,8 @@ class TestTraceFunctional:
 class TestFormMatrix:
     def test_counting_form(self, two_cusp):
         _, _, algebra = two_cusp
-        form = form_matrix(algebra, ONE, "1")
+        form = form_matrix(algebra, ONE)
         assert form.matrix == frac_matrix([[2, 2], [2, 4]])
-        assert form.delta_label == "1"
 
     def test_orientation_form(self, two_cusp):
         d, gb, algebra = two_cusp
@@ -296,13 +295,8 @@ class TestFormMatrix:
         u = parse_polynomial("1 - x^2 - y^2")
         region = form_matrix(algebra, normal_form(u, gb))
         assert region.matrix == frac_matrix([[-18, -38], [-38, -76]])
-        combined = form_matrix(
-            algebra, normal_form(u * d.vel_jac, gb), "region*orientation")
+        combined = form_matrix(algebra, normal_form(u * d.vel_jac, gb))
         assert combined.matrix == frac_matrix([[24 * 18, 24 * 38], [24 * 38, 24 * 76]])
-
-    def test_default_label_is_canonical_text(self, two_cusp):
-        _, _, algebra = two_cusp
-        assert form_matrix(algebra, X - Y).delta_label == "x - y"
 
     def test_symmetry(self, two_cusp):
         d, gb, algebra = two_cusp

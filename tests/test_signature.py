@@ -14,7 +14,7 @@ import pytest
 from cuspcount import signature
 from cuspcount.errors import CertificateFailed, NotSymmetric
 from cuspcount.signature import (_ATTEMPTS, _PRIME_CHUNK, SignatureResult, _certified_minors,
-                                 _coefficient_bound_bits, _crt_symmetric, _eliminate,
+                                 _crt_symmetric, _eliminate,
                                  _exponent_bits, _inverse_mod, _leading_minors, _limbs,
                                  _prime_pool, _residue_table, _row_bits,
                                  _scaled_integer_matrix, prime_cap, rank, rank_mod,
@@ -147,7 +147,7 @@ class TestLeadingMinors:
         cases.append(("block diagonal", [[2, 0, 0, 0], [0, 3, 1, 0], [0, 1, 0, 0], [0, 0, 0, 5]]))
         # a bound beyond one chunk of primes, with a short last chunk
         chunked = integer_symmetric(4, lambda: rng.randint(-2 ** 2000, 2 ** 2000))
-        primes = _prime_pool(prime_cap(4), _coefficient_bound_bits(_row_bits(chunked)) + 1)
+        primes = _prime_pool(prime_cap(4), sum(_row_bits(chunked)) + 1)
         assert len(primes) > _PRIME_CHUNK and len(primes) % _PRIME_CHUNK
         cases.append(("several prime chunks", chunked))
         outcomes = set()
@@ -168,7 +168,7 @@ class TestLeadingMinors:
 
         monkeypatch.setattr(signature, "_eliminate", spy)
         two = [[p, 1], [1, 1]]
-        initial = _prime_pool(prime_cap(2), _coefficient_bound_bits(_row_bits(two)) + 1)
+        initial = _prime_pool(prime_cap(2), sum(_row_bits(two)) + 1)
         assert _certified_minors(two) == ([p, p - 1], 1)
         assert p in seen and len(seen) > len(initial)
         assert signature_of(two) == SignatureResult(2, 2, 2, 0, True)
@@ -180,6 +180,71 @@ class TestLeadingMinors:
         minors, attempts = _certified_minors(big)
         assert attempts == 1 and minors[0] == p and p in seen
         assert signature_of(big) == signature_by_elimination(big)
+
+    def test_hadamard_bound_covers_leading_and_bordered_minors(self, monkeypatch):
+        """Every leading minor and every bordered minor (the leading r x r
+        block with one more row i and column j, both >= r) of A, taken from
+        sympy, is at most the product of the norms of its rows and below
+        2**sum(_row_bits(A)), the bound `_leading_minors` asks the primes to
+        exceed twice over.  Sylvester-Hadamard matrices meet Hadamard's
+        inequality with equality."""
+        from sympy import ZZ
+        from sympy.polys.matrices import DomainMatrix
+
+        def sylvester_hadamard(n):
+            h = [[1]]
+            while len(h) < n:
+                h = [row + row for row in h] + [row + [-v for v in row] for row in h]
+            return h
+
+        rng = random.Random(20300)
+        hadamards = [sylvester_hadamard(n) for n in (8, 16, 32)]
+        cases = list(hadamards)
+        for n in range(1, 9):
+            bits = rng.choice([3, 60, 400])
+            cases.append(integer_symmetric(
+                n, lambda: rng.randint(-2 ** bits, 2 ** bits) if rng.random() < 0.7 else 0))
+        requests = []
+        pool = signature._prime_pool
+        monkeypatch.setattr(signature, "_prime_pool",
+                            lambda cap, bits: requests.append(bits) or pool(cap, bits))
+        for m in cases:
+            n = len(m)
+            norms = [sum(v * v for v in row) for row in m]
+            bound = 2 ** sum(_row_bits(m))
+            dm = DomainMatrix([[ZZ(v) for v in row] for row in m], (n, n), ZZ)
+            for r in range(n):
+                for i in range(r, n):
+                    for j in range(i, n):  # A is symmetric: minor (j, i) equals (i, j)
+                        rows = [*range(r), i]
+                        minor = int(dm.extract(rows, [*range(r), j]).det())
+                        assert minor ** 2 <= math.prod(norms[k] for k in rows)
+                        assert abs(minor) < bound
+            if m in hadamards:
+                assert int(dm.det()) ** 2 == math.prod(norms)
+            requests.clear()
+            _leading_minors(m)
+            assert requests[0] == sum(_row_bits(m)) + 1
+
+    @pytest.mark.parametrize("order", ["rising", "falling"])
+    def test_prime_pool_returns_the_shortest_prefix(self, monkeypatch, order):
+        """Below 2**28 every prime counts 27 bits, so 27 bits take one prime,
+        28 and 54 two, 55 three and 10000 371: each request gets the
+        shortest prefix of the descending primes whose bits reach it."""
+        from sympy import prevprime
+
+        monkeypatch.setattr(signature, "_PRIME_POOLS", {})
+        cap = prime_cap(56)
+        assert cap == 2 ** 28
+        descending = [prevprime(cap)]
+        while len(descending) < 371:
+            descending.append(prevprime(descending[-1]))
+        lengths = {1: 1, 27: 1, 28: 2, 54: 2, 55: 3, 10000: 371}
+        for bits in sorted(lengths, reverse=order == "falling"):
+            primes = _prime_pool(cap, bits)
+            assert primes == descending[:lengths[bits]], bits
+            counted = [p.bit_length() - 1 for p in primes]
+            assert sum(counted[:-1]) < bits <= sum(counted)
 
     @pytest.mark.parametrize("matrix, expected", [
         ([[0, 1], [1, 0]], SignatureResult(0, 2, 1, 1, True)),
