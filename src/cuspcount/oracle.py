@@ -9,13 +9,23 @@ equation is checked against a Lipschitz bound over the certified box, and
 the sign of the orientation polynomial over the box gives the local degree.
 
 Interval arithmetic is outward-rounded on hardware doubles: every computed
-range contains the true range.  The oracle never overrules the exact
-pipeline; boxes it cannot decide are reported as unresolved, not dropped.
+range contains the true range.  The range of a polynomial over a box is one
+fold over its terms on float endpoints: it does the products, the
+``min``/``max``, the outward roundings and the additions of
+``coeff * x**ex * y**ey`` summed by ``Interval`` arithmetic, in the same
+order, and builds one ``Interval`` at the end.  The powers of x and y come
+from one table per box, shared by every polynomial evaluated on that box.
+A polished point whose isolating box would meet a cusp already certified is
+not certified again: the result would be rejected as a duplicate anyway.
+
+The oracle never overrules the exact pipeline; boxes it cannot decide are
+reported as unresolved, not dropped.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -96,7 +106,7 @@ class Interval:
         return Interval(_down(min(quotients)), _up(max(quotients)))
 
     def power(self, n: int) -> "Interval":
-        return _powers(self, n)[n]
+        return Interval(*_power_bounds(self.lo, self.hi, n)[n])
 
     def contains(self, v: float) -> bool:
         return self.lo <= v <= self.hi
@@ -122,27 +132,32 @@ class Interval:
         return self.lo <= other.lo and other.hi <= self.hi
 
 
-def _powers(iv: Interval, k: int) -> list[Interval]:
-    """Outward-rounded enclosures of iv**0, ..., iv**k.
+def _power_bounds(lo: float, hi: float, k: int) -> list[tuple[float, float]]:
+    """Outward-rounded bounds (lo_n, hi_n) enclosing [lo, hi]**n for n = 0..k.
 
     One running product per endpoint e does, once, the float operations that
     multiplying [e, e] into [1, 1] n times repeats for every n; the ends of
-    iv**n are chosen by the endpoints' signs and the parity of n.
+    [lo, hi]**n are chosen by the endpoints' signs and the parity of n.
+    Entry n does not depend on k, so one table serves every polynomial
+    evaluated on the same interval.
     """
-    lo, hi = iv.lo, iv.hi
+    after = math.nextafter  # after(v, -_INF) is _down(v), after(v, _INF) is _up(v)
     lo_lo = lo_hi = hi_lo = hi_hi = 1.0  # [lo_lo, lo_hi] encloses lo**n, [hi_lo, hi_hi] hi**n
-    table = [Interval(1.0, 1.0)]
+    table = [(1.0, 1.0)]
     for n in range(1, k + 1):
         a, b = lo_lo * lo, lo_hi * lo
-        lo_lo, lo_hi = _down(min(a, b)), _up(max(a, b))
+        lo_lo, lo_hi = after(min(a, b), -_INF), after(max(a, b), _INF)
         a, b = hi_lo * hi, hi_hi * hi
-        hi_lo, hi_hi = _down(min(a, b)), _up(max(a, b))
+        hi_lo, hi_hi = after(min(a, b), -_INF), after(max(a, b), _INF)
         if n % 2 or lo >= 0.0:
-            table.append(Interval(lo_lo, hi_hi))
+            entry = (lo_lo, hi_hi)
         elif hi <= 0.0:
-            table.append(Interval(hi_lo, lo_hi))
+            entry = (hi_lo, lo_hi)
         else:
-            table.append(Interval(0.0, lo_hi if -lo > hi else hi_hi))
+            entry = (0.0, lo_hi if -lo > hi else hi_hi)
+        if not entry[0] <= entry[1]:
+            Interval(*entry)  # raises as building the Interval would
+        table.append(entry)
     return table
 
 
@@ -169,7 +184,8 @@ class CertifiedPoint:
 class _IntervalPoly:
     """A polynomial compiled for interval evaluation over boxes and for fast
     approximate evaluation at points: each term keeps its exponents, the
-    nearest double to its coefficient, and an interval enclosing it."""
+    nearest double to its coefficient, and the bounds of an interval
+    enclosing it."""
 
     __slots__ = ("terms", "max_ex", "max_ey")
 
@@ -180,23 +196,46 @@ class _IntervalPoly:
         for mono, coeff in p.terms.items():
             approx = _to_float(coeff)
             if Fraction(approx) == coeff:
-                iv = Interval(approx, approx)
+                c_lo = c_hi = approx
             else:
-                iv = Interval(_down(approx), _up(approx))
-            self.terms.append((mono.ex, mono.ey, approx, iv))
+                c_lo, c_hi = _down(approx), _up(approx)
+            self.terms.append((mono.ex, mono.ey, approx, c_lo, c_hi))
             self.max_ex = max(self.max_ex, mono.ex)
             self.max_ey = max(self.max_ey, mono.ey)
 
     def range(self, x: Interval, y: Interval) -> Interval:
-        xp = _powers(x, self.max_ex)
-        yp = _powers(y, self.max_ey)
-        total = Interval(0.0, 0.0)
-        for ex, ey, _, coeff in self.terms:
-            total = total + coeff * xp[ex] * yp[ey]
-        return total
+        return self.fold(_power_bounds(x.lo, x.hi, self.max_ex),
+                         _power_bounds(y.lo, y.hi, self.max_ey))
+
+    def fold(self, xp: list[tuple[float, float]],
+             yp: list[tuple[float, float]]) -> Interval:
+        """Range over the box whose power tables (`_power_bounds`) are xp, yp.
+
+        Each step does the float operations of `Interval.__mul__` and
+        `Interval.__add__` on the term `coeff * x**ex * y**ey` and the running
+        sum, in the same order, and keeps their `lo <= hi` check: a failed
+        check builds the Interval, which raises the same error.
+        """
+        after, down, up = math.nextafter, -_INF, _INF
+        lo = hi = 0.0
+        for ex, ey, _, c_lo, c_hi in self.terms:
+            x_lo, x_hi = xp[ex]
+            a, b, c, d = c_lo * x_lo, c_lo * x_hi, c_hi * x_lo, c_hi * x_hi
+            t_lo, t_hi = after(min(a, b, c, d), down), after(max(a, b, c, d), up)
+            if not t_lo <= t_hi:
+                Interval(t_lo, t_hi)
+            y_lo, y_hi = yp[ey]
+            a, b, c, d = t_lo * y_lo, t_lo * y_hi, t_hi * y_lo, t_hi * y_hi
+            t_lo, t_hi = after(min(a, b, c, d), down), after(max(a, b, c, d), up)
+            if not t_lo <= t_hi:
+                Interval(t_lo, t_hi)
+            lo, hi = after(lo + t_lo, down), after(hi + t_hi, up)
+            if not lo <= hi:
+                Interval(lo, hi)
+        return Interval(lo, hi)
 
     def approx(self, px: float, py: float) -> float:
-        return sum(c * px ** ex * py ** ey for ex, ey, c, _ in self.terms)
+        return sum(c * px ** ex * py ** ey for ex, ey, c, _, _ in self.terms)
 
     def at_point(self, px: float, py: float) -> Interval:
         return self.range(Interval.point(px), Interval.point(py))
@@ -233,6 +272,14 @@ class _System:
         self.grads = [(_IntervalPoly(p.partial("x")), _IntervalPoly(p.partial("y")))
                       for p in eqs]
         self.orientation = _IntervalPoly(derived.vel_jac)
+        # partial derivatives have no larger exponents than their equations
+        self.max_ex = max(p.max_ex for p in self.eqs)
+        self.max_ey = max(p.max_ey for p in self.eqs)
+
+    def tables(self, x: Interval, y: Interval) -> tuple[list, list]:
+        """The power tables of a box for every equation and gradient."""
+        return (_power_bounds(x.lo, x.hi, self.max_ex),
+                _power_bounds(y.lo, y.hi, self.max_ey))
 
 
 def _best_pair(system: _System, px: float, py: float) -> tuple[int, int]:
@@ -282,17 +329,19 @@ def _interval_newton(system: _System, pair: tuple[int, int],
     box_x = Interval(px - radius, px + radius)
     box_y = Interval(py - radius, py + radius)
     i, j = pair
-    j11 = system.grads[i][0].range(box_x, box_y)
-    j12 = system.grads[i][1].range(box_x, box_y)
-    j21 = system.grads[j][0].range(box_x, box_y)
-    j22 = system.grads[j][1].range(box_x, box_y)
+    xp, yp = system.tables(box_x, box_y)
+    j11 = system.grads[i][0].fold(xp, yp)
+    j12 = system.grads[i][1].fold(xp, yp)
+    j21 = system.grads[j][0].fold(xp, yp)
+    j22 = system.grads[j][1].fold(xp, yp)
     det = j11 * j22 - j12 * j21
     if not det.excludes_zero():
         return None
-    v1 = system.eqs[i].at_point(px, py)
-    v2 = system.eqs[j].at_point(px, py)
     centre_x = Interval.point(px)
     centre_y = Interval.point(py)
+    xp, yp = system.tables(centre_x, centre_y)
+    v1 = system.eqs[i].fold(xp, yp)
+    v2 = system.eqs[j].fold(xp, yp)
     newton_x = centre_x - (j22 * v1 - j12 * v2) / det
     newton_y = centre_y - (j11 * v2 - j21 * v1) / det
     if newton_x.strictly_inside(box_x) and newton_y.strictly_inside(box_y):
@@ -305,20 +354,35 @@ def _third_equation_plausible(system: _System, pair: tuple[int, int],
     """Check the remaining equation vanishes within its Lipschitz slack."""
     third = next(k for k in range(3) if k not in pair)
     value = system.eqs[third].at_point(px, py)
-    gx = system.grads[third][0].range(*box)
-    gy = system.grads[third][1].range(*box)
+    xp, yp = system.tables(*box)
+    gx = system.grads[third][0].fold(xp, yp)
+    gy = system.grads[third][1].fold(xp, yp)
     lipschitz = max(abs(gx.lo), abs(gx.hi)) + max(abs(gy.lo), abs(gy.hi))
     radius = 0.5 * max(box[0].width, box[1].width)
     slack = _up(lipschitz * radius)
     return value.lo <= slack and value.hi >= -slack
 
 
-def _try_certify(system: _System, px: float, py: float) -> Box | None:
+def _try_certify(system: _System, px: float, py: float,
+                 certified: Sequence[Box] = ()) -> Box | None:
+    """Polish (px, py) and certify a cusp box around the polished point q.
+
+    Returns None, without interval Newton, when the first-radius box
+    around q meets a box in `certified`.  Every box this function could
+    return is centred on q with a radius from `_CERTIFY_RADII`, so it
+    contains the first-radius box (rounding q - r and q + r is monotone in
+    r) and meets that certified box too.  `_is_new` would reject it, and
+    the caller goes on exactly as after None.
+    """
     pair = _best_pair(system, px, py)
     polished = _polish(system, pair, px, py)
     if polished is None:
         return None
     qx, qy = polished
+    radius = _CERTIFY_RADII[0]
+    near_x, near_y = Interval(qx - radius, qx + radius), Interval(qy - radius, qy + radius)
+    if any(near_x.intersects(c[0]) and near_y.intersects(c[1]) for c in certified):
+        return None
     for radius in _CERTIFY_RADII:
         box = _interval_newton(system, pair, qx, qy, radius)
         if box is not None:
@@ -353,14 +417,15 @@ def isolate_cusps(derived: DerivedSystem,
         if processed > _MAX_BOXES:
             unresolved.append(box)
             continue
-        if any(p.range(*box).excludes_zero() for p in system.eqs):
+        xp, yp = system.tables(*box)
+        if any(p.fold(xp, yp).excludes_zero() for p in system.eqs):
             continue
         if any(c[0].contains_interval(box[0]) and c[1].contains_interval(box[1])
                for c in certified):
             continue
         width = max(box[0].width, box[1].width)
         if width <= _POLISH_TRIGGER:
-            result = _try_certify(system, box[0].mid, box[1].mid)
+            result = _try_certify(system, box[0].mid, box[1].mid, certified)
             if result is not None and _is_new(result, certified, box_radius):
                 certified.append(result)
                 if (result[0].contains_interval(box[0])
@@ -393,19 +458,29 @@ def _is_new(box: Box, certified: list[Box], box_radius: float) -> bool:
 
 
 def _merge(boxes: list[Box]) -> list[Box]:
-    """Coalesce adjacent unresolved boxes into maximal clusters."""
+    """Coalesce adjacent unresolved boxes into maximal clusters.
+
+    Each cluster grows from the last remaining box: every sweep absorbs, in
+    list order, each box that meets the growing bounding box, and keeps the
+    others in order for the next sweep, until a sweep absorbs none.
+    """
     remaining = list(boxes)
     merged: list[Box] = []
     while remaining:
         bx, by = remaining.pop()
+        x_lo, x_hi, y_lo, y_hi = bx.lo, bx.hi, by.lo, by.hi
         changed = True
         while changed:
             changed = False
-            for other in remaining[:]:
-                if bx.intersects(other[0]) and by.intersects(other[1]):
-                    bx = Interval(min(bx.lo, other[0].lo), max(bx.hi, other[0].hi))
-                    by = Interval(min(by.lo, other[1].lo), max(by.hi, other[1].hi))
-                    remaining.remove(other)
+            kept = []
+            for other in remaining:
+                ox, oy = other
+                if x_lo <= ox.hi and ox.lo <= x_hi and y_lo <= oy.hi and oy.lo <= y_hi:
+                    x_lo, x_hi = min(x_lo, ox.lo), max(x_hi, ox.hi)
+                    y_lo, y_hi = min(y_lo, oy.lo), max(y_hi, oy.hi)
                     changed = True
-        merged.append((bx, by))
+                else:
+                    kept.append(other)
+            remaining = kept
+        merged.append((Interval(x_lo, x_hi), Interval(y_lo, y_hi)))
     return merged

@@ -9,11 +9,12 @@ import pytest
 
 from cuspcount.errors import GenericityNotCertified, NotZeroDimensional, OracleOverflow
 from cuspcount.exprio import ProblemInput, parse_problem
+import cuspcount.oracle as oracle
 from cuspcount.oracle import (_CERTIFY_RADII, CertifiedPoint, Interval, _best_pair,
-                              _interval_newton, _IntervalPoly, _powers, _System,
-                              _try_certify, isolate_cusps, region_membership)
+                              _interval_newton, _IntervalPoly, _merge, _power_bounds,
+                              _System, _try_certify, isolate_cusps, region_membership)
 from cuspcount.pipeline import census, derive_system
-from cuspcount.poly import X, Y
+from cuspcount.poly import Monomial, Polynomial, X, Y
 from classification import Unclassifiable, classify_critical_point
 from conftest import TWO_CUSP_TEXT, WHITNEY_TEXT, random_polynomial
 
@@ -42,6 +43,44 @@ def reference_power(iv: Interval, n: int) -> Interval:
         bound = max(-iv.lo, iv.hi)
         return Interval(0.0, reference_point_pow(bound, n).hi)
     return Interval(reference_point_pow(iv.lo, n).lo, reference_point_pow(iv.hi, n).hi)
+
+
+def reference_range(poly: _IntervalPoly, x: Interval, y: Interval) -> Interval:
+    """The Interval-operator fold: coeff * x**ex * y**ey summed term by term."""
+    xp = [Interval(*e) for e in _power_bounds(x.lo, x.hi, poly.max_ex)]
+    yp = [Interval(*e) for e in _power_bounds(y.lo, y.hi, poly.max_ey)]
+    total = Interval(0.0, 0.0)
+    for ex, ey, _, c_lo, c_hi in poly.terms:
+        total = total + Interval(c_lo, c_hi) * xp[ex] * yp[ey]
+    return total
+
+
+def reference_merge(boxes):
+    """Cluster merging by removing each absorbed box from the list (quadratic)."""
+    remaining = list(boxes)
+    merged = []
+    while remaining:
+        bx, by = remaining.pop()
+        changed = True
+        while changed:
+            changed = False
+            for other in remaining[:]:
+                if bx.intersects(other[0]) and by.intersects(other[1]):
+                    bx = Interval(min(bx.lo, other[0].lo), max(bx.hi, other[0].hi))
+                    by = Interval(min(by.lo, other[1].lo), max(by.hi, other[1].hi))
+                    remaining.remove(other)
+                    changed = True
+        merged.append((bx, by))
+    return merged
+
+
+def outcome(evaluate, *args):
+    """The bits of an interval result, or the type of the error raised."""
+    try:
+        value = evaluate(*args)
+    except (OracleOverflow, ValueError) as err:
+        return type(err)
+    return value.lo.hex(), value.hi.hex()
 
 
 def sample_intervals(rng: random.Random, count: int):
@@ -100,7 +139,7 @@ class TestInterval:
         rng = random.Random(20410)
         for iv in sample_intervals(rng, 2000):
             k = rng.randint(0, 12)
-            table = _powers(iv, k)
+            table = [Interval(*e) for e in _power_bounds(iv.lo, iv.hi, k)]
             assert len(table) == k + 1
             for n, enclosure in enumerate(table):
                 expected = reference_power(iv, n)
@@ -121,6 +160,33 @@ class TestInterval:
         assert Interval(0.5, 1.0).sign() == 1
         assert Interval(-2.0, -0.1).sign() == -1
         assert Interval(-1.0, 1.0).sign() is None
+
+    def test_fold_matches_interval_operators_bit_for_bit(self):
+        rng = random.Random(20470)
+        inexact = (Fraction(1, 3), Fraction(-7, 10), Fraction(2, 7), Fraction(-1, 10 ** 30))
+        boxes = list(zip(sample_intervals(rng, 800), sample_intervals(rng, 800)))
+        # an end beyond 2**342 makes x**3 overflow to -inf, and y**2 starts at 0
+        boxes += [(Interval(-2.0 ** rng.randint(200, 1000), rng.uniform(-1, 2)),
+                   Interval(-rng.uniform(0, 2), rng.uniform(0, 2))) for _ in range(100)]
+        raised = 0
+        for x, y in boxes:
+            p = random_polynomial(rng, 4, lo=-9, hi=9)
+            p = p + Polynomial({Monomial(rng.randint(0, 3), rng.randint(0, 3)): rng.choice(inexact)})
+            compiled = _IntervalPoly(p)
+            assert any(c_lo < c_hi for _, _, _, c_lo, c_hi in compiled.terms)
+            expected = outcome(reference_range, compiled, x, y)
+            assert outcome(compiled.range, x, y) == expected, (p, x, y)
+            raised += not isinstance(expected, tuple)
+        assert raised  # huge endpoints overflow and some fold meets 0 * inf
+
+    def test_nan_mid_fold_is_overflow(self):
+        # x**3 has lower end -inf; times y**2 = [0, 1] that is -inf * 0 = NaN
+        compiled = _IntervalPoly(1 + X ** 3 * Y ** 2)
+        box = (Interval(-1e200, 1.0), Interval(-1.0, 1.0))
+        with pytest.raises(OracleOverflow):
+            compiled.range(*box)
+        with pytest.raises(OracleOverflow):
+            reference_range(compiled, *box)
 
     def test_range_contains_sampled_values(self):
         rng = random.Random(20300)
@@ -188,6 +254,72 @@ class TestIsolateCusps:
         box = _try_certify(system, px, py)
         assert box is not None and box[0].contains(px)
         assert box[1] == Interval(-_CERTIFY_RADII[1], _CERTIFY_RADII[1])
+
+
+class TestSkipKnownCusps:
+    """No interval Newton runs around a polished point whose first-radius box
+    meets a cusp box already certified, and the results do not change."""
+
+    @pytest.mark.parametrize("text, radius", [
+        (TWO_CUSP_TEXT, 16.0),
+        ("f1 = 5*x^2 + x*y + y^2 - 4*x + 2*y + 2\n"
+         "f2 = -x^2 + 5*x*y + 5*y^2 + x + 5*y - 2\n", 1.0),
+    ], ids=["two_cusp", "quadratic"])
+    def test_no_newton_next_to_a_certified_box(self, monkeypatch, text, radius):
+        problem = parse_problem(text)
+        derived = derive_system(problem.f1, problem.f2)
+        try_certify, newton = oracle._try_certify, oracle._interval_newton
+        known: list = []
+        calls = {"certify": 0, "newton": 0}
+
+        def certify_spy(system, px, py, certified=()):
+            known[:] = certified
+            calls["certify"] += 1
+            return try_certify(system, px, py, certified)
+
+        def newton_spy(system, pair, px, py, box_radius):
+            calls["newton"] += 1
+            r = _CERTIFY_RADII[0]
+            near = (Interval(px - r, px + r), Interval(py - r, py + r))
+            assert not any(near[0].intersects(c[0]) and near[1].intersects(c[1])
+                           for c in known)
+            return newton(system, pair, px, py, box_radius)
+
+        monkeypatch.setattr(oracle, "_try_certify", certify_spy)
+        monkeypatch.setattr(oracle, "_interval_newton", newton_spy)
+        points = isolate_cusps(derived, box_radius=radius)
+        assert any(p.kind == "cusp" for p in points)
+
+        monkeypatch.setattr(oracle, "_try_certify",
+                            lambda system, px, py, certified=(): try_certify(system, px, py))
+        known.clear()
+        calls_before = dict(calls)
+        assert isolate_cusps(derived, box_radius=radius) == points
+        # without the certified boxes every polished point runs interval Newton
+        assert calls["newton"] - calls_before["newton"] > calls_before["newton"]
+
+
+class TestMerge:
+    def test_box_meeting_only_the_grown_bounding_box(self):
+        a = (Interval(0.0, 1.0), Interval(0.0, 1.0))
+        b = (Interval(1.0, 2.0), Interval(1.0, 2.0))
+        c = (Interval(1.5, 3.0), Interval(0.0, 0.5))  # meets neither a nor b
+        far = (Interval(5.0, 6.0), Interval(5.0, 6.0))
+        boxes = [c, far, b, a]
+        expected = [(Interval(0.0, 3.0), Interval(0.0, 2.0)), far]
+        assert _merge(boxes) == reference_merge(boxes) == expected
+
+    def test_matches_the_remove_loop_on_seeded_box_sets(self):
+        rng = random.Random(20480)
+        for _ in range(300):
+            boxes = []
+            for _ in range(rng.randint(0, 40)):
+                x, y = rng.randint(-8, 7) / 4, rng.randint(-8, 7) / 4
+                wx, wy = rng.choice((0.0, 0.25, 0.5)), rng.choice((0.0, 0.25, 1.0))
+                boxes.append((Interval(x, x + wx), Interval(y, y + wy)))
+            boxes.extend(rng.sample(boxes, min(3, len(boxes))))  # equal boxes
+            rng.shuffle(boxes)
+            assert _merge(boxes) == reference_merge(boxes)
 
 
 class TestClassifyCriticalPoint:
