@@ -13,15 +13,14 @@ from .errors import (CertificateFailed, CuspCountError, DegenerateRegionForm,
                      NotZeroDimensional, OracleOverflow, ParseError)
 from .exprio import (ProblemInput, SolverOptions, format_monomial,
                      format_polynomial, parse_polynomial, parse_problem)
-from .groebner import (GroebnerBasis, buchberger, is_unit_ideal,
-                       is_zero_dimensional, normal_form, standard_monomials)
+from .groebner import (GroebnerBasis, buchberger, is_zero_dimensional,
+                       normal_form, standard_monomials)
 from .oracle import CertifiedPoint, Interval, isolate_cusps, region_membership
 from .pipeline import (CuspCensus, DerivedSystem, RegionCount, census,
                        certify_genericity, derive_system)
 from .poly import Monomial, Polynomial, func_det
 from .quotient import (QuotientAlgebra, SymmetricForm, build_algebra,
-                       form_matrix, generates_algebra, mult_matrix,
-                       trace_functional)
+                       form_matrix, generates_algebra, mult_matrix)
 from .signature import SignatureResult, signature_of
 
 __version__ = "0.1.0"
@@ -34,13 +33,13 @@ __all__ = [
     "ProblemInput", "SolverOptions", "format_monomial", "format_polynomial",
     "parse_polynomial", "parse_problem",
     "GroebnerBasis", "buchberger",
-    "is_unit_ideal", "is_zero_dimensional", "normal_form", "standard_monomials",
+    "is_zero_dimensional", "normal_form", "standard_monomials",
     "CertifiedPoint", "Interval", "isolate_cusps", "region_membership",
     "CuspCensus", "DerivedSystem", "RegionCount", "census",
     "certify_genericity", "derive_system",
     "Monomial", "Polynomial", "func_det",
     "QuotientAlgebra", "SymmetricForm", "build_algebra", "form_matrix",
-    "generates_algebra", "mult_matrix", "trace_functional",
+    "generates_algebra", "mult_matrix",
     "SignatureResult", "signature_of",
     "__version__",
 ]

@@ -97,16 +97,12 @@ def _natural(tok) -> int:
 def _check_power_size(base: Polynomial, exponent: int, position: int) -> None:
     """Reject base^exponent when its coefficients could exceed _MAX_DIGITS digits.
 
-    With D the lcm of the base's denominators and N the sum of the absolute
-    values of D times its coefficients, every coefficient of the power has a
-    numerator of at most N^exponent and a denominator dividing D^exponent.
+    With D the base's denominator and N the sum of the absolute values of its
+    numerators over D, every coefficient of the power has a numerator of at
+    most N^exponent and a denominator dividing D^exponent.
     """
-    coeffs = base.terms.values()
-    if not coeffs:
-        return
-    denominator = math.lcm(*(c.denominator for c in coeffs))
-    norm = sum(abs(c.numerator) * (denominator // c.denominator) for c in coeffs)
-    if exponent * math.log10(max(norm, denominator)) >= _MAX_DIGITS:
+    norm = sum(map(abs, base.numerators.values()))
+    if exponent * math.log10(max(norm, base.denominator)) >= _MAX_DIGITS:
         raise ParseError(f"^{exponent} could give coefficients of more "
                          f"than {_MAX_DIGITS} digits", position=position)
 
@@ -264,7 +260,8 @@ def format_polynomial(p: Polynomial) -> str:
     if p.is_zero():
         return "0"
     pieces = []
-    for mono, coeff in p.sorted_terms(_grlex_descending, reverse=True):
+    for mono, coeff in sorted(p.terms.items(), key=lambda item: _grlex_descending(item[0]),
+                              reverse=True):
         sign = "-" if coeff < 0 else "+"
         magnitude = -coeff if coeff < 0 else coeff
         if mono == Monomial(0, 0):

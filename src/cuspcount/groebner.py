@@ -1,19 +1,19 @@
 """Buchberger's algorithm, multivariate reduction, and ideal certificates.
 
 Every computation uses one term order: graded reverse lexicographic with
-x > y.  Two ideal tests are decided here: whether an ideal is
+x > y.  One ideal test is decided here: whether an ideal is
 zero-dimensional (finitely many standard monomials), which the cusp
-pipeline needs, and whether it is the whole ring (reduced basis {1}).  The
-pipeline decides one-genericity on the quotient algebra instead (see
-`quotient.generates_algebra`); the unit-ideal test remains for callers
-and as the test suite's reference for that verdict.
+pipeline needs.  One-genericity is decided on the quotient algebra (see
+`quotient.generates_algebra`).
 
 One exact reduction kernel serves the whole module: `_reduce_full` divides
-primitive integer-coefficient polynomials fraction-free (content removed
-before and during reduction) to avoid rational blow-up, and reports the
-positive rational factor by which it scaled its input.  Buchberger's
-S-pair reductions call it directly; `normal_form` divides by that factor.
-The published basis is monic with Fraction coefficients.
+integer-coefficient polynomials fraction-free (content removed during
+reduction) to avoid rational blow-up, and reports the positive rational
+factor by which it scaled its input.  It reads a polynomial's integer
+numerators as they are stored, with no per-entry conversion: Buchberger's
+S-pair reductions call it directly, and `normal_form` puts the remainder
+over the input's denominator times that factor.  The published basis is
+monic, its numerators over the leading coefficient.
 
 A basis is certified once, where it is consumed, in
 `quotient.build_algebra`: (1) the multiplication matrices by x and y on the
@@ -30,10 +30,10 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 
 from .errors import DegreeGuardExceeded, NotZeroDimensional
-from .poly import Monomial, Polynomial
+from .poly import Monomial, Polynomial, _canonical
 
 DEFAULT_DEGREE_GUARD = 64
 
@@ -61,14 +61,14 @@ class GroebnerBasis:
     @cached_property
     def _reducers(self):
         """The generators as primitive integer entries for `_reduce_full`."""
-        return tuple(_entry(_to_int_poly(g)[0]) for g in self.generators)
+        return tuple(_entry(g.numerators) for g in self.generators)
 
 
 def leading_monomial(p: Polynomial) -> Monomial:
     """Largest monomial of a nonzero polynomial under the term order."""
     if p.is_zero():
         raise ValueError("the zero polynomial has no leading monomial")
-    return max(p.terms, key=_grevlex_key)
+    return max(p.numerators, key=_grevlex_key)
 
 
 # -- internal integer-coefficient machinery ---------------------------------
@@ -81,18 +81,6 @@ def _content(terms: _IntPoly) -> int:
         if content == 1:
             break
     return content
-
-
-def _to_int_poly(p: Polynomial) -> tuple[_IntPoly, Fraction]:
-    """(s*p with coprime integer coefficients, s) for a rational s > 0."""
-    denom_lcm = 1
-    for coeff in p.terms.values():
-        denom_lcm = lcm(denom_lcm, coeff.denominator)
-    terms = {m: c.numerator * (denom_lcm // c.denominator) for m, c in p.terms.items()}
-    content = _content(terms) or 1
-    if content != 1:
-        terms = {m: c // content for m, c in terms.items()}
-    return terms, Fraction(denom_lcm, content)
 
 
 def _degree(terms: _IntPoly) -> int:
@@ -214,10 +202,9 @@ def buchberger(gens, degree_guard: int = DEFAULT_DEGREE_GUARD) -> GroebnerBasis:
             continue
         if g.degree > degree_guard:
             raise DegreeGuardExceeded(g.degree, degree_guard, context="buchberger input")
-        terms, _ = _to_int_poly(g)
-        if _is_constant(terms):
+        if _is_constant(g.numerators):
             return unit
-        basis.append(_entry(terms))
+        basis.append(_entry(g.numerators))
     if not basis:
         return GroebnerBasis((), gens)
 
@@ -278,8 +265,9 @@ def _interreduce(basis):
 
 
 def _to_monic_polynomial(terms: _IntPoly) -> Polynomial:
-    lead_coeff = terms[max(terms, key=_grevlex_key)]
-    return Polynomial({m: Fraction(c, lead_coeff) for m, c in terms.items()})
+    # the lead is positive: `_entry` makes it so, and reduction only scales
+    # by positive factors
+    return _canonical(dict(terms), terms[max(terms, key=_grevlex_key)])
 
 
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
@@ -289,15 +277,10 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     and p minus the result lies in the ideal.  Idempotent and linear over
     the rationals.
     """
-    terms, factor = _to_int_poly(p)
-    remainder, scale = _reduce_full(terms, gb._reducers)
-    scale *= factor
-    return Polynomial({m: c / scale for m, c in remainder.items()})
-
-
-def is_unit_ideal(gb: GroebnerBasis) -> bool:
-    """True iff the reduced basis is {1}, i.e. the ideal is the whole ring."""
-    return len(gb.generators) == 1 and gb.generators[0] == Polynomial.constant(1)
+    remainder, scale = _reduce_full(p.numerators, gb._reducers)
+    # remainder = scale * (the remainder of p's numerators), scale > 0
+    return _canonical({m: c * scale.denominator for m, c in remainder.items()},
+                      scale.numerator * p.denominator)
 
 
 def is_zero_dimensional(gb: GroebnerBasis) -> bool:

@@ -1,15 +1,21 @@
 """Exact sparse polynomial arithmetic over the rationals in the plane variables x, y.
 
 A polynomial is a finite map from monomials (pairs of exponents) to nonzero
-Fraction coefficients.  Everything here is exact: no floats enter, so results
-downstream (Groebner bases, trace-form signatures) are certificates rather
-than estimates.  Values are immutable after construction and all operations
-are pure, so they are safe to share across threads.
+rational coefficients, held as integer `numerators` over one positive
+`denominator`, the least common denominator of the coefficients: no prime
+divides it and every numerator, so equality and hashing are term-wise.  The
+ring operations and derivatives run on the integers and end in one gcd
+normalisation; `terms`, the reduced Fraction coefficients, is built on
+request.  Everything is exact: no floats enter, so results downstream
+(Groebner bases, trace-form signatures) are certificates rather than
+estimates.  Values are immutable after construction and all operations are
+pure, so they are safe to share across threads.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Union
 
@@ -65,7 +71,7 @@ class Polynomial:
     Zero coefficients are never stored; equality is term-wise.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, terms: Mapping[tuple, Scalar] | Iterable[tuple] | None = None):
         clean: dict[Monomial, Fraction] = {}
@@ -81,7 +87,9 @@ class Polynomial:
                     clean[mono] = new
                 else:
                     clean.pop(mono, None)
-        self._terms = clean
+        den = lcm(*(c.denominator for c in clean.values()))
+        self._nums = {m: c.numerator * (den // c.denominator) for m, c in clean.items()}
+        self._den = den
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -105,20 +113,28 @@ class Polynomial:
 
     @property
     def terms(self) -> Mapping[Monomial, Fraction]:
-        return MappingProxyType(self._terms)
+        return MappingProxyType({m: Fraction(c, self._den) for m, c in self._nums.items()})
+
+    @property
+    def numerators(self) -> Mapping[Monomial, int]:
+        return MappingProxyType(self._nums)
+
+    @property
+    def denominator(self) -> int:
+        return self._den
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._nums
 
     @property
     def degree(self) -> int | float:
         """Total degree, or -inf for the zero polynomial."""
-        if not self._terms:
+        if not self._nums:
             return NEG_INFINITY
-        return max(m.degree for m in self._terms)
+        return max(m.degree for m in self._nums)
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        return self._terms.get(Monomial(*mono), _ZERO_FRAC)
+        return Fraction(self._nums.get(Monomial(*mono), 0), self._den)
 
     # -- ring operations -------------------------------------------------
 
@@ -126,19 +142,21 @@ class Polynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            new = out.get(mono, _ZERO_FRAC) + coeff
+        den = lcm(self._den, other._den)
+        out = {m: c * (den // self._den) for m, c in self._nums.items()}
+        scale = den // other._den
+        for mono, coeff in other._nums.items():
+            new = out.get(mono, 0) + scale * coeff
             if new:
                 out[mono] = new
             else:
                 del out[mono]
-        return _raw(out)
+        return _canonical(out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return _raw({m: -c for m, c in self._terms.items()})
+        return _canonical({m: -c for m, c in self._nums.items()}, self._den)
 
     def __sub__(self, other: "Polynomial | Scalar") -> "Polynomial":
         other = _coerce(other)
@@ -153,18 +171,16 @@ class Polynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self._terms or not other._terms:
-            return _raw({})
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
+        out: dict[Monomial, int] = {}
+        for m1, c1 in self._nums.items():
+            for m2, c2 in other._nums.items():
                 mono = Monomial(m1.ex + m2.ex, m1.ey + m2.ey)
-                new = out.get(mono, _ZERO_FRAC) + c1 * c2
+                new = out.get(mono, 0) + c1 * c2
                 if new:
                     out[mono] = new
                 else:
                     del out[mono]
-        return _raw(out)
+        return _canonical(out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -182,17 +198,17 @@ class Polynomial:
         return result
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, Polynomial):
-            return self._terms == other._terms
         if isinstance(other, (int, Fraction)):
-            return self._terms == Polynomial.constant(other)._terms
+            other = Polynomial.constant(other)
+        if isinstance(other, Polynomial):
+            return self._den == other._den and self._nums == other._nums
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((self._den, frozenset(self._nums.items())))
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._nums)
 
     # -- calculus and evaluation -----------------------------------------
 
@@ -200,15 +216,11 @@ class Polynomial:
         """Formal partial derivative with respect to 'x' or 'y'."""
         if var not in ("x", "y"):
             raise ValueError(f"unknown variable {var!r}; only x and y exist")
-        out: dict[Monomial, Fraction] = {}
-        for mono, coeff in self._terms.items():
-            if var == "x":
-                if mono.ex:
-                    out[Monomial(mono.ex - 1, mono.ey)] = coeff * mono.ex
-            else:
-                if mono.ey:
-                    out[Monomial(mono.ex, mono.ey - 1)] = coeff * mono.ey
-        return _raw(out)
+        if var == "x":
+            out = {Monomial(m.ex - 1, m.ey): c * m.ex for m, c in self._nums.items() if m.ex}
+        else:
+            out = {Monomial(m.ex, m.ey - 1): c * m.ey for m, c in self._nums.items() if m.ey}
+        return _canonical(out, self._den)
 
     def evaluate(self, point: tuple[Scalar, Scalar]) -> Fraction:
         """Exact value at a rational point (px, py)."""
@@ -216,15 +228,9 @@ class Polynomial:
         total = _ZERO_FRAC
         xpow: dict[int, Fraction] = {0: Fraction(1)}
         ypow: dict[int, Fraction] = {0: Fraction(1)}
-        for mono, coeff in self._terms.items():
+        for mono, coeff in self._nums.items():
             total += coeff * _power(px, mono.ex, xpow) * _power(py, mono.ey, ypow)
-        return total
-
-    # -- term access ------------------------------------------------------
-
-    def sorted_terms(self, key, reverse: bool = False) -> list[tuple[Monomial, Fraction]]:
-        """Terms sorted by a monomial key function (e.g. a term order's key)."""
-        return sorted(self._terms.items(), key=lambda item: key(item[0]), reverse=reverse)
+        return total / self._den
 
     def __repr__(self) -> str:
         from .exprio import format_polynomial
@@ -232,10 +238,13 @@ class Polynomial:
         return f"Polynomial({format_polynomial(self)!r})"
 
 
-def _raw(terms: dict[Monomial, Fraction]) -> Polynomial:
-    """Build a Polynomial from an already-clean term dict (no copying checks)."""
+def _canonical(nums: dict[Monomial, int], den: int) -> Polynomial:
+    """nums/den for zero-free nums and den > 0, their common factor divided out."""
+    common = gcd(den, *nums.values()) if den != 1 else 1
+    if common != 1:
+        nums, den = {m: c // common for m, c in nums.items()}, den // common
     p = Polynomial.__new__(Polynomial)
-    p._terms = terms
+    p._nums, p._den = nums, den
     return p
 
 

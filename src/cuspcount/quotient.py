@@ -32,7 +32,11 @@ only the coordinates of the products b_i*b_j of basis monomials, which the
 trace vector needs too, and one weight vector per form: entry (i, j) is
 the weight vector w_k = T(delta * b_k), put over one denominator, applied
 to the coordinates of b_i*b_j, so each entry is one integer dot product
-and one Fraction.  The Fraction matrices and coordinates of the public
+and one Fraction.  Polynomials are read as their integer numerators over
+their one denominator (`Polynomial.numerators`, `Polynomial.denominator`):
+a normal form is a coordinate vector as it stands, and multiplication
+matrices, traces and residues modulo a prime scale by that denominator once
+per polynomial.  The Fraction matrices and coordinates of the public
 interface are built from the integers on request.
 """
 
@@ -57,8 +61,6 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 #: stands for nums/d, a matrix (rows, d) for rows/d.
 Scaled = tuple[tuple[int, ...], int]
 ScaledMatrix = tuple[tuple[tuple[int, ...], ...], int]
-
-_ZERO = Fraction(0)
 
 #: Bits of the prime pool the modular rank draws from (about 38 primes).
 _RANK_POOL_BITS = 1024
@@ -201,10 +203,10 @@ def build_algebra(gb: GroebnerBasis) -> QuotientAlgebra:
         vec = border.get(product)
         if vec is None:
             residue = normal_form(Polynomial.monomial(product), gb)
-            coords = [_ZERO] * dim
-            for mono, coeff in residue.terms.items():
-                coords[index[mono]] = coeff
-            vec = _over_one_denominator(coords)
+            coords = [0] * dim
+            for mono, num in residue.numerators.items():
+                coords[index[mono]] = num
+            vec = tuple(coords), residue.denominator
             border[product] = vec
         return vec
 
@@ -235,9 +237,9 @@ def _require_reduced(gb: GroebnerBasis) -> None:
     """Certificate condition (2): G is monic and every tail monomial is standard."""
     leads = [leading_monomial(g) for g in gb.generators]
     for i, (g, lead) in enumerate(zip(gb.generators, leads)):
-        if g.terms[lead] != 1:
+        if g.numerators[lead] != g.denominator:
             raise CertificateFailed(f"basis element {i} is not monic")
-        for mono in g.terms:
+        for mono in g.numerators:
             if any(other.divides(mono) for j, other in enumerate(leads)
                    if j != i or mono != lead):
                 raise CertificateFailed(
@@ -252,15 +254,16 @@ def mult_matrix(algebra: QuotientAlgebra, h: Polynomial) -> Matrix:
     reduced internally, so any member of the ideal yields the zero matrix.
     """
     dim = algebra.dim
-    terms = list(h.terms.items())
+    terms = h.numerators.items()
     columns = []
     for b in algebra.basis:
-        parts = [(coeff, algebra._vector(mono * b)) for mono, coeff in terms]
-        den = lcm(*(c.denominator * d for c, (_, d) in parts))
+        parts = [(c, algebra._vector(mono * b)) for mono, c in terms]
+        den = lcm(*(d for _, (_, d) in parts))
         col = [0] * dim
         for c, (nums, d) in parts:
-            scale = c.numerator * (den // (c.denominator * d))
+            scale = c * (den // d)
             col = [a + scale * v for a, v in zip(col, nums)]
+        den *= h.denominator
         columns.append([Fraction(v, den) for v in col])
     return tuple(zip(*columns))
 
@@ -293,11 +296,6 @@ def generates_algebra(algebra: QuotientAlgebra, hs) -> bool:
     return rank([sum((m[i] for m in blocks), ()) for i in range(n)]) == n
 
 
-def _residue(value: Fraction, p: int) -> int:
-    """value modulo p; ValueError when p divides its denominator."""
-    return value.numerator * pow(value.denominator, -1, p) % p
-
-
 def _block_mod(algebra: QuotientAlgebra, reduced, p: int) -> np.ndarray:
     """[M_h1 | ... | M_hk] modulo p for hs already in normal form.
 
@@ -311,8 +309,9 @@ def _block_mod(algebra: QuotientAlgebra, reduced, p: int) -> np.ndarray:
               * pow(den, -1, p) % p for rows, den in (algebra._mx, algebra._my))
     columns = np.zeros((n, n, len(reduced)), dtype=np.int64)
     for k, h in enumerate(reduced):
-        for mono, coeff in h.terms.items():
-            columns[0, algebra._index[mono], k] = _residue(coeff, p)
+        inverse = pow(h.denominator, -1, p)  # ValueError when p divides it
+        for mono, num in h.numerators.items():
+            columns[0, algebra._index[mono], k] = num * inverse % p
     for j, b in enumerate(algebra.basis[1:], start=1):
         if b.ex:
             previous, matrix = Monomial(b.ex - 1, b.ey), mx
@@ -322,19 +321,15 @@ def _block_mod(algebra: QuotientAlgebra, reduced, p: int) -> np.ndarray:
     return columns.transpose(1, 2, 0).reshape(n, -1)
 
 
-def trace_functional(algebra: QuotientAlgebra, h: Polynomial) -> Fraction:
-    """Trace of multiplication by h; linear in h and blind to ideal members."""
-    return _shifted_trace(algebra, h, Monomial(0, 0))
-
-
 def _shifted_trace(algebra: QuotientAlgebra, h: Polynomial, shift: Monomial) -> Fraction:
-    """Trace of multiplication by h * shift for a monomial shift."""
-    terms = [(coeff, algebra._trace_of_monomial(mono * shift))
-             for mono, coeff in h.terms.items()]
+    """Trace of multiplication by h * shift for a monomial shift; the trace
+    functional is linear in h and blind to members of the ideal."""
+    terms = [(c, algebra._trace_of_monomial(mono * shift))
+             for mono, c in h.numerators.items()]
     # one common denominator, so one gcd for the sum rather than one per term
-    den = lcm(*(c.denominator * t.denominator for c, t in terms))
-    return Fraction(sum(c.numerator * t.numerator * (den // (c.denominator * t.denominator))
-                        for c, t in terms), den)
+    den = lcm(*(t.denominator for _, t in terms))
+    return Fraction(sum(c * t.numerator * (den // t.denominator) for c, t in terms),
+                    den * h.denominator)
 
 
 def form_matrix(algebra: QuotientAlgebra, delta: Polynomial) -> SymmetricForm:

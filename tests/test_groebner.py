@@ -7,8 +7,8 @@ import pytest
 
 from cuspcount.errors import DegreeGuardExceeded, NotZeroDimensional
 from cuspcount.exprio import parse_polynomial, parse_problem
-from cuspcount.groebner import (buchberger, is_unit_ideal, is_zero_dimensional,
-                                leading_monomial, normal_form, standard_monomials)
+from cuspcount.groebner import (buchberger, is_zero_dimensional, leading_monomial,
+                                normal_form, standard_monomials)
 from cuspcount.pipeline import certify_genericity, derive_system
 from cuspcount.poly import Monomial, Polynomial, X, Y
 from cuspcount.quotient import build_algebra
@@ -16,6 +16,11 @@ from conftest import (EIGHT_CUSP_TEXT, SIX_CUSP_TEXT, TWO_CUSP_TEXT,
                       random_polynomial)
 
 ONE = Polynomial.constant(1)
+
+
+def is_unit_ideal(gb):
+    """True iff the reduced basis is {1}, i.e. the ideal is the whole ring."""
+    return len(gb.generators) == 1 and gb.generators[0] == ONE
 
 
 def gb_of(*texts, **kwargs):

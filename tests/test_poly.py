@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -122,3 +123,131 @@ class TestInvariants:
                      Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
             assert (p * q).evaluate(point) == p.evaluate(point) * q.evaluate(point)
             assert (p + q).evaluate(point) == p.evaluate(point) + q.evaluate(point)
+
+
+# -- the representation: integer numerators over one denominator ----------
+#
+# The reference below is plain arithmetic on dicts of reduced Fractions, one
+# per term, as the coefficients were once stored.  It also keeps the order in
+# which terms arise, which the oracle's interval folds depend on.
+
+def ref_add(a, b):
+    out = dict(a)
+    for mono, coeff in b.items():
+        new = out.get(mono, 0) + coeff
+        if new:
+            out[mono] = new
+        else:
+            del out[mono]
+    return out
+
+
+def ref_neg(a):
+    return {mono: -coeff for mono, coeff in a.items()}
+
+
+def ref_mul(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            mono = Monomial(m1.ex + m2.ex, m1.ey + m2.ey)
+            new = out.get(mono, 0) + c1 * c2
+            if new:
+                out[mono] = new
+            else:
+                del out[mono]
+    return out
+
+
+def ref_pow(a, n):
+    out = {Monomial(0, 0): Fraction(1)}
+    for _ in range(n):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_partial(a, var):
+    if var == "x":
+        return {Monomial(m.ex - 1, m.ey): c * m.ex for m, c in a.items() if m.ex}
+    return {Monomial(m.ex, m.ey - 1): c * m.ey for m, c in a.items() if m.ey}
+
+
+def ref_func_det(a, b):
+    return ref_add(ref_mul(ref_partial(a, "x"), ref_partial(b, "y")),
+                   ref_neg(ref_mul(ref_partial(a, "y"), ref_partial(b, "x"))))
+
+
+def ref_evaluate(a, point):
+    return sum((c * point[0] ** m.ex * point[1] ** m.ey for m, c in a.items()), Fraction(0))
+
+
+def rational_terms(rng, max_degree):
+    """Seeded Fraction coefficients with small, often shared denominators."""
+    terms = {}
+    for ex in range(max_degree + 1):
+        for ey in range(max_degree + 1 - ex):
+            if rng.random() < 0.6:
+                coeff = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 9, 10, 35)))
+                if coeff:
+                    terms[Monomial(ex, ey)] = coeff
+    return terms
+
+
+def assert_matches(p, reference, point, ordered=True):
+    nums, den = p.numerators, p.denominator
+    assert den > 0
+    assert gcd(den, *nums.values()) == 1
+    assert all(nums.values())
+    assert dict(p.terms) == reference
+    if ordered:
+        assert list(p.terms) == list(reference)
+    assert p.evaluate(point) == ref_evaluate(reference, point)
+
+
+class TestRepresentation:
+    def test_least_common_denominator(self):
+        p = Polynomial({(1, 0): Fraction(1, 6), (0, 1): Fraction(3, 4), (0, 0): 2})
+        assert p.denominator == 12
+        assert dict(p.numerators) == {Monomial(1, 0): 2, Monomial(0, 1): 9,
+                                      Monomial(0, 0): 24}
+        assert dict(p.terms) == {Monomial(1, 0): Fraction(1, 6),
+                                 Monomial(0, 1): Fraction(3, 4), Monomial(0, 0): 2}
+        assert Polynomial.zero().denominator == 1
+        with pytest.raises(TypeError):
+            p.numerators[Monomial(1, 0)] = 1
+
+    def test_operations_match_the_fraction_reference(self):
+        rng = random.Random(20511)
+        for _ in range(300):
+            a, b = rational_terms(rng, 3), rational_terms(rng, 3)
+            p, q = Polynomial(a), Polynomial(b)
+            point = (Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                     Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+            assert_matches(p, a, point)
+            assert_matches(p + q, ref_add(a, b), point)
+            assert_matches(p - q, ref_add(a, ref_neg(b)), point)
+            assert_matches(-p, ref_neg(a), point)
+            assert_matches(p * q, ref_mul(a, b), point)
+            assert_matches(p ** 3, ref_pow(a, 3), point, ordered=False)
+            for var in ("x", "y"):
+                assert_matches(p.partial(var), ref_partial(a, var), point)
+            assert_matches(func_det(p, q), ref_func_det(a, b), point)
+
+    def test_equal_values_compare_and_hash_equal(self):
+        half = Polynomial({(1, 0): Fraction(1, 2)})
+        assert half + half == X and hash(half + half) == hash(X)
+        assert (half + half).denominator == 1
+        assert 6 * Polynomial({(1, 0): Fraction(1, 6)}) == X
+        assert Polynomial.constant(Fraction(2, 4)) == Polynomial({(0, 0): Fraction(1, 2)})
+        p = Polynomial({(1, 0): Fraction(1, 3), (0, 1): Fraction(1, 6)})
+        zero = p - p
+        assert zero == Polynomial.zero() and hash(zero) == hash(Polynomial.zero())
+        assert zero.denominator == 1 and not zero.numerators
+        assert Polynomial({(1, 0): Fraction(1, 6)}) + Polynomial({(1, 0): Fraction(1, 3)}) \
+            == Polynomial({(1, 0): Fraction(1, 2)})
+        rng = random.Random(20512)
+        for _ in range(200):
+            p, q, r = (Polynomial(rational_terms(rng, 2)) for _ in range(3))
+            for left, right in (((p + q) + r, p + (q + r)), ((p * q) * r, p * (q * r)),
+                                (p * (q + r), p * q + p * r), (p * q, q * p)):
+                assert left == right and hash(left) == hash(right)

@@ -11,11 +11,18 @@ from cuspcount.exprio import parse_polynomial
 from cuspcount.groebner import GroebnerBasis, buchberger, normal_form
 from cuspcount.pipeline import derive_system
 from cuspcount.poly import Monomial, Polynomial, X, Y
-from cuspcount.quotient import (_block_mod, build_algebra, form_matrix,
-                                mult_matrix, trace_functional)
+from cuspcount import quotient
+from cuspcount.quotient import (_block_mod, _shifted_trace, build_algebra,
+                                form_matrix, generates_algebra, mult_matrix)
+from cuspcount.signature import prime_cap
 from conftest import random_polynomial
 
 ONE = Polynomial.constant(1)
+
+
+def trace_functional(algebra, h):
+    """Trace of multiplication by h; linear in h and blind to ideal members."""
+    return _shifted_trace(algebra, h, Monomial(0, 0))
 
 
 @pytest.fixture(scope="module")
@@ -365,3 +372,27 @@ class TestGeneratesAlgebra:
                          for m in exact for v in m[i]] for i in range(algebra.dim)]
             assert _block_mod(algebra, hs, p).tolist() == expected
             checked += 1
+
+    @pytest.mark.parametrize("h, verdict", [(ONE, True), (X, False)])
+    def test_prime_dividing_a_denominator_is_skipped(self, two_cusp, monkeypatch, h, verdict):
+        """A prime that divides a reduced polynomial's denominator raises in
+        _block_mod; generates_algebra moves to the next prime and keeps its
+        verdict.  x vanishes at the cusp (0, 0), so it generates nothing."""
+        _, gb, algebra = two_cusp
+        bad = 1000003
+        hs = [normal_form(h * Polynomial.constant(Fraction(1, bad)), gb)]
+        assert hs[0].denominator % bad == 0
+        with pytest.raises(ValueError):
+            _block_mod(algebra, hs, bad)
+        assert generates_algebra(algebra, hs) is verdict
+        pool = quotient._prime_pool
+        monkeypatch.setattr(quotient, "_prime_pool", lambda *args: [bad, *pool(*args)])
+        tried = []
+
+        def spy(algebra, reduced, p):
+            tried.append(p)
+            return _block_mod(algebra, reduced, p)
+
+        monkeypatch.setattr(quotient, "_block_mod", spy)
+        assert generates_algebra(algebra, hs) is verdict
+        assert tried == [bad, pool(prime_cap(algebra.dim), quotient._RANK_POOL_BITS)[0]]
