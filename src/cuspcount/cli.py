@@ -3,9 +3,9 @@
 Exit status: 0 success; 2 genericity certificate failed (also when the cusp
 ideal is not zero-dimensional); 4 region form degenerate (report still
 printed, region counts withheld); 5 parse errors; 6 degree-guard or
-oracle-resolution trouble; 1 anything else (unreadable input, a failed
-internal certificate).  Status 3, once "not zero-dimensional", is no longer
-produced.
+oracle-resolution trouble; 1 anything else (a usage error, unreadable or
+non-UTF-8 input, a failed internal certificate).  Status 3, once "not
+zero-dimensional", is no longer produced.
 """
 
 from __future__ import annotations
@@ -46,8 +46,14 @@ class RunOptions:
     show_basis: bool = False
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message: str):
+        # one line and status 1: argparse's status 2 means a failed certificate here
+        self.exit(EXIT_INTERNAL, f"{self.prog}: {message}\n")
+
+
 def _build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="cuspcount",
         description="Count positive and negative cusps of a polynomial map "
                     "of the plane, exactly; optionally cross-check with a "
@@ -90,7 +96,7 @@ def run(options: RunOptions) -> int:
     """Execute one pipeline run and print the report to standard output."""
     try:
         text = _read_input(options.input_path)
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         print(f"cuspcount: cannot read {options.input_path!r}: {err}", file=sys.stderr)
         return EXIT_INTERNAL
 
@@ -154,8 +160,9 @@ def run(options: RunOptions) -> int:
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
+    if path == "-":  # strict UTF-8 as for a file; a stream without bytes is read as is
+        stream = getattr(sys.stdin, "buffer", None)
+        return sys.stdin.read() if stream is None else stream.read().decode("utf-8")
     with open(path, "r", encoding="utf-8") as handle:
         return handle.read()
 

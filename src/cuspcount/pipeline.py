@@ -160,8 +160,8 @@ def census(problem: ProblemInput) -> CuspCensus:
         raise GenericityNotCertified(_NOT_CERTIFIED)
 
     vel_jac_reduced = normal_form(derived.vel_jac, gb)
-    sig1 = signature_of(form_matrix(algebra, Polynomial.constant(1)).matrix).signature
-    sig2 = signature_of(form_matrix(algebra, vel_jac_reduced).matrix).signature
+    sig1 = signature_of(form_matrix(algebra, Polynomial.constant(1)).rows).signature
+    sig2 = signature_of(form_matrix(algebra, vel_jac_reduced).rows).signature
 
     positive = _even_half(sig1, sig2, "positive cusp count")
     negative = _even_half(sig1, -sig2, "negative cusp count")
@@ -185,10 +185,10 @@ def census(problem: ProblemInput) -> CuspCensus:
 
     u_reduced = normal_form(problem.u, gb)
     region_form = form_matrix(algebra, u_reduced)
-    region_result = signature_of(region_form.matrix)
+    region_result = signature_of(region_form.rows)
     sig3 = region_result.signature
     sig4 = signature_of(
-        form_matrix(algebra, normal_form(u_reduced * vel_jac_reduced, gb)).matrix).signature
+        form_matrix(algebra, normal_form(u_reduced * vel_jac_reduced, gb)).rows).signature
 
     if not region_result.nondegenerate:
         partial = CuspCensus(sig3=sig3, sig4=sig4, region=None, **base)

@@ -27,17 +27,17 @@ coordinate vector of every monomial as integer numerators over one
 positive denominator, content-reduced by one gcd per vector.  Normal forms
 of monomials are computed once and cached: the coordinate vector of
 x^a*y^b is reached from its neighbours by one integer matrix-vector
-product, X*v over dx*d, rather than a fresh division.  A form matrix needs
-only the coordinates of the products b_i*b_j of basis monomials, which the
-trace vector needs too, and one weight vector per form: entry (i, j) is
-the weight vector w_k = T(delta * b_k), put over one denominator, applied
-to the coordinates of b_i*b_j, so each entry is one integer dot product
-and one Fraction.  Polynomials are read as their integer numerators over
-their one denominator (`Polynomial.numerators`, `Polynomial.denominator`):
-a normal form is a coordinate vector as it stands, and multiplication
-matrices, traces and residues modulo a prime scale by that denominator once
-per polynomial.  The Fraction matrices and coordinates of the public
-interface are built from the integers on request.
+product, X*v over dx*d, rather than a fresh division.  The trace is one
+integer table over one denominator per algebra: T(b_i*b_j) for every
+distinct product of two basis monomials.  A form reduces delta, reads its
+weights w_k = T(delta*b_k) off the table and applies them to the
+coordinates of each distinct b_i*b_j: one integer dot product each, all
+over one denominator.  Polynomials are read as their integer numerators
+over their one denominator (`Polynomial.numerators`,
+`Polynomial.denominator`): a normal form is a coordinate vector as it
+stands, and multiplication matrices, traces and residues modulo a prime
+scale by that denominator once per polynomial.  The Fraction matrices and
+coordinates of the public interface are built from the integers on request.
 """
 
 from __future__ import annotations
@@ -68,16 +68,16 @@ _RANK_POOL_BITS = 1024
 
 @dataclass(frozen=True)
 class SymmetricForm:
-    """Exact symmetric matrix of a quadratic form on the quotient algebra."""
+    """Exact symmetric matrix of a quadratic form on the quotient algebra:
+    gcd-reduced integer rows over one positive denominator, the Fractions
+    of `matrix` built from them on request."""
 
-    matrix: Matrix
+    rows: tuple[tuple[int, ...], ...]
+    denominator: int
 
-
-def _over_one_denominator(values) -> Scaled:
-    """Reduced Fractions as integer numerators over their least common
-    denominator; no prime divides that denominator and every numerator."""
-    den = lcm(*(v.denominator for v in values))
-    return tuple(v.numerator * (den // v.denominator) for v in values), den
+    @property
+    def matrix(self) -> Matrix:
+        return _to_fractions((self.rows, self.denominator))
 
 
 def _to_fractions(scaled: ScaledMatrix) -> Matrix:
@@ -86,12 +86,13 @@ def _to_fractions(scaled: ScaledMatrix) -> Matrix:
 
 
 class QuotientAlgebra:
-    """Basis, multiplication matrices and trace data of Q[x,y]/I.
+    """Basis, multiplication matrices and trace table of Q[x,y]/I.
 
     `mx` and `my` are the multiplication matrices by x and y as integer
-    rows over one positive denominator each.  Immutable after construction
-    (internal caches only grow); instances may be shared freely between
-    threads and the form builders below.
+    rows over one positive denominator each; the trace table, built on
+    first use, holds the trace of every product of two basis monomials.
+    Immutable after construction (internal caches only grow); instances may
+    be shared freely between threads and the form builders below.
     """
 
     def __init__(self, gb: GroebnerBasis, basis: tuple[Monomial, ...],
@@ -106,8 +107,7 @@ class QuotientAlgebra:
             self._vectors[mono] = (tuple(int(j == i) for j in range(len(basis))), 1)
         if not basis:
             self._vectors[Monomial(0, 0)] = ((), 1)
-        self._traces: dict[Monomial, Fraction] = {}
-        self._tau: Scaled | None = None
+        self._traces: tuple[dict[Monomial, int], int] | None = None
 
     @property
     def dim(self) -> int:
@@ -156,27 +156,22 @@ class QuotientAlgebra:
             pending.pop()
         return self._vectors[mono]
 
-    def _trace_of_monomial(self, mono: Monomial) -> Fraction:
-        cached = self._traces.get(mono)
-        if cached is None:
-            tau, tau_den = self._tau_vector()
-            nums, den = self._vector(mono)
-            cached = Fraction(sum(map(mul, tau, nums)), tau_den * den)
-            self._traces[mono] = cached
-        return cached
-
-    def _tau_vector(self) -> Scaled:
-        """Traces of multiplication by each basis monomial, over one
-        denominator: the trace for b is the sum over j of coordinate j of
-        b*b_j."""
-        if self._tau is None:
-            rows = [[self._vector(b * other) for other in self.basis] for b in self.basis]
-            den = lcm(*(d for row in rows for _, d in row))
-            tau = [sum(nums[j] * (den // d) for j, (nums, d) in enumerate(row))
-                   for row in rows]
-            g = gcd(den, *tau)
-            self._tau = tuple(t // g for t in tau), den // g
-        return self._tau
+    def _trace_table(self) -> tuple[dict[Monomial, int], int]:
+        """T(b_i*b_j) for every distinct product of two basis monomials, as
+        gcd-reduced integers over one positive denominator: T(b_k) is the sum
+        over j of coordinate j of b_k*b_j, and T(m) = sum_k T(b_k) * m_k."""
+        if self._traces is None:
+            basis = self.basis
+            vectors = {bi * bj: self._vector(bi * bj) for bi in basis for bj in basis}
+            den = lcm(*(d for _, d in vectors.values()))
+            tau = [sum(nums[j] * (den // d) for j, (nums, d) in
+                       enumerate(vectors[b * other] for other in basis)) for b in basis]
+            # T(b_k) = tau_k / den, so T(m) = (tau . nums) * (den / d) / den**2
+            table = {m: sum(map(mul, tau, nums)) * (den // d)
+                     for m, (nums, d) in vectors.items()}
+            g = gcd(den * den, *table.values())
+            self._traces = {m: t // g for m, t in table.items()}, den * den // g
+        return self._traces
 
 
 def build_algebra(gb: GroebnerBasis) -> QuotientAlgebra:
@@ -321,32 +316,29 @@ def _block_mod(algebra: QuotientAlgebra, reduced, p: int) -> np.ndarray:
     return columns.transpose(1, 2, 0).reshape(n, -1)
 
 
-def _shifted_trace(algebra: QuotientAlgebra, h: Polynomial, shift: Monomial) -> Fraction:
-    """Trace of multiplication by h * shift for a monomial shift; the trace
-    functional is linear in h and blind to members of the ideal."""
-    terms = [(c, algebra._trace_of_monomial(mono * shift))
-             for mono, c in h.numerators.items()]
-    # one common denominator, so one gcd for the sum rather than one per term
-    den = lcm(*(t.denominator for _, t in terms))
-    return Fraction(sum(c * t.numerator * (den // t.denominator) for c, t in terms),
-                    den * h.denominator)
-
-
 def form_matrix(algebra: QuotientAlgebra, delta: Polynomial) -> SymmetricForm:
     """Symmetric matrix of the quadratic form a -> trace(delta * a^2).
 
     Entry (i, j) is the trace of multiplication by delta * b_i * b_j.  Modulo
     the ideal b_i * b_j = sum_k c_ij[k] * b_k, where c_ij is the coordinate
     vector of the product, and the trace is linear and blind to the ideal, so
-    the entry equals w . c_ij for the weight vector w_k = trace(delta * b_k),
-    computed once per form.  The matrix is symmetric by construction.
+    the entry equals w . c_ij for the weight vector w_k = trace(delta * b_k).
+    Once delta is reduced, every delta-term times b_k is a product of two
+    basis monomials, so the weights are read off the trace table.  The
+    matrix is symmetric by construction.
     """
     basis = algebra.basis
-    weights, den = _over_one_denominator(
-        [_shifted_trace(algebra, delta, b) for b in basis])
-    entries = {}
-    for product in {bi * bj for bi in basis for bj in basis}:
-        nums, d = algebra._vector(product)
-        entries[product] = Fraction(sum(map(mul, weights, nums)), den * d)
-    matrix = tuple(tuple(entries[bi * bj] for bj in basis) for bi in basis)
-    return SymmetricForm(matrix)
+    traces, trace_den = algebra._trace_table()
+    residue = normal_form(delta, algebra.gb)
+    terms = residue.numerators.items()
+    # w_k over trace_den * residue.denominator
+    weights = [sum(c * traces[mono * b] for mono, c in terms) for b in basis]
+    vectors = {product: algebra._vector(product) for product in traces}
+    den = lcm(*(d for _, d in vectors.values()))
+    entries = {product: sum(map(mul, weights, nums)) * (den // d)
+               for product, (nums, d) in vectors.items()}
+    den *= trace_den * residue.denominator
+    g = gcd(den, *entries.values())
+    entries = {product: v // g for product, v in entries.items()}
+    rows = tuple(tuple(entries[bi * bj] for bj in basis) for bi in basis)
+    return SymmetricForm(rows, den // g)

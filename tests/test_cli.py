@@ -151,6 +151,42 @@ class TestExitCodes:
         assert code == 1
         assert "cannot read" in err
 
+    @pytest.mark.parametrize("flags", [["--radius", "abc"], ["--bogus"]])
+    def test_usage_error_is_one_line_with_status_1(self, tmp_path, capsys, flags):
+        # argparse's own status 2 would read as a failed genericity certificate
+        path = write_problem(tmp_path, WHITNEY_TEXT)
+        with pytest.raises(SystemExit) as stop:
+            cli.main([path, *flags])
+        captured = capsys.readouterr()
+        assert stop.value.code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("cuspcount: ") and captured.err.count("\n") == 1
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            cli.main(["--help"])
+        assert stop.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
+    def test_non_utf8_file_is_unreadable_input(self, tmp_path, capsys):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"f1 = x\xff\nf2 = y\n")
+        code, out, err = run_cli(capsys, [str(path)])
+        assert code == 1
+        assert out == ""
+        assert "cannot read" in err and "utf-8" in err and err.count("\n") == 1
+
+    def test_non_utf8_stdin_is_unreadable_input(self, capsys, monkeypatch):
+        import io
+
+        stdin = io.TextIOWrapper(io.BytesIO(b"f1 = x\xff\nf2 = y\n"),
+                                 encoding="utf-8", errors="surrogateescape")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run_cli(capsys, ["-"])
+        assert code == 1
+        assert out == ""
+        assert "cannot read '-'" in err and "utf-8" in err and err.count("\n") == 1
+
     def test_stdin(self, capsys, monkeypatch):
         import io
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from cuspcount import quotient
+from cuspcount import pipeline, quotient
 from cuspcount.errors import (DegenerateRegionForm, GenericityNotCertified,
                               NotZeroDimensional)
 from cuspcount.exprio import parse_polynomial, parse_problem
@@ -12,7 +12,7 @@ from cuspcount.groebner import buchberger, normal_form
 from cuspcount.pipeline import CuspCensus, census, certify_genericity, derive_system
 from cuspcount.poly import Monomial, Polynomial, X, Y, func_det
 from cuspcount.quotient import build_algebra, mult_matrix
-from cuspcount.signature import rank
+from cuspcount.signature import _scaled_integer_matrix, rank, signature_of
 from conftest import (EIGHT_CUSP_TEXT, FOLD_ONLY_TEXT, IDENTITY_TEXT,
                       NON_GENERIC_TEXT, TWO_CUSP_TEXT, WHITNEY_TEXT,
                       random_polynomial)
@@ -171,6 +171,26 @@ class TestCensus:
         assert partial.sig4 is not None
         assert partial.total_cusps == 2
         assert (partial.positive_cusps, partial.negative_cusps) == (0, 2)
+
+    def test_forms_reach_the_signature_as_integer_rows(self, monkeypatch):
+        # same primitive matrix as the Fractions give, so the same primes
+        forms, matrices = [], []
+
+        def spy_form(*args):
+            forms.append(quotient.form_matrix(*args))
+            return forms[-1]
+
+        def spy_signature(matrix):
+            matrices.append(matrix)
+            return signature_of(matrix)
+
+        monkeypatch.setattr(pipeline, "form_matrix", spy_form)
+        monkeypatch.setattr(pipeline, "signature_of", spy_signature)
+        census(parse_problem(EIGHT_CUSP_TEXT))
+        assert len(matrices) == len(forms) == 4
+        for form, matrix in zip(forms, matrices):
+            assert all(type(v) is int for row in matrix for v in row)
+            assert _scaled_integer_matrix(matrix)[0] == _scaled_integer_matrix(form.matrix)[0]
 
     def test_identity_with_region(self):
         c = census(parse_problem("f1 = x\nf2 = y\nu = 1 - x^2 - y^2\n"))

@@ -12,8 +12,8 @@ from cuspcount.groebner import GroebnerBasis, buchberger, normal_form
 from cuspcount.pipeline import derive_system
 from cuspcount.poly import Monomial, Polynomial, X, Y
 from cuspcount import quotient
-from cuspcount.quotient import (_block_mod, _shifted_trace, build_algebra,
-                                form_matrix, generates_algebra, mult_matrix)
+from cuspcount.quotient import (_block_mod, build_algebra, form_matrix,
+                                generates_algebra, mult_matrix)
 from cuspcount.signature import prime_cap
 from conftest import random_polynomial
 
@@ -22,7 +22,8 @@ ONE = Polynomial.constant(1)
 
 def trace_functional(algebra, h):
     """Trace of multiplication by h; linear in h and blind to ideal members."""
-    return _shifted_trace(algebra, h, Monomial(0, 0))
+    m = mult_matrix(algebra, h)
+    return sum(m[i][i] for i in range(len(m)))
 
 
 @pytest.fixture(scope="module")
@@ -277,14 +278,6 @@ class TestTraceFunctional:
             assert trace_functional(algebra, h + member) == \
                 trace_functional(algebra, h)
 
-    def test_matches_matrix_trace(self, two_cusp):
-        _, _, algebra = two_cusp
-        rng = random.Random(20272)
-        for _ in range(100):
-            h = random_polynomial(rng, 5)
-            m = mult_matrix(algebra, h)
-            assert trace_functional(algebra, h) == sum(m[i][i] for i in range(len(m)))
-
 
 class TestFormMatrix:
     def test_counting_form(self, two_cusp):
@@ -342,11 +335,17 @@ class TestFormMatrix:
             fresh = build_algebra(algebra.gb)  # caches the form builder never saw
             for delta in (random_polynomial(rng, 4, lo=-9, hi=9),
                           normal_form(random_polynomial(rng, 4), algebra.gb)):
-                expected = tuple(
-                    tuple(trace_functional(fresh, delta * Polynomial.monomial(bi * bj))
-                          for bj in algebra.basis)
-                    for bi in algebra.basis)
-                assert form_matrix(algebra, delta).matrix == expected
+                products = {bi * bj for bi in algebra.basis for bj in algebra.basis}
+                traces = {m: trace_functional(fresh, delta * Polynomial.monomial(m))
+                          for m in products}
+                expected = tuple(tuple(traces[bi * bj] for bj in algebra.basis)
+                                 for bi in algebra.basis)
+                form = form_matrix(algebra, delta)
+                assert form.matrix == expected
+                assert form.denominator > 0
+                assert gcd(form.denominator, *(v for row in form.rows for v in row)) == 1
+                assert form.matrix == tuple(
+                    tuple(Fraction(v, form.denominator) for v in row) for row in form.rows)
         assert min(dims) == 0 and max(dims) == 16
 
 
