@@ -11,8 +11,8 @@ from .errors import (CertificateFailed, CuspCountError, DegenerateRegionForm,
                      DegreeGuardExceeded, DuplicateKeyError,
                      GenericityNotCertified, MissingKeyError, NotSymmetric,
                      NotZeroDimensional, OracleOverflow, ParseError)
-from .exprio import (ProblemInput, SolverOptions, format_monomial,
-                     format_polynomial, parse_polynomial, parse_problem)
+from .exprio import (ProblemInput, format_monomial, format_polynomial,
+                     parse_polynomial, parse_problem)
 from .groebner import (GroebnerBasis, buchberger, is_zero_dimensional,
                        normal_form, standard_monomials)
 from .oracle import CertifiedPoint, Interval, isolate_cusps, region_membership
@@ -30,7 +30,7 @@ __all__ = [
     "DegreeGuardExceeded",
     "DuplicateKeyError", "GenericityNotCertified", "MissingKeyError",
     "NotSymmetric", "NotZeroDimensional", "OracleOverflow", "ParseError",
-    "ProblemInput", "SolverOptions", "format_monomial", "format_polynomial",
+    "ProblemInput", "format_monomial", "format_polynomial",
     "parse_polynomial", "parse_problem",
     "GroebnerBasis", "buchberger",
     "is_zero_dimensional", "normal_form", "standard_monomials",

@@ -4,26 +4,25 @@ Exit status: 0 success; 2 genericity certificate failed (also when the cusp
 ideal is not zero-dimensional); 4 region form degenerate (report still
 printed, region counts withheld); 5 parse errors; 6 degree-guard or
 oracle-resolution trouble; 1 anything else (a usage error, unreadable or
-non-UTF-8 input, a failed internal certificate).  Status 3, once "not
-zero-dimensional", is no longer produced.
+non-UTF-8 input, a failed internal certificate).  A degenerate region form
+takes precedence over unresolved oracle boxes: the status is then 4 and no
+"unresolved" line is printed.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
 import time
 
-from .errors import (CertificateFailed, DegenerateRegionForm,
-                     DegreeGuardExceeded, GenericityNotCertified, OracleOverflow,
-                     ParseError)
-from .exprio import (ProblemInput, SolverOptions, format_monomial,
-                     format_polynomial, parse_problem)
+from .errors import (CertificateFailed, DegenerateRegionForm, DegreeGuardExceeded,
+                     GenericityNotCertified, OracleOverflow, ParseError)
+from .exprio import ProblemInput, format_monomial, format_polynomial, parse_problem
 from .groebner import DEFAULT_DEGREE_GUARD
-from .oracle import DEFAULT_ORACLE_RADIUS, isolate_cusps, region_membership
+from .oracle import (DEFAULT_ORACLE_RADIUS, CertifiedPoint, isolate_cusps,
+                     region_membership)
 from .pipeline import CuspCensus, census, derive_system
 
 EXIT_OK = 0
@@ -33,17 +32,14 @@ EXIT_DEGENERATE_REGION = 4
 EXIT_PARSE = 5
 EXIT_GUARD = 6
 
-
-@dataclasses.dataclass(frozen=True)
-class RunOptions:
-    """Resolved command-line options."""
-
-    input_path: str
-    json_output: bool = False
-    run_oracle: bool = False
-    oracle_radius: float = DEFAULT_ORACLE_RADIUS
-    degree_guard: int = DEFAULT_DEGREE_GUARD
-    show_basis: bool = False
+# exit status and stderr prefix of each fatal error, looked up along its class hierarchy
+_FAILURES = {
+    ParseError: (EXIT_PARSE, "parse error: "),
+    DegreeGuardExceeded: (EXIT_GUARD, "degree guard: "),
+    GenericityNotCertified: (EXIT_NOT_CERTIFIED, ""),
+    CertificateFailed: (EXIT_INTERNAL, "certificate failed: "),
+    OracleOverflow: (EXIT_GUARD, "oracle: "),
+}
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -52,122 +48,94 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_INTERNAL, f"{self.prog}: {message}\n")
 
 
-def _build_arg_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(
-        prog="cuspcount",
-        description="Count positive and negative cusps of a polynomial map "
-                    "of the plane, exactly; optionally cross-check with a "
-                    "certified numeric solver.")
-    parser.add_argument("problem", help="problem file path, or '-' for standard input")
-    parser.add_argument("--json", action="store_true", help="emit a JSON report")
-    parser.add_argument("--oracle", action="store_true",
-                        help="also run the numeric root-isolation referee")
-    parser.add_argument("--radius", type=float, default=DEFAULT_ORACLE_RADIUS,
-                        metavar="R", help="half-width of the oracle search box "
-                                          "(default %(default)s)")
-    parser.add_argument("--degree-guard", type=int, default=DEFAULT_DEGREE_GUARD,
-                        metavar="N", help="abort if intermediate degrees exceed N "
-                                          "(default %(default)s)")
-    parser.add_argument("--basis", action="store_true",
-                        help="list the quotient-algebra basis in the text report")
-    return parser
+_PARSER = _ArgumentParser(
+    prog="cuspcount",
+    description="Count positive and negative cusps of a polynomial map "
+                "of the plane, exactly; optionally cross-check with a "
+                "certified numeric solver.")
+_PARSER.add_argument("problem", help="problem file path, or '-' for standard input")
+_PARSER.add_argument("--json", action="store_true", help="emit a JSON report")
+_PARSER.add_argument("--oracle", action="store_true",
+                     help="also run the numeric root-isolation referee")
+_PARSER.add_argument("--radius", type=float, default=DEFAULT_ORACLE_RADIUS,
+                     metavar="R", help="half-width of the oracle search box "
+                                       "(default %(default)s)")
+_PARSER.add_argument("--degree-guard", type=int, default=DEFAULT_DEGREE_GUARD,
+                     metavar="N", help="abort if intermediate degrees exceed N "
+                                       "(default %(default)s)")
+_PARSER.add_argument("--basis", action="store_true",
+                     help="list the quotient-algebra basis in the text report")
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_arg_parser().parse_args(argv)
+    """Run one problem through the pipeline, print its report, return the exit status."""
+    args = _PARSER.parse_args(argv)
     if not (math.isfinite(args.radius) and args.radius > 0):
         print("cuspcount: --radius must be a positive finite number", file=sys.stderr)
         return EXIT_INTERNAL
     if args.degree_guard <= 0:
         print("cuspcount: --degree-guard must be positive", file=sys.stderr)
         return EXIT_INTERNAL
-    options = RunOptions(
-        input_path=args.problem,
-        json_output=args.json,
-        run_oracle=args.oracle,
-        oracle_radius=args.radius,
-        degree_guard=args.degree_guard,
-        show_basis=args.basis,
-    )
-    return run(options)
-
-
-def run(options: RunOptions) -> int:
-    """Execute one pipeline run and print the report to standard output."""
     try:
-        text = _read_input(options.input_path)
+        text = _read_input(args.problem)
     except (OSError, UnicodeDecodeError) as err:
-        print(f"cuspcount: cannot read {options.input_path!r}: {err}", file=sys.stderr)
+        print(f"cuspcount: cannot read {args.problem!r}: {err}", file=sys.stderr)
         return EXIT_INTERNAL
 
+    exit_code = EXIT_OK
+    points = None
     timings: dict[str, float] = {}
     start = time.perf_counter()
     try:
-        problem = parse_problem(text, SolverOptions(degree_guard=options.degree_guard))
-    except DegreeGuardExceeded as err:
-        print(f"cuspcount: degree guard: {err}", file=sys.stderr)
-        return EXIT_GUARD
-    except ParseError as err:
-        print(f"cuspcount: parse error: {err}", file=sys.stderr)
-        return EXIT_PARSE
-    timings["parse"] = time.perf_counter() - start
-
-    exit_code = EXIT_OK
-    t0 = time.perf_counter()
-    try:
-        result = census(problem)
-    except GenericityNotCertified as err:
-        print(f"cuspcount: {err}", file=sys.stderr)
-        return EXIT_NOT_CERTIFIED
-    except CertificateFailed as err:
-        print(f"cuspcount: certificate failed: {err}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except DegreeGuardExceeded as err:
-        print(f"cuspcount: degree guard: {err}", file=sys.stderr)
-        return EXIT_GUARD
-    except DegenerateRegionForm as err:
-        print(f"cuspcount: {err}", file=sys.stderr)
-        result = err.census
-        exit_code = EXIT_DEGENERATE_REGION
-    timings["census"] = time.perf_counter() - t0
-
-    if options.run_oracle:
+        problem = parse_problem(text, degree_guard=args.degree_guard)
+        timings["parse"] = time.perf_counter() - start
         t0 = time.perf_counter()
         try:
+            result = census(problem, degree_guard=args.degree_guard)
+        except DegenerateRegionForm as err:
+            print(f"cuspcount: {err}", file=sys.stderr)
+            result, exit_code = err.census, EXIT_DEGENERATE_REGION
+        timings["census"] = time.perf_counter() - t0
+        if args.oracle:
+            t0 = time.perf_counter()
             points = isolate_cusps(derive_system(problem.f1, problem.f2),
-                                   box_radius=options.oracle_radius)
+                                   box_radius=args.radius)
             if problem.u is not None:
                 points = tuple(
-                    dataclasses.replace(pt, in_region=region_membership(problem.u, pt))
+                    CertifiedPoint(pt.box, pt.kind, pt.degree_sign,
+                                   region_membership(problem.u, pt))
                     if pt.kind == "cusp" else pt
                     for pt in points)
-        except OracleOverflow as err:
-            print(f"cuspcount: oracle: {err}", file=sys.stderr)
-            return EXIT_GUARD
-        result = dataclasses.replace(result, oracle=points)
-        timings["oracle"] = time.perf_counter() - t0
-        if any(pt.kind == "unresolved" for pt in points) and exit_code == EXIT_OK:
-            print("cuspcount: oracle left unresolved boxes (reported below)",
-                  file=sys.stderr)
-            exit_code = EXIT_GUARD
+            timings["oracle"] = time.perf_counter() - t0
+            if exit_code == EXIT_OK and any(pt.kind == "unresolved" for pt in points):
+                print("cuspcount: oracle left unresolved boxes (reported below)",
+                      file=sys.stderr)
+                exit_code = EXIT_GUARD
+    except tuple(_FAILURES) as err:
+        status, prefix = next(_FAILURES[kind] for kind in type(err).__mro__
+                              if kind in _FAILURES)
+        print(f"cuspcount: {prefix}{err}", file=sys.stderr)
+        return status
     timings["total"] = time.perf_counter() - start
 
-    if options.json_output:
-        print(json.dumps(_json_report(problem, result, timings), indent=2))
+    if args.json:
+        print(json.dumps(_json_report(problem, result, points, timings), indent=2))
     else:
-        print(_text_report(problem, result, options.show_basis, timings))
+        print(_text_report(problem, result, points, args.basis, timings))
     return exit_code
 
 
 def _read_input(path: str) -> str:
-    if path == "-":  # strict UTF-8 as for a file; a stream without bytes is read as is
+    # strict UTF-8 after an optional byte-order mark; a stream without bytes is read as is
+    if path == "-":
         stream = getattr(sys.stdin, "buffer", None)
-        return sys.stdin.read() if stream is None else stream.read().decode("utf-8")
-    with open(path, "r", encoding="utf-8") as handle:
+        return sys.stdin.read() if stream is None else stream.read().decode("utf-8-sig")
+    with open(path, "r", encoding="utf-8-sig") as handle:
         return handle.read()
 
 
 def _json_report(problem: ProblemInput, result: CuspCensus,
+                 points: tuple[CertifiedPoint, ...] | None,
                  timings: dict[str, float]) -> dict:
     return {
         "input_echo": {
@@ -192,14 +160,12 @@ def _json_report(problem: ProblemInput, result: CuspCensus,
         "region": (
             {"positive": result.region.positive, "negative": result.region.negative}
             if result.region is not None else None),
-        "oracle": (
-            [_json_point(pt) for pt in result.oracle]
-            if result.oracle is not None else None),
+        "oracle": [_json_point(pt) for pt in points] if points is not None else None,
         "timings_ms": {k: round(v * 1000.0, 3) for k, v in timings.items()},
     }
 
 
-def _json_point(pt) -> dict:
+def _json_point(pt: CertifiedPoint) -> dict:
     return {
         "box": [[pt.box[0].lo, pt.box[0].hi], [pt.box[1].lo, pt.box[1].hi]],
         "kind": pt.kind,
@@ -209,6 +175,7 @@ def _json_point(pt) -> dict:
 
 
 def _text_report(problem: ProblemInput, result: CuspCensus,
+                 points: tuple[CertifiedPoint, ...] | None,
                  show_basis: bool, timings: dict[str, float]) -> str:
     lines = [
         f"map: f1 = {format_polynomial(problem.f1)}",
@@ -233,11 +200,11 @@ def _text_report(problem: ProblemInput, result: CuspCensus,
                      f"negative={result.region.negative}")
     elif problem.u is not None:
         lines.append("cusps in region: withheld (degenerate region form)")
-    if result.oracle is not None:
-        cusps = [pt for pt in result.oracle if pt.kind == "cusp"]
-        unresolved = [pt for pt in result.oracle if pt.kind == "unresolved"]
+    if points is not None:
+        cusps = [pt for pt in points if pt.kind == "cusp"]
+        unresolved = [pt for pt in points if pt.kind == "unresolved"]
         lines.append(f"oracle: {len(cusps)} certified point(s), {len(unresolved)} unresolved")
-        for pt in result.oracle:
+        for pt in points:
             region_text = {True: "yes", False: "no", None: "n/a"}[pt.in_region]
             lines.append(
                 f"  x in [{pt.box[0].lo:.9g}, {pt.box[0].hi:.9g}], "

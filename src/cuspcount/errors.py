@@ -39,7 +39,7 @@ class MissingKeyError(ParseError):
 
     def __init__(self, key: str):
         self.key = key
-        super(ParseError, self).__init__(f"problem file is missing required key {key!r}")
+        super().__init__(f"problem file is missing required key {key!r}")
 
 
 class DuplicateKeyError(ParseError):
@@ -47,8 +47,7 @@ class DuplicateKeyError(ParseError):
 
     def __init__(self, key: str, line: int):
         self.key = key
-        self.line = line
-        super(ParseError, self).__init__(f"duplicate key {key!r} (line {line})")
+        super().__init__(f"duplicate key {key!r}", line=line)
 
 
 class DegreeGuardExceeded(CuspCountError):

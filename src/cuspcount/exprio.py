@@ -24,19 +24,12 @@ building numbers of unbounded size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegreeGuardExceeded, DuplicateKeyError, MissingKeyError, ParseError
 from .groebner import DEFAULT_DEGREE_GUARD
 from .poly import Monomial, Polynomial
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Settings that tune the solver without changing the problem."""
-
-    degree_guard: int = DEFAULT_DEGREE_GUARD
 
 
 @dataclass(frozen=True)
@@ -46,7 +39,6 @@ class ProblemInput:
     f1: Polynomial
     f2: Polynomial
     u: Polynomial | None = None
-    options: SolverOptions = field(default_factory=SolverOptions)
 
 
 # -- tokenizer -------------------------------------------------------------
@@ -210,13 +202,13 @@ def parse_polynomial(text: str, degree_guard: int = DEFAULT_DEGREE_GUARD) -> Pol
 _PROBLEM_KEYS = ("f1", "f2", "u")
 
 
-def parse_problem(text: str, options: SolverOptions | None = None) -> ProblemInput:
+def parse_problem(text: str, degree_guard: int = DEFAULT_DEGREE_GUARD) -> ProblemInput:
     """Parse a problem file into a ProblemInput.
 
     Raises MissingKeyError if f1 or f2 is absent, DuplicateKeyError on
-    repeated keys, and ParseError for anything else malformed.
+    repeated keys, ParseError for anything else malformed, and
+    DegreeGuardExceeded for a polynomial or exponent above the guard.
     """
-    options = options or SolverOptions()
     seen: dict[str, Polynomial] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -232,13 +224,13 @@ def parse_problem(text: str, options: SolverOptions | None = None) -> ProblemInp
         if key in seen:
             raise DuplicateKeyError(key, lineno)
         try:
-            seen[key] = parse_polynomial(expr, degree_guard=options.degree_guard)
+            seen[key] = parse_polynomial(expr, degree_guard=degree_guard)
         except ParseError as err:
             raise ParseError(f"in value for {key!r}: {err.args[0]}", line=lineno) from err
     for key in ("f1", "f2"):
         if key not in seen:
             raise MissingKeyError(key)
-    return ProblemInput(f1=seen["f1"], f2=seen["f2"], u=seen.get("u"), options=options)
+    return ProblemInput(f1=seen["f1"], f2=seen["f2"], u=seen.get("u"))
 
 
 # -- formatting ------------------------------------------------------------

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from .errors import (CertificateFailed, DegenerateRegionForm,
                      GenericityNotCertified, NotZeroDimensional)
 from .exprio import ProblemInput
-from .groebner import buchberger, normal_form
+from .groebner import DEFAULT_DEGREE_GUARD, buchberger, normal_form
 from .poly import Monomial, Polynomial, func_det
 from .quotient import QuotientAlgebra, build_algebra, form_matrix, generates_algebra
 from .signature import signature_of
@@ -91,7 +91,6 @@ class CuspCensus:
     positive_cusps: int
     negative_cusps: int
     region: RegionCount | None
-    oracle: tuple | None = None
 
 
 def derive_system(f1: Polynomial, f2: Polynomial) -> DerivedSystem:
@@ -139,19 +138,18 @@ def _even_half(a: int, b: int, what: str) -> int:
     return (a + b) // 2
 
 
-def census(problem: ProblemInput) -> CuspCensus:
+def census(problem: ProblemInput, degree_guard: int = DEFAULT_DEGREE_GUARD) -> CuspCensus:
     """Count cusps of the map, globally and (if u is given) inside {u > 0}.
 
     Raises GenericityNotCertified when the one-genericity certificate fails
     (also when the cusp ideal is not zero-dimensional), CertificateFailed when
     a consistency check on the signatures fails, and DegenerateRegionForm
     (carrying the partial census) when a region was requested but its trace
-    form is degenerate.  DegreeGuardExceeded from the basis computation
-    propagates.
+    form is degenerate.  DegreeGuardExceeded from the basis computation, run
+    under degree_guard, propagates.
     """
     derived = derive_system(problem.f1, problem.f2)
-    gb = buchberger([derived.jac, derived.vel1, derived.vel2],
-                    degree_guard=problem.options.degree_guard)
+    gb = buchberger([derived.jac, derived.vel1, derived.vel2], degree_guard=degree_guard)
     try:
         algebra = build_algebra(gb)
     except NotZeroDimensional as err:

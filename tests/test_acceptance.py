@@ -262,7 +262,6 @@ def test_criterion_8_translation_invariance(two_cusp_run):
             f1=substitute(problem.f1, sx, sy),
             f2=substitute(problem.f2, sx, sy),
             u=substitute(problem.u, sx, sy),
-            options=problem.options,
         )
         c = census(moved)
         assert c.dim == base.dim

@@ -8,7 +8,7 @@ PUBLIC_NAMES = [
     "DuplicateKeyError", "GenericityNotCertified", "GroebnerBasis", "Interval",
     "MissingKeyError", "Monomial", "NotSymmetric", "NotZeroDimensional",
     "OracleOverflow", "ParseError", "Polynomial", "ProblemInput",
-    "QuotientAlgebra", "RegionCount", "SignatureResult", "SolverOptions",
+    "QuotientAlgebra", "RegionCount", "SignatureResult",
     "SymmetricForm", "__version__", "buchberger", "build_algebra", "census",
     "certify_genericity", "derive_system", "form_matrix",
     "format_monomial", "format_polynomial", "func_det", "generates_algebra",

@@ -8,10 +8,10 @@ from pathlib import Path
 import pytest
 
 from cuspcount import cli
-from cuspcount.cli import RunOptions, run
 from cuspcount.exprio import parse_polynomial
 from cuspcount.signature import SignatureResult
-from conftest import IDENTITY_TEXT, NON_GENERIC_TEXT, TWO_CUSP_TEXT, WHITNEY_TEXT
+from conftest import (IDENTITY_TEXT, NON_GENERIC_TEXT, SIX_CUSP_TEXT, TWO_CUSP_TEXT,
+                      WHITNEY_TEXT)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -101,6 +101,15 @@ class TestExitCodes:
         assert code == 6
         assert "degree" in err
 
+    def test_degree_guard_in_census(self, tmp_path, capsys):
+        # every line parses under 5; the jacobian entering the basis has degree 8
+        path = write_problem(tmp_path, SIX_CUSP_TEXT)
+        code, out, err = run_cli(capsys, [path, "--degree-guard", "5"])
+        assert code == 6
+        assert out == ""
+        assert err == ("cuspcount: degree guard: degree 8 exceeds guard 5 "
+                       "during buchberger input\n")
+
     def test_oracle_overflow(self, tmp_path, capsys):
         huge = "1" + "0" * 320  # 10^320, beyond the largest double
         text = TWO_CUSP_TEXT.replace("x*y^2", f"{huge}*x*y^2", 1)
@@ -187,6 +196,23 @@ class TestExitCodes:
         assert out == ""
         assert "cannot read '-'" in err and "utf-8" in err and err.count("\n") == 1
 
+    def test_byte_order_mark_file_reads_as_without(self, tmp_path, capsys):
+        marked = tmp_path / "marked.txt"
+        marked.write_bytes(b"\xef\xbb\xbf" + TWO_CUSP_TEXT.encode("utf-8"))
+        plain = write_problem(tmp_path, TWO_CUSP_TEXT)
+        result = masked_run(capsys, [str(marked), "--json"])
+        assert result[0] == 0
+        assert result == masked_run(capsys, [plain, "--json"])
+
+    def test_byte_order_mark_stdin_reads_as_without(self, tmp_path, capsys, monkeypatch):
+        import io
+
+        marked = b"\xef\xbb\xbf" + TWO_CUSP_TEXT.encode("utf-8")
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(marked), encoding="utf-8"))
+        result = masked_run(capsys, ["-", "--json"])
+        assert result[0] == 0
+        assert result == masked_run(capsys, [write_problem(tmp_path, TWO_CUSP_TEXT), "--json"])
+
     def test_stdin(self, capsys, monkeypatch):
         import io
 
@@ -235,6 +261,11 @@ def mask_timings(text: str) -> str:
     return re.sub(r'"timings_ms": \{[^}]*\}', '"timings_ms": {}', text)
 
 
+def masked_run(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    return code, mask_timings(out), err
+
+
 class TestDeterminism:
     def test_byte_identical_modulo_timings(self, tmp_path, capsys):
         path = write_problem(tmp_path, TWO_CUSP_TEXT)
@@ -252,7 +283,7 @@ class TestGoldenReports:
     ])
     def test_report_matches_golden(self, request, golden_name, fixture_name):
         run_data = request.getfixturevalue(fixture_name)
-        report = cli._json_report(run_data.problem, run_data.census, {})
+        report = cli._json_report(run_data.problem, run_data.census, None, {})
         report.pop("timings_ms")
         golden = json.loads((GOLDEN_DIR / f"{golden_name}.json").read_text())
         assert report == golden
@@ -267,14 +298,19 @@ class TestGoldenReports:
             assert needle in out
 
 
-class TestRunOptions:
-    def test_defaults(self):
-        options = RunOptions(input_path="x")
-        assert options.oracle_radius == 16.0
-        assert options.degree_guard == 64
-        assert not options.json_output and not options.run_oracle
-
-    def test_run_accepts_options_object(self, tmp_path, capsys):
-        path = write_problem(tmp_path, IDENTITY_TEXT)
-        assert run(RunOptions(input_path=path)) == 0
-        capsys.readouterr()
+class TestStageNames:
+    def test_main_calls_each_stage_through_the_cli_module(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # perfbench/spans.py wraps these attributes of the cli module by name
+        names = ["parse_problem", "census", "derive_system", "isolate_cusps",
+                 "region_membership"]
+        calls = []
+        for name in names:
+            def record(*args, _name=name, _original=getattr(cli, name), **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(cli, name, record)
+        path = write_problem(tmp_path, TWO_CUSP_TEXT)
+        code, _, _ = run_cli(capsys, [path, "--oracle", "--radius", "10"])
+        assert code == 0
+        assert list(dict.fromkeys(calls)) == names

@@ -7,8 +7,8 @@ import pytest
 
 from cuspcount.errors import (DegreeGuardExceeded, DuplicateKeyError,
                               MissingKeyError, ParseError)
-from cuspcount.exprio import (SolverOptions, format_monomial, format_polynomial,
-                              parse_polynomial, parse_problem)
+from cuspcount.exprio import (format_monomial, format_polynomial, parse_polynomial,
+                              parse_problem)
 from cuspcount.poly import Monomial, Polynomial, X, Y
 
 
@@ -74,7 +74,14 @@ class TestParseProblem:
     def test_region_optional(self):
         problem = parse_problem("f1 = x\nf2 = y")
         assert problem.u is None
-        assert problem.options == SolverOptions()
+
+    def test_degree_guard(self):
+        # the guard reaches every line, the region's too
+        text = "f1 = x\nf2 = y\nu = x^2*y - 1\n"
+        assert parse_problem(text).u == parse_polynomial("x^2*y - 1")
+        with pytest.raises(DegreeGuardExceeded) as info:
+            parse_problem(text, degree_guard=2)
+        assert (info.value.degree, info.value.guard) == (3, 2)
 
     def test_missing_required_key(self):
         with pytest.raises(MissingKeyError):
@@ -83,6 +90,16 @@ class TestParseProblem:
     def test_duplicate_key(self):
         with pytest.raises(DuplicateKeyError):
             parse_problem("f1 = x\nf1 = y\nf2 = y")
+
+    def test_key_errors_carry_the_parse_error_fields(self):
+        missing = MissingKeyError("f1")
+        assert (missing.key, missing.position, missing.expected, missing.line) == \
+            ("f1", None, (), None)
+        assert str(missing) == "problem file is missing required key 'f1'"
+        duplicate = DuplicateKeyError("f1", 3)
+        assert (duplicate.key, duplicate.position, duplicate.expected, duplicate.line) == \
+            ("f1", None, (), 3)
+        assert str(duplicate) == "duplicate key 'f1' (line 3)"
 
     def test_comments_and_blank_lines(self):
         problem = parse_problem(

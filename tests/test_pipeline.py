@@ -5,8 +5,8 @@ import random
 import pytest
 
 from cuspcount import pipeline, quotient
-from cuspcount.errors import (DegenerateRegionForm, GenericityNotCertified,
-                              NotZeroDimensional)
+from cuspcount.errors import (DegenerateRegionForm, DegreeGuardExceeded,
+                              GenericityNotCertified, NotZeroDimensional)
 from cuspcount.exprio import parse_polynomial, parse_problem
 from cuspcount.groebner import buchberger, normal_form
 from cuspcount.pipeline import CuspCensus, census, certify_genericity, derive_system
@@ -14,8 +14,8 @@ from cuspcount.poly import Monomial, Polynomial, X, Y, func_det
 from cuspcount.quotient import build_algebra, mult_matrix
 from cuspcount.signature import _scaled_integer_matrix, rank, signature_of
 from conftest import (EIGHT_CUSP_TEXT, FOLD_ONLY_TEXT, IDENTITY_TEXT,
-                      NON_GENERIC_TEXT, TWO_CUSP_TEXT, WHITNEY_TEXT,
-                      random_polynomial)
+                      NON_GENERIC_TEXT, SIX_CUSP_TEXT, TWO_CUSP_TEXT,
+                      WHITNEY_TEXT, random_polynomial)
 
 
 def cusp_algebra(derived):
@@ -157,6 +157,13 @@ class TestCensus:
         c = census(problem)
         assert c.sig3 is None and c.sig4 is None and c.region is None
         assert c.total_cusps == 2
+
+    def test_degree_guard_reaches_the_basis(self):
+        # every line of the six-cusp map parses under 5; its jacobian has degree 8
+        problem = parse_problem(SIX_CUSP_TEXT, degree_guard=5)
+        with pytest.raises(DegreeGuardExceeded) as info:
+            census(problem, degree_guard=5)
+        assert str(info.value) == "degree 8 exceeds guard 5 during buchberger input"
 
     def test_degenerate_region_form(self):
         # u = x vanishes at the cusp (0,0), so the region form is degenerate
