@@ -7,10 +7,9 @@ number of positive and negative cusps — globally and inside a region
 root-isolation oracle provides an independent cross-check.
 """
 
-from .errors import (CertificateFailed, CuspCountError, DegenerateRegionForm,
-                     DegreeGuardExceeded, DuplicateKeyError,
-                     GenericityNotCertified, MissingKeyError, NotSymmetric,
-                     NotZeroDimensional, OracleOverflow, ParseError)
+from .errors import (CertificateFailed, CuspCountError, DegreeGuardExceeded,
+                     DuplicateKeyError, GenericityNotCertified, MissingKeyError,
+                     NotSymmetric, NotZeroDimensional, OracleOverflow, ParseError)
 from .exprio import (ProblemInput, format_monomial, format_polynomial,
                      parse_polynomial, parse_problem)
 from .groebner import (GroebnerBasis, buchberger, is_zero_dimensional,
@@ -26,8 +25,7 @@ from .signature import SignatureResult, signature_of
 __version__ = "0.1.0"
 
 __all__ = [
-    "CertificateFailed", "CuspCountError", "DegenerateRegionForm",
-    "DegreeGuardExceeded",
+    "CertificateFailed", "CuspCountError", "DegreeGuardExceeded",
     "DuplicateKeyError", "GenericityNotCertified", "MissingKeyError",
     "NotSymmetric", "NotZeroDimensional", "OracleOverflow", "ParseError",
     "ProblemInput", "format_monomial", "format_polynomial",

@@ -1,12 +1,13 @@
 """Command-line front end: read a problem file, count cusps, emit a report.
 
 Exit status: 0 success; 2 genericity certificate failed (also when the cusp
-ideal is not zero-dimensional); 4 region form degenerate (report still
-printed, region counts withheld); 5 parse errors; 6 degree-guard or
+ideal is not zero-dimensional); 4 region form degenerate (the census
+withholds the region counts by returning region None for a supplied u; the
+report is still printed); 5 parse errors; 6 degree-guard or
 oracle-resolution trouble; 1 anything else (a usage error, unreadable or
-non-UTF-8 input, a failed internal certificate).  A degenerate region form
-takes precedence over unresolved oracle boxes: the status is then 4 and no
-"unresolved" line is printed.
+non-UTF-8 input, a report that cannot be written, a failed internal
+certificate).  A degenerate region form takes precedence over unresolved
+oracle boxes: the status is then 4 and no "unresolved" line is printed.
 """
 
 from __future__ import annotations
@@ -14,11 +15,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 
-from .errors import (CertificateFailed, DegenerateRegionForm, DegreeGuardExceeded,
-                     GenericityNotCertified, OracleOverflow, ParseError)
+from .errors import (CertificateFailed, DegreeGuardExceeded, GenericityNotCertified,
+                     OracleOverflow, ParseError)
 from .exprio import ProblemInput, format_monomial, format_polynomial, parse_problem
 from .groebner import DEFAULT_DEGREE_GUARD
 from .oracle import (DEFAULT_ORACLE_RADIUS, CertifiedPoint, isolate_cusps,
@@ -82,7 +84,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"cuspcount: cannot read {args.problem!r}: {err}", file=sys.stderr)
         return EXIT_INTERNAL
 
-    exit_code = EXIT_OK
     points = None
     timings: dict[str, float] = {}
     start = time.perf_counter()
@@ -90,11 +91,7 @@ def main(argv: list[str] | None = None) -> int:
         problem = parse_problem(text, degree_guard=args.degree_guard)
         timings["parse"] = time.perf_counter() - start
         t0 = time.perf_counter()
-        try:
-            result = census(problem, degree_guard=args.degree_guard)
-        except DegenerateRegionForm as err:
-            print(f"cuspcount: {err}", file=sys.stderr)
-            result, exit_code = err.census, EXIT_DEGENERATE_REGION
+        result = census(problem, degree_guard=args.degree_guard)
         timings["census"] = time.perf_counter() - t0
         if args.oracle:
             t0 = time.perf_counter()
@@ -107,10 +104,6 @@ def main(argv: list[str] | None = None) -> int:
                     if pt.kind == "cusp" else pt
                     for pt in points)
             timings["oracle"] = time.perf_counter() - t0
-            if exit_code == EXIT_OK and any(pt.kind == "unresolved" for pt in points):
-                print("cuspcount: oracle left unresolved boxes (reported below)",
-                      file=sys.stderr)
-                exit_code = EXIT_GUARD
     except tuple(_FAILURES) as err:
         status, prefix = next(_FAILURES[kind] for kind in type(err).__mro__
                               if kind in _FAILURES)
@@ -118,16 +111,37 @@ def main(argv: list[str] | None = None) -> int:
         return status
     timings["total"] = time.perf_counter() - start
 
+    exit_code = EXIT_OK
+    if problem.u is not None and result.region is None:
+        print("cuspcount: the region trace form is degenerate (a cusp may lie on "
+              "{u = 0}); region counts are withheld", file=sys.stderr)
+        exit_code = EXIT_DEGENERATE_REGION
+    elif points is not None and any(pt.kind == "unresolved" for pt in points):
+        print("cuspcount: oracle left unresolved boxes (reported below)", file=sys.stderr)
+        exit_code = EXIT_GUARD
+
     if args.json:
-        print(json.dumps(_json_report(problem, result, points, timings), indent=2))
+        report = json.dumps(_json_report(problem, result, points, timings), indent=2)
     else:
-        print(_text_report(problem, result, points, args.basis, timings))
+        report = _text_report(problem, result, points, args.basis, timings)
+    try:
+        print(report, flush=True)
+    except OSError as err:  # a full device or a reader that closed the pipe
+        print(f"cuspcount: cannot write report: {err}", file=sys.stderr)
+        # the unwritten report stays buffered; point its descriptor at the null
+        # device so that the flush at interpreter exit neither fails nor prints
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_INTERNAL
     return exit_code
 
 
 def _read_input(path: str) -> str:
     # strict UTF-8 after an optional byte-order mark; a stream without bytes is read as is
     if path == "-":
+        if sys.stdin is None:
+            raise OSError("standard input is closed")
         stream = getattr(sys.stdin, "buffer", None)
         return sys.stdin.read() if stream is None else stream.read().decode("utf-8-sig")
     with open(path, "r", encoding="utf-8-sig") as handle:
@@ -143,7 +157,7 @@ def _json_report(problem: ProblemInput, result: CuspCensus,
             "f2": format_polynomial(problem.f2),
             "u": format_polynomial(problem.u) if problem.u is not None else None,
         },
-        "one_generic_certified": result.one_generic_certified,
+        "one_generic_certified": True,
         "dim": result.dim,
         "basis": [format_monomial(m) for m in result.basis],
         "signatures": {
@@ -183,7 +197,7 @@ def _text_report(problem: ProblemInput, result: CuspCensus,
     ]
     if problem.u is not None:
         lines.append(f"region: u = {format_polynomial(problem.u)}")
-    lines.append(f"one-generic: {'certified' if result.one_generic_certified else 'NOT certified'}")
+    lines.append("one-generic: certified")
     lines.append(f"quotient dimension: {result.dim}")
     if show_basis:
         lines.append("basis: " + (", ".join(format_monomial(m) for m in result.basis) or "(empty)"))

@@ -86,18 +86,6 @@ class CertificateFailed(CuspCountError, RuntimeError):
     """
 
 
-class DegenerateRegionForm(CuspCountError):
-    """The region trace form is degenerate, so region counts are withheld.
-
-    The partial census (with all four signatures but no region counts) is
-    attached as the ``census`` attribute.
-    """
-
-    def __init__(self, message: str, census=None):
-        self.census = census
-        super().__init__(message)
-
-
 class OracleOverflow(CuspCountError):
     """The interval oracle left the range of hardware doubles.
 

@@ -21,15 +21,15 @@ curve's tangent and both minors vanish on it as well.  That case is
 reported as a failed genericity certificate.
 
 All hypotheses are enforced: a failed certificate raises instead of
-producing numbers the theory does not back.
+producing numbers the theory does not back, and a degenerate region form
+withholds the region counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (CertificateFailed, DegenerateRegionForm,
-                     GenericityNotCertified, NotZeroDimensional)
+from .errors import CertificateFailed, GenericityNotCertified, NotZeroDimensional
 from .exprio import ProblemInput
 from .groebner import DEFAULT_DEGREE_GUARD, buchberger, normal_form
 from .poly import Monomial, Polynomial, func_det
@@ -70,16 +70,16 @@ class RegionCount:
 
 @dataclass(frozen=True)
 class CuspCensus:
-    """Full report of the symbolic cusp count.
+    """Full report of the symbolic cusp count of a certified one-generic map.
 
     sig1..sig4 are the signatures of the trace forms with weights
     1, vel_jac, u and u*vel_jac; sig3/sig4 and region are present only when
-    a region polynomial was supplied (region additionally requires the
+    a region polynomial was supplied.  region additionally requires the
     u-weighted form to be nondegenerate, which certifies that no cusp lies
-    on the boundary {u = 0}).
+    on the boundary {u = 0}; when it is degenerate, region is None next to
+    sig3/sig4, and the region counts are withheld.
     """
 
-    one_generic_certified: bool
     dim: int
     basis: tuple[Monomial, ...]
     sig1: int
@@ -141,11 +141,12 @@ def _even_half(a: int, b: int, what: str) -> int:
 def census(problem: ProblemInput, degree_guard: int = DEFAULT_DEGREE_GUARD) -> CuspCensus:
     """Count cusps of the map, globally and (if u is given) inside {u > 0}.
 
-    Raises GenericityNotCertified when the one-genericity certificate fails
-    (also when the cusp ideal is not zero-dimensional), CertificateFailed when
-    a consistency check on the signatures fails, and DegenerateRegionForm
-    (carrying the partial census) when a region was requested but its trace
-    form is degenerate.  DegreeGuardExceeded from the basis computation, run
+    A region whose trace form is degenerate (a cusp may lie on {u = 0})
+    comes back with sig3/sig4 set and region None: the global counts stand,
+    the region counts are withheld.  Raises GenericityNotCertified when the
+    one-genericity certificate fails (also when the cusp ideal is not
+    zero-dimensional) and CertificateFailed when a consistency check on the
+    signatures fails.  DegreeGuardExceeded from the basis computation, run
     under degree_guard, propagates.
     """
     derived = derive_system(problem.f1, problem.f2)
@@ -167,42 +168,24 @@ def census(problem: ProblemInput, degree_guard: int = DEFAULT_DEGREE_GUARD) -> C
         raise CertificateFailed("negative cusp counts: "
                                 "signature computation is inconsistent")
 
-    base = dict(
-        one_generic_certified=True,
-        dim=algebra.dim,
-        basis=algebra.basis,
-        sig1=sig1,
-        sig2=sig2,
-        total_cusps=sig1,
-        sum_of_degrees=sig2,
-        positive_cusps=positive,
-        negative_cusps=negative,
-    )
-    if problem.u is None:
-        return CuspCensus(sig3=None, sig4=None, region=None, **base)
-
-    u_reduced = normal_form(problem.u, gb)
-    region_form = form_matrix(algebra, u_reduced)
-    region_result = signature_of(region_form.rows)
-    sig3 = region_result.signature
-    sig4 = signature_of(
-        form_matrix(algebra, normal_form(u_reduced * vel_jac_reduced, gb)).rows).signature
-
-    if not region_result.nondegenerate:
-        partial = CuspCensus(sig3=sig3, sig4=sig4, region=None, **base)
-        raise DegenerateRegionForm(
-            "the region trace form is degenerate (a cusp may lie on {u = 0}); "
-            "region counts are withheld", census=partial)
-
-    quarter_pos = sig1 + sig2 + sig3 + sig4
-    quarter_neg = sig1 - sig2 + sig3 - sig4
-    if quarter_pos % 4 or quarter_neg % 4:
-        raise CertificateFailed("region signature sums not divisible by 4; "
-                                "signature computation is inconsistent")
-    positive_in = quarter_pos // 4
-    negative_in = quarter_neg // 4
-    if not (0 <= positive_in <= positive and 0 <= negative_in <= negative):
-        raise CertificateFailed("region counts exceed global counts; "
-                                "signature computation is inconsistent")
-    return CuspCensus(sig3=sig3, sig4=sig4,
-                      region=RegionCount(positive_in, negative_in), **base)
+    sig3 = sig4 = region = None
+    if problem.u is not None:
+        u_reduced = normal_form(problem.u, gb)
+        region_result = signature_of(form_matrix(algebra, u_reduced).rows)
+        sig3 = region_result.signature
+        sig4 = signature_of(
+            form_matrix(algebra, normal_form(u_reduced * vel_jac_reduced, gb)).rows).signature
+        if region_result.nondegenerate:
+            quarter_pos = sig1 + sig2 + sig3 + sig4
+            quarter_neg = sig1 - sig2 + sig3 - sig4
+            if quarter_pos % 4 or quarter_neg % 4:
+                raise CertificateFailed("region signature sums not divisible by 4; "
+                                        "signature computation is inconsistent")
+            region = RegionCount(quarter_pos // 4, quarter_neg // 4)
+            if not (0 <= region.positive <= positive and 0 <= region.negative <= negative):
+                raise CertificateFailed("region counts exceed global counts; "
+                                        "signature computation is inconsistent")
+    return CuspCensus(dim=algebra.dim, basis=algebra.basis,
+                      sig1=sig1, sig2=sig2, sig3=sig3, sig4=sig4,
+                      total_cusps=sig1, sum_of_degrees=sig2,
+                      positive_cusps=positive, negative_cusps=negative, region=region)

@@ -4,7 +4,7 @@ import cuspcount
 
 PUBLIC_NAMES = [
     "CertificateFailed", "CertifiedPoint", "CuspCensus", "CuspCountError",
-    "DegenerateRegionForm", "DegreeGuardExceeded", "DerivedSystem",
+    "DegreeGuardExceeded", "DerivedSystem",
     "DuplicateKeyError", "GenericityNotCertified", "GroebnerBasis", "Interval",
     "MissingKeyError", "Monomial", "NotSymmetric", "NotZeroDimensional",
     "OracleOverflow", "ParseError", "Polynomial", "ProblemInput",

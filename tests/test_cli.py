@@ -1,19 +1,31 @@
 """Command-line behaviour: exit codes, JSON schema, determinism, goldens."""
 
+import errno
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from cuspcount import cli
-from cuspcount.exprio import parse_polynomial
+from cuspcount import cli, pipeline
+from cuspcount.exprio import parse_polynomial, parse_problem
+from cuspcount.oracle import CertifiedPoint, Interval
+from cuspcount.poly import Polynomial
 from cuspcount.signature import SignatureResult
 from conftest import (IDENTITY_TEXT, NON_GENERIC_TEXT, SIX_CUSP_TEXT, TWO_CUSP_TEXT,
                       WHITNEY_TEXT)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+SRC_DIR = Path(cli.__file__).resolve().parents[1]
+
+TWO_CUSP_MAP = "f1 = x*y^2 - x^2 + y^2 + x - y\nf2 = x - y\n"
+WITHHELD = ("cuspcount: the region trace form is degenerate (a cusp may lie on "
+            "{u = 0}); region counts are withheld\n")
+UNRESOLVED = "cuspcount: oracle left unresolved boxes (reported below)\n"
 
 
 def write_problem(tmp_path, text, name="problem.txt"):
@@ -80,11 +92,32 @@ class TestExitCodes:
                        "before the rank in all 4 attempts\n")
 
     def test_degenerate_region(self, tmp_path, capsys):
-        text = "f1 = x*y^2 - x^2 + y^2 + x - y\nf2 = x - y\nu = x\n"
-        code, out, err = run_cli(capsys, [write_problem(tmp_path, text)])
-        assert code == 4
-        assert "withheld" in out or "withheld" in err
-        assert "total=2" in out  # partial report still printed
+        # u = x vanishes at the cusp (0,0), u = 0 at both; the global counts stand
+        for u, thetas in (("x", [-1, 1]), ("0", [0, 0])):
+            path = write_problem(tmp_path, TWO_CUSP_MAP + f"u = {u}\n")
+            code, out, err = run_cli(capsys, [path])
+            assert (code, err) == (4, WITHHELD)
+            assert "cusps in region: withheld (degenerate region form)" in out.splitlines()
+            assert "total=2 positive=0 negative=2" in out
+            code, out, err = run_cli(capsys, [path, "--json"])
+            assert (code, err) == (4, WITHHELD)
+            report = json.loads(out)
+            assert report["region"] is None
+            assert [report["signatures"][k] for k in ("theta3", "theta4")] == thetas
+            assert report["cusps"] == {"total": 2, "positive": 0, "negative": 2}
+
+    @pytest.mark.parametrize("u, status, err", [
+        ("x", 4, WITHHELD), ("1 - x^2 - y^2", 6, UNRESOLVED),
+    ], ids=["degenerate", "nondegenerate"])
+    def test_degenerate_region_takes_precedence_over_unresolved_boxes(
+            self, tmp_path, capsys, monkeypatch, u, status, err):
+        box = (Interval(-1.0, 1.0), Interval(-1.0, 1.0))
+        monkeypatch.setattr(cli, "isolate_cusps",
+                            lambda derived, box_radius: (CertifiedPoint(box, "unresolved"),))
+        path = write_problem(tmp_path, TWO_CUSP_MAP + f"u = {u}\n")
+        code, out, stderr = run_cli(capsys, [path, "--oracle"])
+        assert (code, stderr) == (status, err)
+        assert "oracle: 0 certified point(s), 1 unresolved" in out
 
     def test_parse_error(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, [write_problem(tmp_path, "f1 = x +\nf2 = y\n")])
@@ -213,6 +246,13 @@ class TestExitCodes:
         assert result[0] == 0
         assert result == masked_run(capsys, [write_problem(tmp_path, TWO_CUSP_TEXT), "--json"])
 
+    def test_closed_stdin_is_unreadable_input(self, capsys, monkeypatch):
+        # the interpreter sets sys.stdin to None when descriptor 0 is closed
+        monkeypatch.setattr("sys.stdin", None)
+        code, out, err = run_cli(capsys, ["-"])
+        assert (code, out) == (1, "")
+        assert err == "cuspcount: cannot read '-': standard input is closed\n"
+
     def test_stdin(self, capsys, monkeypatch):
         import io
 
@@ -220,6 +260,38 @@ class TestExitCodes:
         code, out, _ = run_cli(capsys, ["-"])
         assert code == 0
         assert "total=0" in out
+
+
+class TestUnwritableReport:
+    """A report that cannot be written ends in one line and status 1, in a child process."""
+
+    @staticmethod
+    def spawn(path, stdout, buffered):
+        env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        return subprocess.Popen([sys.executable, "-m", "cuspcount.cli", path, "--json"],
+                                stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+    @staticmethod
+    def expected(code):
+        return f"cuspcount: cannot write report: {OSError(code, os.strerror(code))}\n".encode()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    def test_full_device(self, tmp_path, buffered):
+        with open("/dev/full", "wb") as full:
+            proc = self.spawn(write_problem(tmp_path, TWO_CUSP_TEXT), full, buffered)
+            _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (1, self.expected(errno.ENOSPC))
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    def test_reader_closed_the_pipe(self, tmp_path, buffered):
+        proc = self.spawn(write_problem(tmp_path, TWO_CUSP_TEXT), subprocess.PIPE, buffered)
+        proc.stdout.close()  # long before the child has a report to write
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (1, self.expected(errno.EPIPE))
 
 
 class TestJsonOutput:
@@ -314,3 +386,27 @@ class TestStageNames:
         code, _, _ = run_cli(capsys, [path, "--oracle", "--radius", "10"])
         assert code == 0
         assert list(dict.fromkeys(calls)) == names
+
+    def test_census_calls_each_stage_through_the_pipeline_module(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # perfbench/spans.py wraps these attributes of the pipeline module by name and
+        # labels the forms theta1..theta4 by the order of their calls
+        problem = parse_problem(TWO_CUSP_TEXT)
+        derived = pipeline.derive_system(problem.f1, problem.f2)
+        gb = pipeline.buchberger([derived.jac, derived.vel1, derived.vel2])
+        weights = [pipeline.normal_form(w, gb) for w in (
+            Polynomial.constant(1), derived.vel_jac, problem.u, problem.u * derived.vel_jac)]
+        names = ["derive_system", "buchberger", "build_algebra", "certify_genericity",
+                 "normal_form", "form_matrix", "signature_of"]
+        calls = []
+        for name in names:
+            def record(*args, _name=name, _original=getattr(pipeline, name), **kwargs):
+                calls.append((_name, args))
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(pipeline, name, record)
+        code, _, _ = run_cli(capsys, [write_problem(tmp_path, TWO_CUSP_TEXT)])
+        assert code == 0
+        assert list(dict.fromkeys(name for name, _ in calls)) == names
+        forms = [(name, args) for name, args in calls if name in ("form_matrix", "signature_of")]
+        assert [name for name, _ in forms] == ["form_matrix", "signature_of"] * 4
+        assert [args[1] for _, args in forms[::2]] == weights
