@@ -124,6 +124,9 @@ def main(argv: list[str] | None = None) -> int:
         report = json.dumps(_json_report(problem, result, points, timings), indent=2)
     else:
         report = _text_report(problem, result, points, args.basis, timings)
+    if sys.stdout is None:  # the interpreter's stand-in for a closed descriptor 1
+        print("cuspcount: cannot write report: standard output is closed", file=sys.stderr)
+        return EXIT_INTERNAL
     try:
         print(report, flush=True)
     except OSError as err:  # a full device or a reader that closed the pipe

@@ -1,12 +1,20 @@
 """Independent numeric referee for the symbolic cusp census.
 
 Subdivision over a square domain discards boxes where interval arithmetic
-proves one of the three cusp equations nonzero; surviving boxes are polished
-by floating-point Newton iteration on the best-conditioned pair of
-equations and then certified by interval-Newton contraction, which proves
-existence and uniqueness of a zero in a tiny isolating box.  The third
-equation is checked against a Lipschitz bound over the certified box, and
-the sign of the orientation polynomial over the box gives the local degree.
+proves one of the three cusp equations nonzero.  Two exclusion tests run on
+each box.  The first is the natural range of each equation, the fold below.
+On a box that it keeps and whose width is at most ``_MEAN_VALUE_WIDTH``, the
+second bounds each equation by its centred mean-value form
+``p(c) + dp/dx(B) * (B_x - c_x) + dp/dy(B) * (B_y - c_y)``, with c the
+box's midpoint.  On small boxes that hold no zero it is much tighter than
+the natural range, which alone would keep such boxes until they are tiny;
+on wide boxes the gradient ranges are too wide for it to pay, so it is not
+tried there.  Surviving boxes are polished by floating-point Newton
+iteration on the best-conditioned pair of equations and then certified by
+interval-Newton contraction, which proves existence and uniqueness of a
+zero in a tiny isolating box.  The third equation is checked against a
+Lipschitz bound over the certified box, and the sign of the orientation
+polynomial over the box gives the local degree.
 
 Interval arithmetic is outward-rounded on hardware doubles: every computed
 range contains the true range.  The range of a polynomial over a box is one
@@ -46,6 +54,9 @@ _CERTIFY_RADII = (1e-7, 4e-7)
 
 #: Box width below which Newton polishing is attempted.
 _POLISH_TRIGGER = 1.0 / 32
+
+#: Box width at or below which the mean-value exclusion test is tried.
+_MEAN_VALUE_WIDTH = 1.0
 
 #: Hard cap on processed boxes; the remainder is reported unresolved.
 _MAX_BOXES = 500_000
@@ -104,9 +115,6 @@ class Interval:
         quotients = (self.lo / other.lo, self.lo / other.hi,
                      self.hi / other.lo, self.hi / other.hi)
         return Interval(_down(min(quotients)), _up(max(quotients)))
-
-    def power(self, n: int) -> "Interval":
-        return Interval(*_power_bounds(self.lo, self.hi, n)[n])
 
     def contains(self, v: float) -> bool:
         return self.lo <= v <= self.hi
@@ -282,6 +290,21 @@ class _System:
                 _power_bounds(y.lo, y.hi, self.max_ey))
 
 
+def _mean_value_forms(system: _System, box: Box, xp: list, yp: list):
+    """Yield, equation by equation, the centred mean-value enclosure of its
+    range over the box whose power tables are xp, yp.
+
+    With c the box's midpoint, p(B) lies in
+    p(c) + dp/dx(B) * (B_x - c_x) + dp/dy(B) * (B_y - c_y) by the mean-value
+    theorem, since B is convex and holds c; every step rounds outward.
+    """
+    centre_x, centre_y = Interval.point(box[0].mid), Interval.point(box[1].mid)
+    dx, dy = box[0] - centre_x, box[1] - centre_y
+    cxp, cyp = system.tables(centre_x, centre_y)
+    for p, (gx, gy) in zip(system.eqs, system.grads):
+        yield p.fold(cxp, cyp) + gx.fold(xp, yp) * dx + gy.fold(xp, yp) * dy
+
+
 def _best_pair(system: _System, px: float, py: float) -> tuple[int, int]:
     """Indices of the two equations whose gradients are best conditioned."""
     grads = [(gx.approx(px, py), gy.approx(px, py)) for gx, gy in system.grads]
@@ -424,6 +447,9 @@ def isolate_cusps(derived: DerivedSystem,
                for c in certified):
             continue
         width = max(box[0].width, box[1].width)
+        if width <= _MEAN_VALUE_WIDTH and any(
+                value.excludes_zero() for value in _mean_value_forms(system, box, xp, yp)):
+            continue
         if width <= _POLISH_TRIGGER:
             result = _try_certify(system, box[0].mid, box[1].mid, certified)
             if result is not None and _is_new(result, certified, box_radius):

@@ -129,6 +129,40 @@ def test_criterion_5_oracle_algebra_agreement(two_cusp_run):
     report(5, "oracle certifies both cusps with matching signs and region flags")
 
 
+def check_oracle_at_radius_16(run, signs, in_region) -> float:
+    """Run the oracle on a paper map at radius 16 and check it against the
+    census: no unresolved box, (positive, negative) cusp signs, and the
+    split of the cusps flagged in the region, which must equal the census
+    region counts.  Returns the wall time of the isolation."""
+    problem = run.problem
+    start = time.perf_counter()
+    points = isolate_cusps(derive_system(problem.f1, problem.f2), box_radius=16.0)
+    seconds = time.perf_counter() - start
+    assert [p for p in points if p.kind == "unresolved"] == []
+    degrees = [p.degree_sign for p in points]
+    assert (degrees.count(1), degrees.count(-1)) == signs
+    assert len(points) == sum(signs)
+    flags = [region_membership(problem.u, p) for p in points]
+    assert None not in flags
+    inside = [d for d, flag in zip(degrees, flags) if flag]
+    assert (inside.count(1), inside.count(-1)) == in_region
+    assert in_region == (run.census.region.positive, run.census.region.negative)
+    assert seconds < 30.0
+    return seconds
+
+
+def test_criterion_5_oracle_finishes_on_eight_cusp_map(eight_cusp_run):
+    seconds = check_oracle_at_radius_16(eight_cusp_run, signs=(6, 2), in_region=(3, 2))
+    report(5, f"oracle at radius 16 on the eight-cusp map: 8 cusps (6 positive, "
+              f"2 negative), 3+2 in region, nothing unresolved, in {seconds:.1f}s")
+
+
+def test_criterion_5_oracle_finishes_on_six_cusp_map(six_cusp_run):
+    seconds = check_oracle_at_radius_16(six_cusp_run, signs=(5, 1), in_region=(0, 1))
+    report(5, f"oracle at radius 16 on the six-cusp map: 6 cusps (5 positive, "
+              f"1 negative), 0+1 in region, nothing unresolved, in {seconds:.1f}s")
+
+
 class TestCriterion6PropertySuites:
     """Six randomized suites, fixed seeds, at least 500 cases each."""
 

@@ -293,6 +293,19 @@ class TestUnwritableReport:
         _, err = proc.communicate(timeout=120)
         assert (proc.returncode, err) == (1, self.expected(errno.EPIPE))
 
+    @pytest.mark.skipif(not os.path.exists("/bin/sh"), reason="no POSIX shell")
+    @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+    def test_closed_standard_output(self, tmp_path, fmt):
+        # the interpreter sets sys.stdout to None when descriptor 1 is closed
+        env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+        command = [sys.executable, "-m", "cuspcount.cli",
+                   write_problem(tmp_path, WHITNEY_TEXT), *fmt]
+        proc = subprocess.run(["/bin/sh", "-c", 'exec "$@" >&-', "sh", *command],
+                              stdin=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                              env=env, timeout=120)
+        assert (proc.returncode, proc.stderr) == (
+            1, b"cuspcount: cannot write report: standard output is closed\n")
+
 
 class TestJsonOutput:
     def test_schema_and_values(self, tmp_path, capsys):

@@ -11,9 +11,10 @@ from cuspcount.errors import GenericityNotCertified, NotZeroDimensional, OracleO
 from cuspcount.exprio import ProblemInput, parse_problem
 import cuspcount.oracle as oracle
 from cuspcount.oracle import (_CERTIFY_RADII, CertifiedPoint, Interval, _best_pair,
-                              _interval_newton, _IntervalPoly, _merge, _power_bounds,
-                              _System, _try_certify, isolate_cusps, region_membership)
-from cuspcount.pipeline import census, derive_system
+                              _interval_newton, _IntervalPoly, _mean_value_forms, _merge,
+                              _MEAN_VALUE_WIDTH, _power_bounds, _System, _try_certify,
+                              isolate_cusps, region_membership)
+from cuspcount.pipeline import DerivedSystem, census, derive_system
 from cuspcount.poly import Monomial, Polynomial, X, Y
 from classification import Unclassifiable, classify_critical_point
 from conftest import TWO_CUSP_TEXT, WHITNEY_TEXT, random_polynomial
@@ -43,6 +44,11 @@ def reference_power(iv: Interval, n: int) -> Interval:
         bound = max(-iv.lo, iv.hi)
         return Interval(0.0, reference_point_pow(bound, n).hi)
     return Interval(reference_point_pow(iv.lo, n).lo, reference_point_pow(iv.hi, n).hi)
+
+
+def power(iv: Interval, n: int) -> Interval:
+    """iv**n, entry n of the interval's power table."""
+    return Interval(*_power_bounds(iv.lo, iv.hi, n)[n])
 
 
 def reference_range(poly: _IntervalPoly, x: Interval, y: Interval) -> Interval:
@@ -128,11 +134,11 @@ class TestInterval:
         assert (-a).lo == -2.0 and (-a).hi == -1.0
 
     def test_power_cases(self):
-        assert Interval(-2.0, 3.0).power(2).lo == 0.0
-        assert Interval(-2.0, 3.0).power(2).hi >= 9.0
-        cube = Interval(-2.0, 3.0).power(3)
+        assert power(Interval(-2.0, 3.0), 2).lo == 0.0
+        assert power(Interval(-2.0, 3.0), 2).hi >= 9.0
+        cube = power(Interval(-2.0, 3.0), 3)
         assert cube.lo <= -8.0 and cube.hi >= 27.0
-        neg = Interval(-3.0, -2.0).power(2)
+        neg = power(Interval(-3.0, -2.0), 2)
         assert neg.lo <= 4.0 <= 9.0 <= neg.hi
 
     def test_power_table_matches_per_exponent_powers(self):
@@ -144,7 +150,7 @@ class TestInterval:
             for n, enclosure in enumerate(table):
                 expected = reference_power(iv, n)
                 assert (enclosure.lo, enclosure.hi) == (expected.lo, expected.hi), (iv, n)
-            assert iv.power(k) == table[k]
+            assert power(iv, k) == table[k]
 
     def test_nan_endpoint_is_overflow(self):
         with pytest.raises(OracleOverflow):
@@ -254,6 +260,81 @@ class TestIsolateCusps:
         box = _try_certify(system, px, py)
         assert box is not None and box[0].contains(px)
         assert box[1] == Interval(-_CERTIFY_RADII[1], _CERTIFY_RADII[1])
+
+
+def system_of(p1: Polynomial, p2: Polynomial, p3: Polynomial) -> _System:
+    """The compiled system whose three equations are p1, p2, p3."""
+    zero = Polynomial.zero()
+    return _System(DerivedSystem(jac=p1, vel1=p2, vel2=p3, vel_jac=zero,
+                                 minor1=zero, minor2=zero))
+
+
+def mean_value_forms(system: _System, box) -> list[Interval]:
+    return list(_mean_value_forms(system, box, *system.tables(*box)))
+
+
+class TestMeanValueForm:
+    def test_encloses_exact_values(self):
+        rng = random.Random(20150)
+        inexact = (Fraction(1, 3), Fraction(-7, 10), Fraction(2, 7))
+        narrower = 0
+        for _ in range(300):
+            eqs = [random_polynomial(rng, 4, lo=-9, hi=9)
+                   + Polynomial({Monomial(rng.randint(0, 3), rng.randint(0, 3)):
+                                 rng.choice(inexact)})
+                   for _ in range(3)]
+            system = system_of(*eqs)
+            cx, cy = rng.uniform(-4, 4), rng.uniform(-4, 4)
+            wx, wy = 2.0 ** -rng.randint(0, 12), 2.0 ** -rng.randint(0, 12)
+            box = (Interval(cx - wx * rng.random(), cx + wx * rng.random()),
+                   Interval(cy - wy * rng.random(), cy + wy * rng.random()))
+            forms = mean_value_forms(system, box)
+            xp, yp = system.tables(*box)
+            for p, compiled, form in zip(eqs, system.eqs, forms):
+                narrower += form.width < compiled.fold(xp, yp).width
+                corners = [(Fraction(box[0].lo), Fraction(box[1].lo)),
+                           (Fraction(box[0].hi), Fraction(box[1].hi))]
+                inner = [(Fraction(box[0].lo) + Fraction(rng.randint(0, 64), 64)
+                          * (Fraction(box[0].hi) - Fraction(box[0].lo)),
+                          Fraction(box[1].lo) + Fraction(rng.randint(0, 64), 64)
+                          * (Fraction(box[1].hi) - Fraction(box[1].lo)))
+                         for _ in range(5)]
+                for point in corners + inner:
+                    assert form.lo <= p.evaluate(point) <= form.hi, (p, box, point)
+        assert narrower > 600  # mostly tighter than the natural range
+
+    @pytest.mark.parametrize("text, cusps", [
+        (WHITNEY_TEXT, [(0.0, 0.0)]),
+        (TWO_CUSP_TEXT, [(-4.0, 2.0), (0.0, 0.0)]),
+    ], ids=["whitney", "two_cusp"])
+    def test_keeps_every_box_holding_a_cusp(self, text, cusps):
+        problem = parse_problem(text)
+        derived = derive_system(problem.f1, problem.f2)
+        system = _System(derived)
+        for px, py in cusps:
+            assert all(p.evaluate((px, py)) == 0
+                       for p in (derived.jac, derived.vel1, derived.vel2))
+            for k in range(-2, 41):
+                width = 2.0 ** -k
+                # the cusp at the centre, at a corner and at off-centre points
+                for fx, fy in ((0.5, 0.5), (0.0, 0.0), (1.0, 0.25), (0.125, 0.875)):
+                    box = (Interval(px - fx * width, px + (1 - fx) * width),
+                           Interval(py - fy * width, py + (1 - fy) * width))
+                    assert box[0].contains(px) and box[1].contains(py)
+                    forms = mean_value_forms(system, box)
+                    assert not any(form.excludes_zero() for form in forms), (box, forms)
+
+    def test_runs_only_on_narrow_boxes(self, monkeypatch, two_cusp_points):
+        _, derived, points = two_cusp_points
+        widths = []
+
+        def spy(system, box, xp, yp):
+            widths.append(max(box[0].width, box[1].width))
+            return _mean_value_forms(system, box, xp, yp)
+
+        monkeypatch.setattr(oracle, "_mean_value_forms", spy)
+        assert isolate_cusps(derived, box_radius=10.0) == points
+        assert widths and max(widths) <= _MEAN_VALUE_WIDTH
 
 
 class TestSkipKnownCusps:
