@@ -1,64 +1,54 @@
 """Exact signature, rank and nondegeneracy of symmetric rational matrices.
 
 Rescaling a matrix by a positive rational never disturbs inertia, so the
-counts run on a denominator-cleared integer matrix A.  Inertia is read off
-the leading principal minors D_1..D_n of A by Jacobi's rule: when
-D_1..D_r are nonzero and r is the rank of A, A is congruent to
-diag(D_1, D_2/D_1, ..., D_r/D_(r-1), 0, ..., 0), so the number of negative
-eigenvalues is the number of sign changes in (1, D_1, ..., D_r), the
-number of positive ones is r minus that, and n - r are zero.
+counts run on a denominator-cleared integer matrix A.  One certificate
+gives them: a congruence to a diagonally dominant matrix, after an exact
+deflation of the kernel.
 
-The minors come from one symmetric Gaussian elimination without pivoting
-modulo each of a pool of word-size primes, in chunks of primes laid out as
-one (n, n, chunk) int64 array.  The pivot of step k is D_(k+1)/D_k mod p,
-so D_k mod p is the running product of the pivots.  Chinese remaindering
-up a product tree of the primes rebuilds each D_k from primes whose
-product reaches 2**(b + 1), where 2**b bounds the product of the row
-norms of A: by Hadamard's inequality a minor is at most the product of the
-norms of its rows, so every minor of A, leading or bordered, is below 2**b
-in absolute value and equals its symmetric residue modulo those primes.
-Each prime's residue table comes from one float64 product of the entries'
-16-bit limbs with the powers 2**(16j) mod p.  The pivots are taken two at
-a time, as 2 x 2 blocks, and each pair of steps inverts its blocks'
-determinants by one vectorized Fermat power.
+Congruence.  By Sylvester's law of inertia, B = W^T A W has the inertia of
+A for every nonsingular W.  If every row of B is strictly diagonally
+dominant, B has the inertia of its diagonal: along diag(B) + t*offdiag(B),
+0 <= t <= 1, every row stays dominant, so by Gershgorin's discs no
+eigenvalue crosses zero.  The rows are weighted by the powers of two that
+equilibrate B, which is the same test on the congruent E B E, E = diag(w).
+W is proposed in float64 from an LDL^T of the equilibration D A D, where
+D = diag(2**-e_i) and 2**(2 e_i) exceeds the largest entry of row i, so
+every entry is below 1.  The pivot is the largest live diagonal entry;
+where every live diagonal entry is below half the largest live
+off-diagonal entry s_ij, the rotation (e_i + e_j, e_i - e_j) first turns
+that 2 x 2 block into one whose diagonal is at least |s_ij|, which bounds
+the multipliers by 2.  W is the integer matrix D' R U: D' the powers of
+two of D up to a common factor, R the product of the rotations, and U the
+inverse transpose of the unit triangular factor, rounded with diagonal
+exactly 2**_PRECISION and kept triangular in the pivot order.  So W is
+nonsingular by construction, whatever the rounding.  B is formed exactly;
+the floating-point step only proposes, and a poor W costs another round on
+B, never soundness.  The rounds go on for as long as it takes: they run
+only on a matrix proven nonsingular.
 
-Delayed reduction: `prime_cap` keeps max(n, 64) * p**2 <= 2**62.  A pair
-of steps reduces only its two pivot rows into [0, p) and subtracts two
-products below p**2 from each entry of the trailing block, so the block
-absorbs all n rank-one updates without a reduction and without leaving
-int64.
+Deflation.  A of full rank modulo a prime is nonsingular.  Otherwise the
+reduced echelon form R of A modulo primes proposes the pivot columns N and
+a kernel V: per free column f, v_f = 1, v_N = -R[:, f] and zeros elsewhere.
+The residues of R are lifted by Chinese remaindering and rational
+reconstruction, and A V = 0 is checked in integers.  Then T = [e_N | V] is
+nonsingular and T^T A T = diag(A[N, N], 0).  The pivot columns of a
+symmetric matrix span its column space, so A[N, N] is nonsingular modulo
+the primes that proposed N: the rank is |N| and the inertia is that of
+A[N, N], which the congruence certifies.  A prime whose echelon form has
+a smaller rank than another's, or the same rank with lexicographically
+later pivot columns, divides a nonzero minor of A and is dropped.  The
+entries of R are ratios of minors of A, and by Hadamard's inequality every
+minor is below 2**h, h the sum of the bits of A's row norms.  Once the kept
+primes exceed 2**(2h + 1) the lift is right, so a check that still fails
+raises CertificateFailed.
 
-Unlucky primes: the elimination modulo p stops at the first leading minor
-p divides.  With r the furthest step any prime reaches, a prime that
-stopped earlier divides a nonzero minor; it is dropped, and the pool is
-extended until the primes that reach r exceed the bound.  Those primes all
-divide D_(r+1), so D_(r+1) = 0 (or r = n), and they rebuild D_1..D_r
-exactly.  The rank is r exactly when the trailing block left after step r,
-the Schur complement of the leading r x r block, is zero; D_r times each of
-its entries is a bordered minor, so the rank is certified when the block is
-zero modulo every kept prime.
-
-Congruence: when the block is not zero, a leading minor vanished before the
-rank.  The elimination is then repeated on P^T A P, which has the same
-inertia (Sylvester's law), for P unit lower triangular with entries from a
-fixed seeded sequence in [-2**20, 2**20): the product of its first r
-leading minors is a nonzero polynomial of degree r(r+1) in the entries of
-P, so an attempt fails with probability at most r(r+1)/2**21
-(Schwartz-Zippel).  After `_ATTEMPTS` attempts CertificateFailed is raised.
-
-`signature_of` is the one runtime route to inertia, rank and
-nondegeneracy.  The test suite checks it against an independent symmetric
-elimination kept under tests/.  The exact rank of a rectangular matrix,
-`rank`, goes through it too, via the Gram matrix; `rank_mod` is the cheap
-rank over a prime field, a lower bound on the rank over the rationals when
-the prime divides no denominator.
-
-A failed internal check raises CertificateFailed.
+The exact rank of a rectangular matrix, `rank`, goes through the Gram
+matrix; `rank_mod`, the rank over a prime field, shares the echelon form.
 """
 
 from __future__ import annotations
 
-import random
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -71,21 +61,8 @@ from .errors import CertificateFailed, NotSymmetric
 
 MatrixLike = Sequence[Sequence]
 
-#: Primes are processed in batches of this many.
-_PRIME_CHUNK = 256
-
-#: Attempts at Jacobi's rule: the matrix itself, then random congruences.
-_ATTEMPTS = 4
-
-#: The congruences draw their multipliers from this seed, so runs repeat.
-_CONGRUENCE_SEED = 20800
-
-#: The multipliers of a congruence lie in [-2**_CONGRUENCE_BITS, 2**_CONGRUENCE_BITS).
-_CONGRUENCE_BITS = 20
-
-#: 16-bit limbs per float64 product: the primes are below 2**28, so each
-#: partial sum is below 512 * 2**16 * 2**28 = 2**53 and exact.
-_LIMB_BLOCK = 512
+#: The rounded triangular factor of a congruence has diagonal 2**_PRECISION.
+_PRECISION = 53
 
 
 @dataclass(frozen=True)
@@ -135,11 +112,6 @@ def _scaled_integer_matrix(matrix: MatrixLike) -> tuple[list[list[int]], Fractio
 
 
 # -- primes -------------------------------------------------------------------
-
-def _row_bits(matrix: list[list[int]]) -> list[int]:
-    """Per row, a b with the row's Euclidean norm below 2**b."""
-    return [((sum(v * v for v in row)).bit_length() + 1) // 2 + 1 for row in matrix]
-
 
 def _is_prime(p: int) -> bool:
     """Deterministic Miller-Rabin for p < 3.2e9."""
@@ -194,6 +166,17 @@ def _prime_pool(cap: int, min_bits: int) -> list[int]:
     return pool[:bisect_left(totals, min_bits) + 1]
 
 
+def _primes(cap: int):
+    """The descending primes below cap, one at a time."""
+    done, bits = 0, 1
+    while True:
+        pool = _prime_pool(cap, bits)
+        yield from pool[done:]
+        done, bits = len(pool), 2 * bits
+
+
+# -- rank ---------------------------------------------------------------------
+
 def rank(matrix: MatrixLike) -> int:
     """Exact rank of a rational matrix of any shape.
 
@@ -208,273 +191,217 @@ def rank(matrix: MatrixLike) -> int:
     return signature_of(gram).rank
 
 
-def rank_mod(matrix: np.ndarray, p: int) -> int:
-    """Rank over GF(p) of an int64 matrix, by row echelon reduction.
-
-    p must be below 2**31, so that the product of two residues fits in
-    int64.  The input is not modified.
-    """
-    a = matrix % p
+def _echelon_mod(a: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
+    """The pivot columns and the nonzero rows of the reduced row echelon
+    form over GF(p) of an int64 matrix with entries in [0, p); p must be
+    below 2**31, so that the product of two residues fits in int64.  The
+    input is overwritten."""
     rows, cols = a.shape
-    r = 0  # rows reduced so far
+    pivots: list[int] = []
     for c in range(cols):
+        r = len(pivots)
         if r == rows:
             break
-        nonzero = np.nonzero(a[r:, c])[0]
+        nonzero = np.flatnonzero(a[r:, c])
         if not nonzero.size:
             continue
-        pivot = r + int(nonzero[0])
-        if pivot != r:
-            a[[r, pivot]] = a[[pivot, r]]
-        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
-        a[r + 1:] = (a[r + 1:] - a[r + 1:, c:c + 1] * a[r]) % p
-        r += 1
-    return r
+        if nonzero[0]:
+            a[[r, r + nonzero[0]]] = a[[r + nonzero[0], r]]
+        a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, p) % p
+        column = a[:, c].copy()
+        column[r] = 0
+        a[:, c:] = (a[:, c:] - column[:, None] * a[r, c:]) % p
+        pivots.append(c)
+    return pivots, a[:len(pivots)]
 
 
-# -- modular kernels ----------------------------------------------------------
-
-def _limbs(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The 16-bit limbs of |v|, least significant first, one float64 row per
-    value, and whether each value is negative."""
-    width = max(1, max((abs(v).bit_length() + 15) // 16 for v in values))
-    raw = b"".join(abs(v).to_bytes(2 * width, "little") for v in values)
-    limbs = np.frombuffer(raw, dtype="<u2").reshape(len(values), width)
-    return limbs.astype(np.float64), np.array([v < 0 for v in values])
+def rank_mod(matrix: np.ndarray, p: int) -> int:
+    """Rank over GF(p) of an int64 matrix; p < 2**31.  The input is not modified."""
+    return len(_echelon_mod(matrix % p, p)[0])
 
 
-def _residue_table(limbs: np.ndarray, negative: np.ndarray,
-                   primes: np.ndarray) -> np.ndarray:
-    """v mod p for each value (rows) given by its limbs and each prime (columns).
+# -- deflation ----------------------------------------------------------------
 
-    |v| mod p is the product of the limbs with w_j = 2**(16j) mod p, taken
-    in float64 over blocks of `_LIMB_BLOCK` limbs, where it is exact; the
-    sign is applied afterwards.
-    """
-    width = limbs.shape[1]
-    weights = np.empty((width, len(primes)), dtype=np.int64)
-    weights[0] = 1
-    span, power = 1, 65536 % primes  # power is 2**(16*span) mod p
-    while span < width:
-        take = min(span, width - span)
-        weights[span:span + take] = weights[:take] * power % primes
-        span, power = 2 * span, power * power % primes
-    weights = weights.astype(np.float64)
-    table = np.zeros((len(limbs), len(primes)), dtype=np.int64)
-    for start in range(0, width, _LIMB_BLOCK):
-        block = limbs[:, start:start + _LIMB_BLOCK] @ weights[start:start + _LIMB_BLOCK]
-        table += block.astype(np.int64) % primes
-    table %= primes
-    return np.where(negative[:, None], -table % primes, table)
+def _residues(matrix: list[list[int]], p: int) -> np.ndarray:
+    return np.array([[v % p for v in row] for row in matrix], dtype=np.int64)
 
 
-def _exponent_bits(primes: np.ndarray) -> np.ndarray:
-    """The bits of p - 2 for each prime, most significant first, as rows."""
-    exponents = primes - 2
-    shifts = np.arange(int(exponents.max()).bit_length() - 1, -1, -1)
-    return (exponents >> shifts[:, None]) & 1 == 1
+def _hadamard_bits(matrix: list[list[int]]) -> int:
+    """h with every minor of the integer matrix below 2**h in absolute
+    value: by Hadamard's inequality a minor is at most the product of the
+    norms of its rows."""
+    return sum((sum(v * v for v in row).bit_length() + 1) // 2 for row in matrix)
 
 
-def _inverse_mod(values: np.ndarray, primes: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """v**(p - 2) mod p for residues v in [0, p): the inverse of v modulo its
-    prime, and zero for zero.  bits is `_exponent_bits(primes)`."""
-    out = np.ones_like(values)
-    for bit in bits:
-        out *= out
-        out %= primes
-        np.multiply(out, values, out=out, where=bit)
-        out %= primes
-    return out
+def _crt(residues: list[list[int]], primes: list[int]) -> tuple[list[int], int]:
+    """Per column of residues (one row per prime), the integer of least
+    absolute value with those residues; and the product M of the primes.
+    The two halves of the primes are lifted first and then joined, so the
+    moduli multiply up a product tree."""
+    if len(primes) == 1:
+        (p,), (row,) = primes, residues
+        return [r - p if 2 * r > p else r for r in row], p
+    half = len(primes) // 2
+    low, m = _crt(residues[:half], primes[:half])
+    high, q = _crt(residues[half:], primes[half:])
+    step = pow(m, -1, q)
+    modulus = m * q
+    values = (x + m * ((y - x) * step % q) for x, y in zip(low, high))
+    return [v - modulus if 2 * v > modulus else v for v in values], modulus
 
 
-def _eliminate(h: np.ndarray, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Symmetric elimination without pivoting modulo each prime; destroys h.
-
-    h is (n, n, chunk): entry (i, j) of the matrix modulo each prime of the
-    chunk, in [0, p).  With the primes on the last axis every update runs
-    over contiguous rows of residues.  Returns per prime the step at which
-    it stopped (its first zero pivot, or n), the residues of D_1..D_n as an
-    (n, chunk) array (those past the stop are meaningless), and whether the
-    trailing block at the stop is zero.
-
-    Pivots are taken two at a time, so that one inverse serves two steps:
-    with rows r and s of the current block and its leading 2 x 2 block
-    [[a, b], [b, c]], a = D_(k+1)/D_k and e = ac - b**2 = D_(k+2)/D_k, and
-    the block below loses (c*r - b*s)^T r / e + (a*s - b*r)^T s / e, two
-    products below p**2 per entry for two steps.
-    """
-    n, _, chunk = h.shape
-    bits = _exponent_bits(primes)
-    steps = np.full(chunk, n)
-    clear = np.ones(chunk, dtype=bool)
-    minors = np.zeros((n, chunk), dtype=np.int64)
-    alive = np.ones(chunk, dtype=bool)
-    det = np.ones(chunk, dtype=np.int64)
-    for k in range(0, n, 2):
-        r = h[k, k:] % primes
-        a = r[0]
-        stopped = alive & (a == 0)
-        if stopped.any():
-            at = np.nonzero(stopped)[0]
-            steps[at] = k
-            clear[at] = ~(h[k:, k:, at] % primes[at]).any(axis=(0, 1))
-            alive &= ~stopped
-            if not alive.any():
-                break
-        minors[k] = det * a % primes
-        if k + 1 == n:
-            break
-        s = h[k + 1, k:] % primes
-        b, c = s[0], s[1]
-        e = (a * c - b * b) % primes
-        stopped = alive & (e == 0)
-        if stopped.any():
-            at = np.nonzero(stopped)[0]
-            steps[at] = k + 1
-            # the block left by step k alone, times the unit a
-            left = (h[k + 1:, k + 1:, at] % primes[at] * a[at]
-                    - r[1:, None, at] * r[None, 1:, at])
-            clear[at] = ~(left % primes[at]).any(axis=(0, 1))
-            alive &= ~stopped
-            if not alive.any():
-                break
-        det = det * e % primes
-        minors[k + 1] = det
-        if k + 2 == n:
-            break
-        # a stopped prime runs on with meaningless values, within the same bound
-        inverse = _inverse_mod(e, primes, bits)
-        below = h[k + 2:, k + 2:]
-        below -= ((c * r[2:] - b * s[2:]) % primes * inverse % primes)[:, None] * r[None, 2:]
-        below -= ((a * s[2:] - b * r[2:]) % primes * inverse % primes)[:, None] * s[None, 2:]
-    return steps, minors, clear
-
-
-def _crt_symmetric(residues: np.ndarray, primes: list[int]) -> list[int]:
-    """The integer of least absolute value with the given residues, per column.
-
-    residues has one row per prime.  With M the product of the primes, the
-    value is sum_i s_i * M/p_i modulo M, s_i = r_i * (M/p_i)^-1 mod p_i,
-    which numpy forms for all columns at once (each product is below p_i^2).
-    The sum runs up a product tree of the primes, one column at a time: a
-    node holds x = sum over its leaves of s_i * m/p_i for its own modulus m,
-    so two children merge as x_L*m_R + x_R*m_L, with no division.  The root
-    sum is below k*M for k primes, and one reduction modulo M ends it.
-    The cofactors (M/p_i) mod p_i come down the same tree, each node's from
-    its parent's, rather than from one division of M per prime.
-    """
-    levels = [primes]
-    while len(levels[-1]) > 1:
-        below = levels[-1]
-        levels.append([a * b for a, b in zip(below[::2], below[1::2])]
-                      + below[len(below) - len(below) % 2:])
-    modulus = levels[-1][0]
-    half = modulus // 2
-    # (M/m) mod m for each node m, from the root down: node t's parent is
-    # t // 2 and its sibling t ^ 1, and (M/m) = (M/parent) * sibling
-    cofactors = [1]
-    for moduli in reversed(levels[:-1]):
-        cofactors = [cofactors[t // 2] % m * (moduli[t ^ 1] if t ^ 1 < len(moduli) else 1) % m
-                     for t, m in enumerate(moduli)]
-    parr = np.array(primes, dtype=np.int64)
-    inverses = _inverse_mod(np.array(cofactors, dtype=np.int64), parr, _exponent_bits(parr))
-    scaled = residues * inverses[:, None] % parr[:, None]
-    out = []
-    for column in scaled.T:
-        nodes = column.tolist()
-        for moduli in levels[:-1]:
-            merged = [xl * mr + xr * ml for xl, xr, ml, mr in
-                      zip(nodes[::2], nodes[1::2], moduli[::2], moduli[1::2])]
-            if len(nodes) % 2:  # the odd node rises unmerged
-                merged.append(nodes[-1])
-            nodes = merged
-        value = nodes[0] % modulus
-        out.append(value - modulus if value > half else value)
-    return out
-
-
-# -- Jacobi's rule ------------------------------------------------------------
-
-def _leading_minors(matrix: list[list[int]]) -> list[int] | None:
-    """D_1..D_r of an integer symmetric matrix of rank r, or None when a
-    leading minor vanishes before the rank."""
-    n = len(matrix)
-    row_bits = _row_bits(matrix)
-    need = sum(row_bits) + 1
-    cap = prime_cap(n)
-    # residues are taken once per distinct entry: a symmetric matrix repeats
-    # every off-diagonal entry
-    slot: dict[int, int] = {}
-    layout = np.array([[slot.setdefault(v, len(slot)) for v in row] for row in matrix],
-                      dtype=np.intp)
-    limbs, negative = _limbs(list(slot))
-    primes: list[int] = []
-    runs = []
-    want = need
-    while True:
-        pool = _prime_pool(cap, want)
-        for start in range(len(primes), len(pool), _PRIME_CHUNK):
-            parr = np.array(pool[start:start + _PRIME_CHUNK], dtype=np.int64)
-            runs.append(_eliminate(_residue_table(limbs, negative, parr)[layout], parr))
-        primes = pool
-        steps, minors, clear = (np.concatenate(parts, axis=-1) for parts in zip(*runs))
-        reached = int(steps.max())
-        kept = np.nonzero(steps == reached)[0]
-        have = sum(primes[i].bit_length() - 1 for i in kept.tolist())
-        if have >= need:
-            break
-        want += need - have  # the primes that stopped short divide a nonzero minor
-    if not clear[kept].all():
+def _rational(x: int, modulus: int, bound: int) -> Fraction | None:
+    """The fraction a/b = x modulo the modulus with |a| <= bound and
+    0 < b <= bound, if there is one (Wang's reconstruction)."""
+    r0, r1, t0, t1 = modulus, x % modulus, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > bound or gcd(r1, t1) != 1:
         return None
-    if not reached:
-        return []
-    kept_primes = [primes[i] for i in kept.tolist()]
-    residues = minors[:reached, kept].T
-    # D_k is below the product of the first k row norms (Hadamard), so it
-    # needs only the first of the kept primes; one product tree serves the
-    # minors that need the same whole number of chunks of them
-    bits = np.cumsum([p.bit_length() - 1 for p in kept_primes])
-    counts = np.searchsorted(bits, np.cumsum(row_bits[:reached]) + 1) + 1
-    counts = np.minimum(-(-counts // _PRIME_CHUNK) * _PRIME_CHUNK, len(kept_primes))
-    out = []
-    for count in dict.fromkeys(counts.tolist()):  # counts never fall with k
-        columns = np.nonzero(counts == count)[0]
-        out += _crt_symmetric(residues[:count, columns], kept_primes[:count])
-    if not all(out):
-        raise CertificateFailed("a leading minor reconstructed to zero")
-    return out
+    return Fraction(r1, t1)
 
 
-def _congruence(matrix: list[list[int]], rng: random.Random) -> list[list[int]]:
-    """P^T A P for P unit lower triangular with multipliers drawn from rng."""
+def _kernel_lifts(matrix: list[list[int]], pivots: list[int],
+                  primes: list[int], blocks: list[np.ndarray]) -> bool:
+    """Whether the kernel that the reduced echelon forms propose (blocks:
+    per prime, the columns of R off the pivots) lifts to the rationals and
+    is annihilated by the matrix exactly."""
+    lifted, modulus = _crt([block.ravel().tolist() for block in blocks], primes)
+    # the entries of R share one denominator, the minor of its pivot block;
+    # the running lcm of the denominators divides it, so each entry scaled
+    # by it is a fraction within the bound once the modulus is large enough
+    bound = isqrt(modulus // 2)
+    common = 1
+    fractions = []
+    for x in lifted:
+        value = _rational(x * common, modulus, bound)
+        if value is None:
+            return False
+        fractions.append(value / common)
+        common = lcm(common, fractions[-1].denominator)
+    numerators = [int(v * common) for v in fractions]
+    free = [c for c in range(len(matrix)) if c not in set(pivots)]
+    for k, f in enumerate(free):
+        column = numerators[k::len(free)]
+        for row in matrix:
+            if common * row[f] != sum(row[c] * v for c, v in zip(pivots, column)):
+                return False
+    return True
+
+
+def _nondegenerate_part(matrix: list[list[int]]) -> list[int]:
+    """Indices N with A[N, N] nonsingular and rank A = |N|, certified by
+    the deflation of the module docstring."""
     n = len(matrix)
-    low = -(1 << _CONGRUENCE_BITS)
-    p = [[1 if i == j else rng.randrange(low, -low) if i > j else 0 for j in range(n)]
-         for i in range(n)]
-    ap = [[sum(row[j] * p[j][b] for j in range(b, n)) for b in range(n)] for row in matrix]
-    out = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(a, n):
-            out[a][b] = out[b][a] = sum(p[i][a] * ap[i][b] for i in range(a, n))
-    return out
+    enough = 2 * _hadamard_bits(matrix) + 1
+    best = None
+    primes: list[int] = []
+    blocks: list[np.ndarray] = []
+    check_at = 0
+    for p in _primes(prime_cap(n)):
+        pivots, reduced = _echelon_mod(_residues(matrix, p), p)
+        if len(pivots) == n:
+            return pivots
+        key = (-len(pivots), pivots)
+        if best is not None and key > best:
+            continue  # p divides a nonzero minor
+        if key != best:
+            best, primes, blocks = key, [], []
+        primes.append(p)
+        blocks.append(np.delete(reduced, pivots, axis=1))
+        have = sum(q.bit_length() - 1 for q in primes)
+        if have >= check_at:
+            if _kernel_lifts(matrix, pivots, primes, blocks):
+                return pivots
+            if have > enough:
+                raise CertificateFailed("inertia: the kernel proposed modulo primes "
+                                        "does not lift past the Hadamard bound")
+            check_at = min(2 * have, enough + 1)
 
 
-def _certified_minors(matrix: list[list[int]]) -> tuple[list[int], int]:
-    """D_1..D_r, r the rank, of the integer symmetric matrix or of a
-    congruent copy, and the number of the attempt that certified them."""
-    rng = random.Random(_CONGRUENCE_SEED)
-    congruent = matrix
-    for attempt in range(1, _ATTEMPTS + 1):
-        minors = _leading_minors(congruent)
-        if minors is not None:
-            return minors, attempt
-        congruent = _congruence(matrix, rng)
-    raise CertificateFailed(f"inertia: a leading minor vanished before the rank "
-                            f"in all {_ATTEMPTS} attempts")
+# -- congruence ---------------------------------------------------------------
+
+def _exponents(b: np.ndarray) -> list[int]:
+    """e_i with 2**(2 e_i) above every entry of row i."""
+    return [(max(abs(v) for v in row).bit_length() + 1) // 2 for row in b.tolist()]
+
+
+def _dominant_inertia(b: np.ndarray, exponents: list[int]) -> tuple[int, int] | None:
+    """The numbers of positive and negative diagonal entries of the integer
+    matrix b when each row of E b E is strictly diagonally dominant, for
+    E = diag(2**-e_i); else None."""
+    top = max(exponents)
+    weights = [1 << (top - e) for e in exponents]
+    for i, row in enumerate(b.tolist()):
+        off = sum(abs(v) * w for v, w in zip(row, weights)) - abs(row[i]) * weights[i]
+        if not abs(row[i]) * weights[i] > off:
+            return None
+    positive = sum(1 for i in range(len(b)) if b[i, i] > 0)
+    return positive, len(b) - positive
+
+
+def _proposal(b: np.ndarray, exponents: list[int]) -> np.ndarray:
+    """The integer matrix W = D' R U of the module docstring for b."""
+    n = len(b)
+    s = np.array([[math.ldexp(v >> max(v.bit_length() - 60, 0),
+                              max(v.bit_length() - 60, 0) - ei - ej)
+                   for v, ej in zip(row, exponents)]
+                  for row, ei in zip(b.tolist(), exponents)])
+    low = np.zeros((n, n))  # low[c, k]: multiplier of pivot k in row c
+    live = np.ones(n, dtype=bool)
+    order, turns = [], []
+    with np.errstate(all="ignore"):
+        for _ in range(n):
+            # eliminated rows and columns of s are zero
+            size = np.abs(s)
+            diagonal = np.where(live, size.diagonal(), -1.0)
+            if size.max() > 2 * diagonal.max():  # an off-diagonal entry
+                i, j = divmod(int(size.argmax()), n)
+                for m in (s, s.T, low):
+                    m[[i, j]] = m[i] + m[j], m[i] - m[j]
+                turns.append((i, j))
+                diagonal = np.where(live, np.abs(s.diagonal()), -1.0)
+            k = int(diagonal.argmax())
+            live[k] = False
+            order.append(k)
+            column = s[:, k] * live
+            if s[k, k]:
+                low[:, k] = column / s[k, k]
+                s -= np.outer(column, column) / s[k, k]  # symmetric to the last bit
+            s[k] = s[:, k] = 0.0
+        # U = L^-T in pivot order, by forward substitution for L^-1
+        unit = low[np.ix_(order, order)]
+        inverse = np.eye(n)
+        for i in range(1, n):
+            inverse[i] -= unit[i, :i] @ inverse[:i]
+        upper = np.triu(np.rint(np.ldexp(inverse.T, _PRECISION)), 1)
+    upper[~np.isfinite(upper)] = 0
+    w: list[list[int]] = [[] for _ in range(n)]
+    for a, (row, k) in enumerate(zip(upper.tolist(), order)):
+        w[k] = [int(v) for v in row]
+        w[k][a] = 1 << _PRECISION
+    for i, j in reversed(turns):
+        w[i], w[j] = [x + y for x, y in zip(w[i], w[j])], [x - y for x, y in zip(w[i], w[j])]
+    top = max(exponents)
+    return np.array([[v << (top - e) for v in row] for row, e in zip(w, exponents)], dtype=object)
+
+
+def _congruence_inertia(matrix: list[list[int]]) -> tuple[int, int]:
+    """(positive, negative) eigenvalue counts of a nonsingular integer
+    symmetric matrix, certified by a diagonally dominant congruent copy."""
+    b = np.array(matrix, dtype=object)
+    while True:
+        exponents = _exponents(b)
+        inertia = _dominant_inertia(b, exponents)
+        if inertia is not None:
+            return inertia
+        w = _proposal(b, exponents)
+        b = w.T @ b @ w
 
 
 def signature_of(matrix: MatrixLike) -> SignatureResult:
-    """Exact inertia of a symmetric matrix via Jacobi's rule on its leading minors.
+    """Exact inertia of a symmetric matrix by a certified congruence.
 
     Raises NotSymmetric when the input is not exactly symmetric; the 0x0
     matrix is legal and has signature 0.
@@ -485,13 +412,13 @@ def signature_of(matrix: MatrixLike) -> SignatureResult:
         return SignatureResult(0, 0, 0, 0, True)
     # positive rescaling preserves inertia, so count on the integer matrix
     scaled, _ = _scaled_integer_matrix(matrix)
-    minors, _ = _certified_minors(scaled)
-    negative = sum(1 for a, b in zip([1] + minors, minors) if (a > 0) != (b > 0))
-    positive = len(minors) - negative
+    kept = _nondegenerate_part(scaled)
+    positive, negative = (_congruence_inertia([[scaled[i][j] for j in kept] for i in kept])
+                          if kept else (0, 0))
     return SignatureResult(
         signature=positive - negative,
-        rank=len(minors),
+        rank=len(kept),
         positive_count=positive,
         negative_count=negative,
-        nondegenerate=len(minors) == n,
+        nondegenerate=len(kept) == n,
     )

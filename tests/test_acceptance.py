@@ -2,9 +2,11 @@
 
 Every expected value is exact (rational arithmetic end to end); runtime
 limits are asserted against wall-clock measurements of the session-scoped
-census fixtures, which time a single cold run of each pipeline.
+census fixtures, which time a single cold run of each pipeline, and against
+the process CPU time of one command-line run for the two larger maps.
 """
 
+import json
 import random
 import time
 from fractions import Fraction
@@ -163,6 +165,55 @@ def test_criterion_5_oracle_finishes_on_six_cusp_map(six_cusp_run):
               f"1 negative), 0+1 in region, nothing unresolved, in {seconds:.1f}s")
 
 
+# The six-cusp map with u = x: the cusp ideal vanishes at the origin, where
+# u does, so the region forms Theta_3 and Theta_4 have rank 55 of 56.
+SIX_CUSP_U_X_TEXT = """\
+f1 = 10*x^2*y^3 + 4*x^2*y^2 - 2*x*y^3 - 6*x^2*y + 8*x*y^2 - 5*x*y
+f2 = 5*x^4*y + 10*x^4 - y^4 + 5*x^2 - 3*x*y - 9*y
+u = x
+"""
+
+# A dense map of bidegree (5, 5) with seeded coefficients in [-5, 5]:
+# quotient dimension 72, beyond the paper's maps.
+DENSE_QUINTIC_TEXT = """\
+f1 = -2*x^5 - x^4*y - 5*x^3*y^2 + 2*x^2*y^3 - 2*x*y^4 + 3*y^5 + 2*x^4 + 4*x^3*y - 5*x^2*y^2 + x*y^3 - 4*y^4 + x^3 + 2*x^2*y + 5*x*y^2 - y^3 - 4*x^2 + 2*x*y - 4*y^2 + 2*x + 4*y - 3
+f2 = -2*x^5 + x^4*y + 4*x^3*y^2 - 2*x^2*y^3 - 2*x*y^4 - 5*y^5 - 2*x^4 + 2*x^3*y + 3*x^2*y^2 + x*y^3 - 5*y^4 + 2*x^3 - 5*x^2*y - 5*x*y^2 - 5*y^3 + x^2 + 3*x*y + 5*x - 4*y + 4
+"""
+
+
+def timed_json_report(tmp_path, capsys, text):
+    """(exit code, JSON report, process CPU seconds) of one command-line run."""
+    path = tmp_path / "problem.txt"
+    path.write_text(text)
+    start = time.process_time()
+    code = cli.main([str(path), "--json"])
+    seconds = time.process_time() - start
+    return code, json.loads(capsys.readouterr().out), seconds
+
+
+def test_criterion_3_singular_region_forms_deflate(tmp_path, capsys):
+    # the ceiling only a modular kernel can meet: sympy's exact nullspace of
+    # one of these forms alone takes about 65 s of CPU on a 2-vCPU machine
+    code, result, seconds = timed_json_report(tmp_path, capsys, SIX_CUSP_U_X_TEXT)
+    assert code == 4
+    assert result["dim"] == 56
+    assert [result["signatures"][k] for k in ("theta3", "theta4")] == [-1, -3]
+    assert result["region"] is None
+    assert seconds < 6.0
+    report(3, f"six-cusp map with u = x: rank-55 region forms deflated, sig3 = -1, "
+              f"sig4 = -3, region withheld, in {seconds:.1f}s CPU")
+
+
+def test_criterion_3_dense_quintic_map(tmp_path, capsys):
+    code, result, seconds = timed_json_report(tmp_path, capsys, DENSE_QUINTIC_TEXT)
+    assert code == 0
+    assert result["dim"] == 72
+    assert [result["signatures"][k] for k in ("theta1", "theta2")] == [6, 4]
+    assert result["cusps"] == {"total": 6, "positive": 5, "negative": 1}
+    assert seconds < 8.0
+    report(3, f"dense (5, 5) map: dim 72, signatures (6, 4), in {seconds:.1f}s CPU")
+
+
 class TestCriterion6PropertySuites:
     """Six randomized suites, fixed seeds, at least 500 cases each."""
 
@@ -239,7 +290,7 @@ class TestCriterion6PropertySuites:
                     m[k][n - 1] = m[k][0]
                 m[n - 1][n - 1] = m[0][0]
             assert signature_of(m) == signature_by_elimination(m)
-        report(6, "signature: Jacobi leading-minor route agrees with elimination on 500 matrices")
+        report(6, "signature: congruence certificate agrees with elimination on 500 matrices")
 
     def test_polynomial_ring_axioms(self):
         rng = random.Random(9005)

@@ -9,6 +9,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cuspcount import cli, pipeline
@@ -83,13 +84,14 @@ class TestExitCodes:
                        "computing positive cusp count: 2 and 1 have odd sum\n")
 
     def test_inertia_certificate_failure_is_one_line(self, tmp_path, capsys, monkeypatch):
-        # every congruent copy meets a zero leading minor before its rank
-        monkeypatch.setattr("cuspcount.signature._leading_minors", lambda matrix: None)
+        # every prime proposes the whole space as the kernel of a nonsingular form
+        monkeypatch.setattr("cuspcount.signature._residues",
+                            lambda matrix, p: np.zeros((len(matrix),) * 2, dtype=np.int64))
         code, out, err = run_cli(capsys, [write_problem(tmp_path, TWO_CUSP_TEXT)])
         assert code == 1
         assert out == ""
-        assert err == ("cuspcount: certificate failed: inertia: a leading minor vanished "
-                       "before the rank in all 4 attempts\n")
+        assert err == ("cuspcount: certificate failed: inertia: the kernel proposed modulo "
+                       "primes does not lift past the Hadamard bound\n")
 
     def test_degenerate_region(self, tmp_path, capsys):
         # u = x vanishes at the cusp (0,0), u = 0 at both; the global counts stand

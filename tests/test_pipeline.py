@@ -16,6 +16,7 @@ from cuspcount.signature import _scaled_integer_matrix, rank, signature_of
 from conftest import (EIGHT_CUSP_TEXT, FOLD_ONLY_TEXT, IDENTITY_TEXT,
                       NON_GENERIC_TEXT, SIX_CUSP_TEXT, TWO_CUSP_TEXT,
                       WHITNEY_TEXT, random_polynomial)
+from elimination import signature_by_elimination
 
 
 def cusp_algebra(derived):
@@ -195,6 +196,24 @@ class TestCensus:
         for form, matrix in zip(forms, matrices):
             assert all(type(v) is int for row in matrix for v in row)
             assert _scaled_integer_matrix(matrix)[0] == _scaled_integer_matrix(form.matrix)[0]
+
+    def test_region_form_with_zero_diagonal(self, monkeypatch):
+        # an odd map: Theta_3 has no nonzero diagonal entry to pivot on
+        matrices = []
+
+        def spy_signature(matrix):
+            matrices.append(matrix)
+            return signature_of(matrix)
+
+        monkeypatch.setattr(pipeline, "signature_of", spy_signature)
+        c = census(parse_problem("f1 = x^3 - 3*x*y^2 + 2*x + y^3\n"
+                                 "f2 = x^3 + 2*y^3 - x*y^2 + y - x\nu = x\n"))
+        assert c.dim == 16
+        assert (c.sig1, c.sig2, c.sig3, c.sig4) == (4, 0, 0, 0)
+        assert (c.region.positive, c.region.negative) == (1, 1)
+        theta3 = matrices[2]
+        assert not any(theta3[i][i] for i in range(16))
+        assert signature_of(theta3) == signature_by_elimination(theta3)
 
     def test_identity_with_region(self):
         c = census(parse_problem("f1 = x\nf2 = y\nu = 1 - x^2 - y^2\n"))

@@ -1,6 +1,8 @@
-"""Signature machinery: leading minors against a brute-force oracle and
-sympy, the modular kernels, unlucky primes and congruence retries, Sylvester
-invariance, and agreement with Descartes' rule and the elimination route."""
+"""Signature machinery: signature_of against Jacobi's rule on brute-force
+and sympy leading minors, the elimination route and Descartes' rule; the
+congruence certificate, the kernel deflation with its unlucky primes, the
+residues, echelon form and Chinese remaindering underneath; Sylvester
+invariance."""
 
 import math
 import random
@@ -13,12 +15,10 @@ import pytest
 
 from cuspcount import signature
 from cuspcount.errors import CertificateFailed, NotSymmetric
-from cuspcount.signature import (_ATTEMPTS, _PRIME_CHUNK, SignatureResult, _certified_minors,
-                                 _crt_symmetric, _eliminate,
-                                 _exponent_bits, _inverse_mod, _leading_minors, _limbs,
-                                 _prime_pool, _residue_table, _row_bits,
-                                 _scaled_integer_matrix, prime_cap, rank, rank_mod,
-                                 signature_of)
+from cuspcount.signature import (SignatureResult, _crt, _dominant_inertia, _echelon_mod,
+                                 _hadamard_bits, _kernel_lifts, _nondegenerate_part,
+                                 _prime_pool, _residues, _scaled_integer_matrix, prime_cap,
+                                 rank, rank_mod, signature_of)
 from elimination import signature_by_elimination
 
 
@@ -63,23 +63,23 @@ def integer_symmetric(n, entry):
     return m
 
 
-def expected_minors(leading, rank_of):
-    """D_1..D_r when the first r leading minors are nonzero and r is the rank,
-    else None: what _leading_minors must return."""
-    minors = []
-    for d in leading:
-        if not d:
-            break
-        minors.append(d)
-    return minors if len(minors) == rank_of else None
+def jacobi(leading, rank_of):
+    """Inertia by Jacobi's rule when the leading minors D_1..D_r are nonzero
+    and r is the rank, else None: negative = sign changes in (1, D_1..D_r)."""
+    n = len(leading)
+    minors = leading[:rank_of]
+    if not all(minors):
+        return None
+    negative = sum((a > 0) != (b > 0) for a, b in zip([1] + minors, minors))
+    positive = rank_of - negative
+    return SignatureResult(positive - negative, rank_of, positive, negative, rank_of == n)
 
 
-def sympy_expected_minors(m):
+def sympy_jacobi(m):
     from sympy import Matrix
 
     matrix = Matrix(m)
-    leading = (int(matrix[:k, :k].det()) for k in range(1, len(m) + 1))
-    return expected_minors(leading, matrix.rank())
+    return jacobi([int(matrix[:k, :k].det()) for k in range(1, len(m) + 1)], matrix.rank())
 
 
 def descartes_counts(coeffs):
@@ -101,37 +101,58 @@ def descartes_counts(coeffs):
 
 
 class TestLeadingMinors:
+    """The cases written against Jacobi's rule on leading minors: zero and
+    vanishing leading minors, unlucky primes, entries of thousands of bits.
+    signature_of answers them by congruence and deflation; Jacobi's rule on
+    exact minors stays the oracle wherever it applies."""
+
     def test_two_by_two(self):
-        assert _certified_minors([[4, 2], [2, 2]]) == ([4, 4], 1)
+        assert signature_of([[4, 2], [2, 2]]) == jacobi([4, 4], 2) == SignatureResult(2, 2, 2, 0, True)
 
     def test_zero_one_by_one(self):
-        assert _certified_minors([[0]]) == ([], 1)
+        assert _nondegenerate_part([[0]]) == []
         assert signature_of([[0]]) == SignatureResult(0, 0, 0, 0, False)
 
     def test_empty_matrix(self):
-        # signature_of answers the 0x0 matrix without an elimination; a zero
-        # matrix of any size stops every prime at step 0 with a zero block
+        # signature_of answers the 0x0 matrix without a prime; a zero matrix
+        # of any size deflates to the empty block
         assert signature_of([]) == SignatureResult(0, 0, 0, 0, True)
         for n in range(1, 5):
-            assert _certified_minors([[0] * n for _ in range(n)]) == ([], 1)
+            zero = [[0] * n for _ in range(n)]
+            assert _nondegenerate_part(zero) == []
+            assert signature_of(zero) == SignatureResult(0, 0, 0, 0, False)
 
     def test_rational_entries(self):
         m = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(1, 5)]]
         scaled, scale = _scaled_integer_matrix(m)
         assert scale == 30 and scaled == [[15, 10], [10, 6]]
-        assert _certified_minors(scaled) == ([15, -10], 1)
+        assert jacobi([15, -10], 2) == SignatureResult(0, 2, 1, 1, True)
         assert signature_of(m) == signature_by_elimination(m) == SignatureResult(0, 2, 1, 1, True)
 
     def test_against_brute_force(self):
+        from sympy import Matrix
+
         rng = random.Random(20280)
+        applied = 0
         for _ in range(200):
             n = rng.randint(1, 5)
             m, _ = _scaled_integer_matrix(random_symmetric(rng, n, singular_bias=True))
             leading = [brute_force_det([row[:k] for row in m[:k]]) for k in range(1, n + 1)]
-            assert _leading_minors(m) == expected_minors(leading, rank(m)), m
+            result = signature_of(m)
+            assert result.rank == Matrix(m).rank() == rank(m), m
+            assert result == signature_by_elimination(m), m
+            if result.nondegenerate:  # det A has the sign of (-1)**negative
+                assert (leading[-1] > 0) == (result.negative_count % 2 == 0)
+            expected = jacobi(leading, result.rank)
+            if expected is not None:
+                assert result == expected, m
+                applied += 1
+        assert 100 < applied < 200
 
     def test_minors_match_sympy(self):
-        """The multimodular minors against sympy's determinants of the leading blocks."""
+        """signature_of against Jacobi's rule on sympy's determinants of the
+        leading blocks, and against the elimination route where a leading
+        minor vanishes before the rank."""
         rng = random.Random(20282)
         cases = [("dim 13-16", integer_symmetric(rng.randint(13, 16), lambda: rng.randint(-50, 50)
                                                  * 10 ** rng.randint(0, 9))) for _ in range(4)]
@@ -145,49 +166,49 @@ class TestLeadingMinors:
             m[0][2] = m[2][0] = 7
             cases.append((f"dim {n}, sparse", m))
         cases.append(("block diagonal", [[2, 0, 0, 0], [0, 3, 1, 0], [0, 1, 0, 0], [0, 0, 0, 5]]))
-        # a bound beyond one chunk of primes, with a short last chunk
-        chunked = integer_symmetric(4, lambda: rng.randint(-2 ** 2000, 2 ** 2000))
-        primes = _prime_pool(prime_cap(4), sum(_row_bits(chunked)) + 1)
-        assert len(primes) > _PRIME_CHUNK and len(primes) % _PRIME_CHUNK
-        cases.append(("several prime chunks", chunked))
+        cases.append(("2000-bit", integer_symmetric(4, lambda: rng.randint(-2 ** 2000, 2 ** 2000))))
         outcomes = set()
         for label, m in cases:
-            expected = sympy_expected_minors(m)
-            assert _leading_minors(m) == expected, label
+            expected = sympy_jacobi(m)
+            result = signature_of(m)
+            assert result == signature_by_elimination(m), label
+            if expected is not None:
+                assert result == expected, label
             outcomes.add(expected is None)
-        assert outcomes == {True, False}  # both certified chains and retries occur
+        assert outcomes == {True, False}  # both Jacobi's rule and its failures occur
 
     def test_unlucky_prime_is_dropped_and_the_pool_extended(self, monkeypatch):
         p = _prime_pool(prime_cap(56), 1)[0]  # the largest prime of the pool
         assert prime_cap(2) == prime_cap(56)
         seen = []
 
-        def spy(h, primes):
-            seen.extend(primes.tolist())
-            return _eliminate(h, primes)
+        def spy(a, q):
+            seen.append(q)
+            return _echelon_mod(a, q)
 
-        monkeypatch.setattr(signature, "_eliminate", spy)
-        two = [[p, 1], [1, 1]]
-        initial = _prime_pool(prime_cap(2), sum(_row_bits(two)) + 1)
-        assert _certified_minors(two) == ([p, p - 1], 1)
-        assert p in seen and len(seen) > len(initial)
+        monkeypatch.setattr(signature, "_echelon_mod", spy)
+        # det = p: singular modulo the first prime only
+        two = [[p + 1, 1], [1, 1]]
+        assert _nondegenerate_part(two) == [0, 1]
+        assert seen[0] == p and len(seen) > 1
         assert signature_of(two) == SignatureResult(2, 2, 2, 0, True)
+        # rank 1, but rank 0 modulo p: p is dropped for the next prime
+        seen.clear()
+        assert _nondegenerate_part([[p, 2 * p], [2 * p, 4 * p]]) == [0]
+        assert seen[0] == p and len(seen) > 1
 
         rng = random.Random(20290)
         big = integer_symmetric(56, lambda: rng.randint(-3, 3))
         big[0][0] = p
-        seen.clear()
-        minors, attempts = _certified_minors(big)
-        assert attempts == 1 and minors[0] == p and p in seen
         assert signature_of(big) == signature_by_elimination(big)
 
-    def test_hadamard_bound_covers_leading_and_bordered_minors(self, monkeypatch):
+    def test_hadamard_bound_covers_leading_and_bordered_minors(self):
         """Every leading minor and every bordered minor (the leading r x r
         block with one more row i and column j, both >= r) of A, taken from
         sympy, is at most the product of the norms of its rows and below
-        2**sum(_row_bits(A)), the bound `_leading_minors` asks the primes to
-        exceed twice over.  Sylvester-Hadamard matrices meet Hadamard's
-        inequality with equality."""
+        2**_hadamard_bits(A), the bound past which a kernel must lift.
+        Sylvester-Hadamard matrices meet Hadamard's inequality with
+        equality."""
         from sympy import ZZ
         from sympy.polys.matrices import DomainMatrix
 
@@ -204,14 +225,10 @@ class TestLeadingMinors:
             bits = rng.choice([3, 60, 400])
             cases.append(integer_symmetric(
                 n, lambda: rng.randint(-2 ** bits, 2 ** bits) if rng.random() < 0.7 else 0))
-        requests = []
-        pool = signature._prime_pool
-        monkeypatch.setattr(signature, "_prime_pool",
-                            lambda cap, bits: requests.append(bits) or pool(cap, bits))
         for m in cases:
             n = len(m)
             norms = [sum(v * v for v in row) for row in m]
-            bound = 2 ** sum(_row_bits(m))
+            bound = 2 ** _hadamard_bits(m)
             dm = DomainMatrix([[ZZ(v) for v in row] for row in m], (n, n), ZZ)
             for r in range(n):
                 for i in range(r, n):
@@ -222,9 +239,6 @@ class TestLeadingMinors:
                         assert abs(minor) < bound
             if m in hadamards:
                 assert int(dm.det()) ** 2 == math.prod(norms)
-            requests.clear()
-            _leading_minors(m)
-            assert requests[0] == sum(_row_bits(m)) + 1
 
     @pytest.mark.parametrize("order", ["rising", "falling"])
     def test_prime_pool_returns_the_shortest_prefix(self, monkeypatch, order):
@@ -246,73 +260,144 @@ class TestLeadingMinors:
             counted = [p.bit_length() - 1 for p in primes]
             assert sum(counted[:-1]) < bits <= sum(counted)
 
-    @pytest.mark.parametrize("matrix, expected", [
-        ([[0, 1], [1, 0]], SignatureResult(0, 2, 1, 1, True)),
-        ([[0, 0], [0, 1]], SignatureResult(1, 1, 1, 0, False)),
+    @pytest.mark.parametrize("matrix, expected, kept", [
+        ([[0, 1], [1, 0]], SignatureResult(0, 2, 1, 1, True), [0, 1]),
+        ([[0, 0], [0, 1]], SignatureResult(1, 1, 1, 0, False), [1]),
         # a Gram matrix of rank 2 whose kernel lies along e_1
-        ([[0, 0, 0], [0, 5, 11], [0, 11, 25]], SignatureResult(2, 2, 2, 0, False)),
+        ([[0, 0, 0], [0, 5, 11], [0, 11, 25]], SignatureResult(2, 2, 2, 0, False), [1, 2]),
     ], ids=["hyperbolic plane", "zero first pivot", "gram kernel along e1"])
-    def test_congruence_retry(self, matrix, expected):
-        assert _leading_minors(matrix) is None
-        minors, attempts = _certified_minors(matrix)
-        assert attempts == 2 and len(minors) == expected.rank
-        assert signature_of(matrix) == expected
+    def test_congruence_retry(self, matrix, expected, kept):
+        # a leading minor vanishes before the rank: Jacobi's rule needs a
+        # congruent copy, the deflation keeps a nonsingular block
+        assert sympy_jacobi(matrix) is None
+        assert _nondegenerate_part(matrix) == kept
+        assert signature_of(matrix) == signature_by_elimination(matrix) == expected
 
     def test_every_attempt_failing_raises(self, monkeypatch):
+        # every prime proposes the whole space as kernel of a nonsingular form
         calls = []
-        monkeypatch.setattr(signature, "_leading_minors", lambda m: calls.append(m))
-        with pytest.raises(CertificateFailed, match="in all 4 attempts"):
-            signature_of([[1, 2], [2, 1]])
-        assert len(calls) == _ATTEMPTS
-        assert calls[0] == [[1, 2], [2, 1]] and calls[1] != calls[0]
-
-    @pytest.mark.parametrize("n", [64, 65])
-    def test_delayed_reduction_stays_in_int64(self, n):
-        """Entries near the largest primes, eliminated in int64 and in exact
-        Python integers: the unreduced trailing block never overflows."""
-        cap = prime_cap(n)
-        assert max(n, 64) * cap ** 2 <= 2 ** 62
-        primes = np.array(_prime_pool(cap, 27 * 8)[:8], dtype=np.int64)
-        rng = np.random.default_rng(20291 + n)
-        h = primes - 1 - rng.integers(0, 1 << 10, size=(n, n, len(primes)))
-        h = np.minimum(h, h.transpose(1, 0, 2))
-        exact = _eliminate(h.astype(object), primes.astype(object))
-        fast = _eliminate(h.copy(), primes)
-        for a, b in zip(fast, exact):
-            assert (a == b).all()
-        m = [[int(cap - 1 - v) for v in row] for row in rng.integers(0, 1 << 10, size=(n, n))]
-        m = [[min(m[i][j], m[j][i]) for j in range(n)] for i in range(n)]
-        assert signature_of(m) == signature_by_elimination(m)
+        monkeypatch.setattr(signature, "_residues",
+                            lambda m, p: calls.append(p) or np.zeros((len(m), len(m)), dtype=np.int64))
+        m = [[2 ** 100, 1], [1, 2 ** 100]]
+        with pytest.raises(CertificateFailed, match="inertia: the kernel proposed modulo primes does not lift"):
+            signature_of(m)
+        # the primes go past twice the Hadamard bound before the certificate gives up
+        assert sum(p.bit_length() - 1 for p in calls) > 2 * _hadamard_bits(m) + 1 > 27 * 7
 
 
 class TestModularKernels:
     def test_residue_table_matches_python_mod(self):
-        primes = _prime_pool(prime_cap(56), 27 * 300)[:300]  # a chunk and a short one
+        primes = _prime_pool(prime_cap(56), 27 * 300)[:300]
         rng = random.Random(20292)
         values = [0, 1, -1]
         for p in primes[:3] + primes[-3:]:
             values += [p - 1, -(p - 1), p, -p, p + 1, -(p + 1)]
         values += [rng.randint(-2 ** 1100, 2 ** 1100) for _ in range(20)]
-        # more than 8192 bits needs more than one block of 512 limbs
         values += [rng.randint(-2 ** 20000, 2 ** 20000) for _ in range(5)]
         values += [2 ** 8192 - 1, -(2 ** 8192), 2 ** 8192 + 1, 2 ** 20000 - 1, 1 - 2 ** 20000]
-        limbs, negative = _limbs(values)
-        assert limbs.shape[1] > 512
-        for start in range(0, len(primes), _PRIME_CHUNK):
-            chunk = primes[start:start + _PRIME_CHUNK]
-            table = _residue_table(limbs, negative, np.array(chunk, dtype=np.int64))
-            assert table.tolist() == [[v % p for p in chunk] for v in values]
+        for p in primes[:3] + primes[-3:]:
+            table = _residues([values, values[::-1]], p)
+            assert table.dtype == np.int64
+            assert table.tolist() == [[v % p for v in values], [v % p for v in values[::-1]]]
 
-    def test_fermat_inverse_matches_pow(self):
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_echelon_matches_exact_arithmetic(self, n):
+        """Entries near the largest prime of the cap, reduced in int64 and in
+        exact Python integers: no product leaves int64."""
+        p = _prime_pool(prime_cap(n), 1)[0]
+        rng = np.random.default_rng(20291 + n)
+        a = p - 1 - rng.integers(0, 1 << 10, size=(n, n + 3))
+        a[:, -1] = a[:, 0] + a[:, 1]  # a dependent column
+        a[:, -1] %= p
+        fast = _echelon_mod(a.copy(), p)
+        exact = _echelon_mod(a.astype(object), p)
+        assert fast[0] == exact[0] and len(fast[0]) == n
+        assert (fast[1] == exact[1]).all()
+        assert rank_mod(a, p) == n
+
+    def test_echelon_matches_sympy(self):
+        from sympy import GF, Matrix
+        from sympy.polys.matrices import DomainMatrix
+
         rng = random.Random(20293)
-        for cap, count in ((prime_cap(2), 300), (prime_cap(65), 300),
-                           (prime_cap(10 ** 6), 300), (1000, 100)):
-            primes = _prime_pool(cap, 9 * count)[:count]
-            values = [0, 1] + [rng.randrange(1, p) for p in primes[2:]]
-            values[-1] = primes[-1] - 1
-            parr = np.array(primes, dtype=np.int64)
-            out = _inverse_mod(np.array(values, dtype=np.int64), parr, _exponent_bits(parr))
-            assert out.tolist() == [pow(v, -1, p) if v else 0 for v, p in zip(values, primes)]
+        p = _prime_pool(prime_cap(8), 1)[0]
+        for _ in range(50):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 8)
+            inner = rng.randint(0, min(rows, cols))
+            left = Matrix(rows, inner, lambda i, j: rng.randint(-5, 5))
+            right = Matrix(inner, cols, lambda i, j: rng.randint(-5, 5))
+            m = (left * right).applyfunc(lambda v: v % p)
+            pivots, reduced = _echelon_mod(np.array(m.tolist(), dtype=np.int64), p)
+            expected, expected_pivots = DomainMatrix.from_Matrix(m).convert_to(GF(p)).rref()
+            assert pivots == list(expected_pivots)
+            assert reduced.tolist() == [[int(v) % p for v in row]
+                                        for row in expected.to_Matrix().tolist()[:len(pivots)]]
+
+
+class TestCongruence:
+    def test_dominance_is_strict(self):
+        # weakly dominant rows prove nothing: these are singular
+        for weak in ([[1, 1], [1, 1]], [[1, -1], [-1, 1]], [[2, 1, 1], [1, 2, 1], [1, 1, 2]]):
+            b = np.array(weak, dtype=object)
+            assert _dominant_inertia(b, [0] * len(weak)) is None
+        b = np.array([[3, 1, 1], [1, -3, 1], [1, 1, 3]], dtype=object)
+        assert _dominant_inertia(b, [0, 0, 0]) == (2, 1)
+
+    def test_rows_are_weighted_by_the_equilibration(self):
+        # row 2 is dominant only once its small entries count 2**-600 of the rest
+        b = np.array([[2 ** 1201, 0, 1], [0, -2 ** 1201, 1], [1, 1, 1]], dtype=object)
+        assert _dominant_inertia(b, [0, 0, 0]) is None
+        assert _dominant_inertia(b, [601, 601, 1]) == (2, 1)
+        assert signature_of(b.tolist()) == signature_by_elimination(b.tolist())
+
+    @pytest.mark.parametrize("matrix", [
+        [[1, 2 ** 1100], [2 ** 1100, 1]],
+        [[1, 2 ** 1100, 0], [2 ** 1100, 1, 3], [0, 3, 2 ** 3000]],
+        [[0, 2 ** 1200, 0], [2 ** 1200, 0, 1], [0, 1, 1]],
+        [[2 ** 2400, 0, 1], [0, -2 ** 2400, 1], [1, 1, 1]],
+    ], ids=["hyperbolic, 1100 bits", "3000 bits apart", "zero diagonal", "graded"])
+    def test_entries_beyond_the_float_range(self, matrix):
+        assert signature_of(matrix) == signature_by_elimination(matrix)
+
+    @pytest.mark.parametrize("n", [40, 60])
+    def test_hilbert_takes_several_rounds(self, monkeypatch, n):
+        rounds = []
+        proposal = signature._proposal
+        monkeypatch.setattr(signature, "_proposal",
+                            lambda b, e: rounds.append(len(b)) or proposal(b, e))
+        hilbert = [[Fraction(1, i + j + 1) for j in range(n)] for i in range(n)]
+        assert signature_of(hilbert) == SignatureResult(n, n, n, 0, True)
+        assert len(rounds) > 3
+        negated = [[-v for v in row] for row in hilbert]
+        assert signature_of(negated) == SignatureResult(-n, n, 0, n, True)
+
+
+class TestDeflation:
+    def test_planted_kernel(self):
+        """X D X^T with 30-bit X and zeros in D: the kernel lifts, the
+        rank and inertia are those of D."""
+        rng = random.Random(20294)
+        for zeros in (1, 2, 4):
+            n = 8
+            x = [[rng.randint(-2 ** 30, 2 ** 30) for _ in range(n)] for _ in range(n)]
+            d = [rng.choice([-1, 1]) for _ in range(n - zeros)] + [0] * zeros
+            m = [[sum(x[i][k] * d[k] * x[j][k] for k in range(n)) for j in range(n)]
+                 for i in range(n)]
+            positive = d.count(1)
+            kept = _nondegenerate_part(m)
+            assert len(kept) == n - zeros
+            assert signature_of(m) == SignatureResult(2 * positive - n + zeros, n - zeros,
+                                                      positive, n - zeros - positive, False)
+
+    def test_a_wrong_kernel_is_rejected(self):
+        m = [[1, 2, 3], [2, 4, 6], [3, 6, 10]]  # kernel (2, -1, 0)
+        p = _prime_pool(prime_cap(3), 1)[0]
+        pivots, reduced = _echelon_mod(_residues(m, p), p)
+        assert pivots == [0, 2]
+        block = np.delete(reduced, pivots, axis=1)
+        assert _kernel_lifts(m, pivots, [p], [block])
+        assert not _kernel_lifts(m, pivots, [p], [(block + 1) % p])
+        assert not _kernel_lifts(m, [0, 1], [p], [block])
 
 
 class TestSignatureOf:
@@ -469,7 +554,7 @@ class TestCrtSymmetric:
         values += [rng.randint(-half, half) for _ in range(6)]
         values += [rng.randint(-9, 9) for _ in range(3)]
         residues = np.array([[v % p for v in values] for p in primes], dtype=np.int64)
-        assert _crt_symmetric(residues, primes) == values
+        assert _crt(residues.tolist(), primes) == (values, modulus)
         assert crt_by_weights(residues, primes) == values
 
 
