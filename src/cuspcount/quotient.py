@@ -18,8 +18,9 @@ A is the quotient by the ideal of the inputs.
 
 `generates_algebra` decides whether given polynomials generate A itself as
 an ideal, by the rank of their multiplication matrices side by side: modulo
-one word-size prime first, exactly when that falls short.  The census uses it
-for the one-genericity certificate.
+the first word-size prime of `signature.primes` that divides none of their
+denominators, and by the exact rank certificate of `signature.rank` when
+that falls short.  The census uses it for the one-genericity certificate.
 
 The exact arithmetic runs on integers: M_x and M_y are held as integer
 matrices over one positive denominator each, X/dx and Y/dy, and the
@@ -53,7 +54,7 @@ from .errors import CertificateFailed
 from .groebner import (GroebnerBasis, leading_monomial, normal_form,
                        standard_monomials)
 from .poly import Monomial, Polynomial
-from .signature import _prime_pool, prime_cap, rank, rank_mod
+from .signature import prime_cap, primes, rank, rank_mod
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -61,9 +62,6 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 #: stands for nums/d, a matrix (rows, d) for rows/d.
 Scaled = tuple[tuple[int, ...], int]
 ScaledMatrix = tuple[tuple[tuple[int, ...], ...], int]
-
-#: Bits of the prime pool the modular rank draws from (about 38 primes).
-_RANK_POOL_BITS = 1024
 
 
 @dataclass(frozen=True)
@@ -271,22 +269,18 @@ def generates_algebra(algebra: QuotientAlgebra, hs) -> bool:
     whether that block has rank n = dim A; the zero algebra is generated by
     anything.  Full rank modulo a prime that divides no denominator of M_x,
     M_y or the reduced hs proves full rank over Q, because reduction modulo
-    such a prime is a ring map and cannot raise a rank.  One usable prime
-    is tried; when the rank falls short modulo it, the exact rank decides,
-    so a false verdict is exact too.
+    such a prime is a ring map and cannot raise a rank.  The first such
+    prime of the descending stream is tried; when the rank falls short
+    modulo it, the exact rank decides, so a false verdict is exact too.
     """
     n = algebra.dim
     if n == 0:
         return True
     reduced = [normal_form(h, algebra.gb) for h in hs]
-    for p in _prime_pool(prime_cap(n), _RANK_POOL_BITS):
-        try:
-            block = _block_mod(algebra, reduced, p)
-        except ValueError:  # p divides a denominator
-            continue
-        if rank_mod(block, p) == n:
-            return True
-        break
+    denominators = [algebra._mx[1], algebra._my[1], *(h.denominator for h in reduced)]
+    p = next(q for q in primes(prime_cap(n)) if all(d % q for d in denominators))
+    if rank_mod(_block_mod(algebra, reduced, p), p) == n:
+        return True
     blocks = [mult_matrix(algebra, h) for h in reduced]
     return rank([sum((m[i] for m in blocks), ()) for i in range(n)]) == n
 
@@ -297,14 +291,15 @@ def _block_mod(algebra: QuotientAlgebra, reduced, p: int) -> np.ndarray:
     The column of M_h for a basis monomial b holds the coordinates of h*b:
     those of h itself for b = 1, else M_x or M_y applied to the column of
     b/x or b/y, which is standard because the basis is closed under
-    division.  p < prime_cap(n) keeps each product in int64.
+    division.  p must divide none of the denominators, and
+    p <= prime_cap(n) keeps each product in int64.
     """
     n = algebra.dim
     mx, my = (np.array([[v % p for v in row] for row in rows], dtype=np.int64)
               * pow(den, -1, p) % p for rows, den in (algebra._mx, algebra._my))
     columns = np.zeros((n, n, len(reduced)), dtype=np.int64)
     for k, h in enumerate(reduced):
-        inverse = pow(h.denominator, -1, p)  # ValueError when p divides it
+        inverse = pow(h.denominator, -1, p)
         for mono, num in h.numerators.items():
             columns[0, algebra._index[mono], k] = num * inverse % p
     for j, b in enumerate(algebra.basis[1:], start=1):

@@ -1,4 +1,4 @@
-"""Exact signature, rank and nondegeneracy of symmetric rational matrices.
+"""Exact inertia of symmetric rational matrices, exact rank of any matrix.
 
 Rescaling a matrix by a positive rational never disturbs inertia, so the
 counts run on a denominator-cleared integer matrix A.  One certificate
@@ -26,32 +26,32 @@ the floating-point step only proposes, and a poor W costs another round on
 B, never soundness.  The rounds go on for as long as it takes: they run
 only on a matrix proven nonsingular.
 
-Deflation.  A of full rank modulo a prime is nonsingular.  Otherwise the
-reduced echelon form R of A modulo primes proposes the pivot columns N and
-a kernel V: per free column f, v_f = 1, v_N = -R[:, f] and zeros elsewhere.
-The residues of R are lifted by Chinese remaindering and rational
-reconstruction, and A V = 0 is checked in integers.  Then T = [e_N | V] is
-nonsingular and T^T A T = diag(A[N, N], 0).  The pivot columns of a
-symmetric matrix span its column space, so A[N, N] is nonsingular modulo
-the primes that proposed N: the rank is |N| and the inertia is that of
-A[N, N], which the congruence certifies.  A prime whose echelon form has
-a smaller rank than another's, or the same rank with lexicographically
-later pivot columns, divides a nonzero minor of A and is dropped.  The
-entries of R are ratios of minors of A, and by Hadamard's inequality every
-minor is below 2**h, h the sum of the bits of A's row norms.  Once the kept
-primes exceed 2**(2h + 1) the lift is right, so a check that still fails
-raises CertificateFailed.
-
-The exact rank of a rectangular matrix, `rank`, goes through the Gram
-matrix; `rank_mod`, the rank over a prime field, shares the echelon form.
+Deflation.  One certificate gives the exact rank of an integer matrix A of
+any shape.  The reduced echelon form R of A modulo a prime proposes the
+pivot columns N.  Reduction modulo a prime never raises a rank, so full
+rank there, |N| = min(rows, columns), proves rank A = |N|.  Otherwise R
+proposes a kernel V: per free column f, v_f = 1, v_N = -R[:, f] and zeros
+elsewhere.  Its residues are lifted by Chinese remaindering and rational
+reconstruction, and A V = 0, checked in integers, proves rank A <= |N|.
+A prime whose echelon form has a smaller rank than another's, or the same
+rank with lexicographically later pivot columns, divides a nonzero minor
+of A and is dropped.  The entries of R are ratios of minors of A, and by
+Hadamard's inequality every minor is below 2**h, h the sum of the bits of
+A's row norms.  Once the kept primes exceed 2**(2h + 1) the lift is right,
+so a check that still fails raises CertificateFailed; h is computed only
+once a prime falls short.  For a symmetric A the pivot columns span the
+column space, so A[N, N] is nonsingular, T = [e_N | V] is nonsingular and
+T^T A T = diag(A[N, N], 0): the inertia of A is that of A[N, N], which the
+congruence certifies.  `rank` turns a wide matrix first, so that V has a
+vector per column beyond the rank; `rank_mod` shares the echelon form.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import gcd, isqrt, lcm
 from typing import Sequence
 
@@ -138,8 +138,8 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-#: Per cap, the descending primes found so far and their running bit totals.
-_PRIME_POOLS: dict[int, tuple[list[int], list[int]]] = {}
+#: Per cap, the descending primes found so far.
+_PRIMES: dict[int, list[int]] = {}
 
 
 def prime_cap(n: int) -> int:
@@ -149,46 +149,41 @@ def prime_cap(n: int) -> int:
     return isqrt(2 ** 62 // max(n, 64))
 
 
-def _prime_pool(cap: int, min_bits: int) -> list[int]:
-    """The shortest prefix of the descending primes below cap whose bits,
-    p.bit_length() - 1 each, reach min_bits: its product exceeds 2**min_bits."""
-    pool, totals = _PRIME_POOLS.setdefault(cap, ([], []))
-    candidate = pool[-1] - 2 if pool else cap - 1 + cap % 2
-    have = totals[-1] if totals else 0
-    while have < min_bits:
-        if _is_prime(candidate):
-            pool.append(candidate)
-            have += candidate.bit_length() - 1
-            totals.append(have)
-        candidate -= 2
-        if candidate < 3:
-            raise CertificateFailed("prime pool exhausted")
-    return pool[:bisect_left(totals, min_bits) + 1]
-
-
-def _primes(cap: int):
-    """The descending primes below cap, one at a time."""
-    done, bits = 0, 1
-    while True:
-        pool = _prime_pool(cap, bits)
-        yield from pool[done:]
-        done, bits = len(pool), 2 * bits
+def primes(cap: int):
+    """The primes up to cap in descending order, one at a time; the primes
+    found are cached per cap and shared by every stream."""
+    found = _PRIMES.setdefault(cap, [])
+    for i in count():
+        if i == len(found):
+            candidate = found[-1] - 2 if found else cap - 1 + cap % 2
+            while not _is_prime(candidate):
+                candidate -= 2
+                if candidate < 3:
+                    raise CertificateFailed("prime pool exhausted")
+            found.append(candidate)
+        yield found[i]
 
 
 # -- rank ---------------------------------------------------------------------
 
 def rank(matrix: MatrixLike) -> int:
-    """Exact rank of a rational matrix of any shape.
+    """Exact rank of a rational matrix of any shape, by the certificate of
+    the module docstring.
 
-    Over the rationals rank B = rank B B^T, and a positive scaling of B
-    changes neither, so the rank is read off the integer Gram matrix by the
-    exact route of `signature_of`.
+    Raises ValueError when the rows differ in length; a matrix without
+    entries has rank 0.
     """
-    if not matrix:
+    width = len(matrix[0]) if matrix else 0
+    for i, row in enumerate(matrix):
+        if len(row) != width:
+            raise ValueError(f"row {i} has {len(row)} entries, row 0 has {width}")
+    if not width:
         return 0
+    # a positive scaling and a transposition change no rank
     scaled, _ = _scaled_integer_matrix(matrix)
-    gram = [[sum(a * b for a, b in zip(r, s)) for s in scaled] for r in scaled]
-    return signature_of(gram).rank
+    if width > len(scaled):
+        scaled = [list(column) for column in zip(*scaled)]
+    return len(_pivot_columns(scaled))
 
 
 def _echelon_mod(a: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
@@ -281,7 +276,7 @@ def _kernel_lifts(matrix: list[list[int]], pivots: list[int],
         fractions.append(value / common)
         common = lcm(common, fractions[-1].denominator)
     numerators = [int(v * common) for v in fractions]
-    free = [c for c in range(len(matrix)) if c not in set(pivots)]
+    free = [c for c in range(len(matrix[0])) if c not in set(pivots)]
     for k, f in enumerate(free):
         column = numerators[k::len(free)]
         for row in matrix:
@@ -290,29 +285,33 @@ def _kernel_lifts(matrix: list[list[int]], pivots: list[int],
     return True
 
 
-def _nondegenerate_part(matrix: list[list[int]]) -> list[int]:
-    """Indices N with A[N, N] nonsingular and rank A = |N|, certified by
-    the deflation of the module docstring."""
-    n = len(matrix)
-    enough = 2 * _hadamard_bits(matrix) + 1
+def _pivot_columns(matrix: list[list[int]]) -> list[int]:
+    """The pivot columns N of the echelon form modulo a prime of an integer
+    matrix A with at least one column, certified by the deflation of the
+    module docstring: |N| = rank A, and A[N, N] is nonsingular when A is
+    symmetric."""
+    full = min(len(matrix), len(matrix[0]))
+    enough = None
     best = None
-    primes: list[int] = []
+    kept: list[int] = []
     blocks: list[np.ndarray] = []
     check_at = 0
-    for p in _primes(prime_cap(n)):
+    for p in primes(prime_cap(len(matrix))):
         pivots, reduced = _echelon_mod(_residues(matrix, p), p)
-        if len(pivots) == n:
+        if len(pivots) == full:
             return pivots
+        if enough is None:
+            enough = 2 * _hadamard_bits(matrix) + 1
         key = (-len(pivots), pivots)
         if best is not None and key > best:
             continue  # p divides a nonzero minor
         if key != best:
-            best, primes, blocks = key, [], []
-        primes.append(p)
+            best, kept, blocks = key, [], []
+        kept.append(p)
         blocks.append(np.delete(reduced, pivots, axis=1))
-        have = sum(q.bit_length() - 1 for q in primes)
+        have = sum(q.bit_length() - 1 for q in kept)
         if have >= check_at:
-            if _kernel_lifts(matrix, pivots, primes, blocks):
+            if _kernel_lifts(matrix, pivots, kept, blocks):
                 return pivots
             if have > enough:
                 raise CertificateFailed("inertia: the kernel proposed modulo primes "
@@ -412,7 +411,7 @@ def signature_of(matrix: MatrixLike) -> SignatureResult:
         return SignatureResult(0, 0, 0, 0, True)
     # positive rescaling preserves inertia, so count on the integer matrix
     scaled, _ = _scaled_integer_matrix(matrix)
-    kept = _nondegenerate_part(scaled)
+    kept = _pivot_columns(scaled)
     positive, negative = (_congruence_inertia([[scaled[i][j] for j in kept] for i in kept])
                           if kept else (0, 0))
     return SignatureResult(

@@ -3,7 +3,7 @@
 Every expected value is exact (rational arithmetic end to end); runtime
 limits are asserted against wall-clock measurements of the session-scoped
 census fixtures, which time a single cold run of each pipeline, and against
-the process CPU time of one command-line run for the two larger maps.
+the process CPU time of one command-line run for the larger maps.
 """
 
 import json
@@ -180,6 +180,15 @@ f1 = -2*x^5 - x^4*y - 5*x^3*y^2 + 2*x^2*y^3 - 2*x*y^4 + 3*y^5 + 2*x^4 + 4*x^3*y 
 f2 = -2*x^5 + x^4*y + 4*x^3*y^2 - 2*x^2*y^3 - 2*x*y^4 - 5*y^5 - 2*x^4 + 2*x^3*y + 3*x^2*y^2 + x*y^3 - 5*y^4 + 2*x^3 - 5*x^2*y - 5*x*y^2 - 5*y^3 + x^2 + 3*x*y + 5*x - 4*y + 4
 """
 
+# The next dense map, of bidegree (6, 5), drawn the same way from one seeded
+# generator (degree 6, then degree 5): quotient dimension 92.  Exact
+# elimination on its two forms confirms Theta_1 = 6 and Theta_2 = -2 but
+# takes minutes of CPU.
+DENSE_SEXTIC_QUINTIC_TEXT = """\
+f1 = 4*x^6 - 5*x^5*y - 5*x^4*y^2 + 5*x^3*y^3 - 5*x^2*y^4 + 3*x*y^5 + 3*y^6 - 5*x^5 - 2*x^3*y^2 + 4*x^2*y^3 - 4*x*y^4 + 2*y^5 - 4*x^4 - x^3*y + x^2*y^2 - 2*x*y^3 - 4*y^4 + 2*x^3 + x^2*y + x*y^2 - y^3 - 5*x^2 + 5*x*y - 4*y^2 + 2*x + 4*y - 3
+f2 = -4*x^5 + 4*x^4*y - 5*x^3*y^2 - 2*x^2*y^3 + 4*x*y^4 - 5*y^5 + x^4 - x^3*y - 2*x^2*y^2 + 2*x*y^3 + y^4 + 2*x^3 + 2*x*y^2 - 2*y^3 - 2*x^2 - 2*x*y + 5*y^2 + 3*x + y - 5
+"""
+
 
 def timed_json_report(tmp_path, capsys, text):
     """(exit code, JSON report, process CPU seconds) of one command-line run."""
@@ -212,6 +221,16 @@ def test_criterion_3_dense_quintic_map(tmp_path, capsys):
     assert result["cusps"] == {"total": 6, "positive": 5, "negative": 1}
     assert seconds < 8.0
     report(3, f"dense (5, 5) map: dim 72, signatures (6, 4), in {seconds:.1f}s CPU")
+
+
+def test_criterion_3_dense_sextic_quintic_map(tmp_path, capsys):
+    code, result, seconds = timed_json_report(tmp_path, capsys, DENSE_SEXTIC_QUINTIC_TEXT)
+    assert code == 0
+    assert result["dim"] == 92
+    assert [result["signatures"][k] for k in ("theta1", "theta2")] == [6, -2]
+    assert result["cusps"] == {"total": 6, "positive": 2, "negative": 4}
+    assert seconds < 30.0
+    report(3, f"dense (6, 5) map: dim 92, signatures (6, -2), in {seconds:.1f}s CPU")
 
 
 class TestCriterion6PropertySuites:

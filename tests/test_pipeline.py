@@ -1,6 +1,7 @@
 """End-to-end census: derived system, certificates, counts, invariances."""
 
 import random
+from itertools import chain
 
 import pytest
 
@@ -12,7 +13,8 @@ from cuspcount.groebner import buchberger, normal_form
 from cuspcount.pipeline import CuspCensus, census, certify_genericity, derive_system
 from cuspcount.poly import Monomial, Polynomial, X, Y, func_det
 from cuspcount.quotient import build_algebra, mult_matrix
-from cuspcount.signature import _scaled_integer_matrix, rank, signature_of
+from cuspcount.signature import (_scaled_integer_matrix, prime_cap, primes, rank,
+                                 rank_mod, signature_of)
 from conftest import (EIGHT_CUSP_TEXT, FOLD_ONLY_TEXT, IDENTITY_TEXT,
                       NON_GENERIC_TEXT, SIX_CUSP_TEXT, TWO_CUSP_TEXT,
                       WHITNEY_TEXT, random_polynomial)
@@ -80,14 +82,32 @@ class TestGenericityCertificate:
         assert certify_genericity(d, algebra)
 
     def test_rank_deficient_minors(self):
+        from sympy import Matrix
+
         # A = Q[x,y]/(x, y^2); the minors generate only the ideal (y) of A
         d = derive_system(X, Y ** 4 + X * Y)
         algebra = cusp_algebra(d)
         assert algebra.dim == 2
         blocks = [mult_matrix(algebra, normal_form(h, algebra.gb))
                   for h in (d.minor1, d.minor2)]
-        assert rank([a + b for a, b in zip(*blocks)]) == 1
+        block = [a + b for a, b in zip(*blocks)]
+        assert rank(block) == rank([list(column) for column in zip(*block)]) == 1
+        assert Matrix(block).rank() == 1
         assert not certify_genericity(d, algebra)
+
+    def test_prime_dividing_a_multiplication_denominator_is_skipped(self, monkeypatch):
+        """The eight-cusp map's M_x and M_y have denominators 2^4 3^3 7^3 13 23
+        and 2^4 3^3 7^3 13^2 23: a stream that offers 23 and 13 first passes
+        over both, and the modular rank runs at the largest prime."""
+        d = derived_of(EIGHT_CUSP_TEXT)
+        algebra = cusp_algebra(d)
+        assert algebra._mx[1] % 23 == 0 and algebra._my[1] % 13 == 0
+        monkeypatch.setattr(quotient, "primes", lambda cap: chain([23, 13], primes(cap)))
+        tried = []
+        monkeypatch.setattr(quotient, "rank_mod",
+                            lambda block, p: tried.append(p) or rank_mod(block, p))
+        assert certify_genericity(d, algebra)
+        assert tried == [next(primes(prime_cap(algebra.dim)))]
 
     def test_curve_of_cusp_candidates_is_not_certified(self):
         # jac, vel1 and vel2 all vanish on the line {y = 0}

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 import pytest
@@ -14,7 +15,7 @@ from cuspcount.poly import Monomial, Polynomial, X, Y
 from cuspcount import quotient
 from cuspcount.quotient import (_block_mod, build_algebra, form_matrix,
                                 generates_algebra, mult_matrix)
-from cuspcount.signature import prime_cap
+from cuspcount.signature import prime_cap, primes
 from conftest import random_polynomial
 
 ONE = Polynomial.constant(1)
@@ -374,18 +375,16 @@ class TestGeneratesAlgebra:
 
     @pytest.mark.parametrize("h, verdict", [(ONE, True), (X, False)])
     def test_prime_dividing_a_denominator_is_skipped(self, two_cusp, monkeypatch, h, verdict):
-        """A prime that divides a reduced polynomial's denominator raises in
-        _block_mod; generates_algebra moves to the next prime and keeps its
-        verdict.  x vanishes at the cusp (0, 0), so it generates nothing."""
+        """A prime that divides a reduced polynomial's denominator comes first
+        in the stream; generates_algebra passes over it to the next prime and
+        keeps its verdict.  x vanishes at the cusp (0, 0), so it generates
+        nothing."""
         _, gb, algebra = two_cusp
         bad = 1000003
         hs = [normal_form(h * Polynomial.constant(Fraction(1, bad)), gb)]
         assert hs[0].denominator % bad == 0
-        with pytest.raises(ValueError):
-            _block_mod(algebra, hs, bad)
         assert generates_algebra(algebra, hs) is verdict
-        pool = quotient._prime_pool
-        monkeypatch.setattr(quotient, "_prime_pool", lambda *args: [bad, *pool(*args)])
+        monkeypatch.setattr(quotient, "primes", lambda cap: chain([bad], primes(cap)))
         tried = []
 
         def spy(algebra, reduced, p):
@@ -394,4 +393,4 @@ class TestGeneratesAlgebra:
 
         monkeypatch.setattr(quotient, "_block_mod", spy)
         assert generates_algebra(algebra, hs) is verdict
-        assert tried == [bad, pool(prime_cap(algebra.dim), quotient._RANK_POOL_BITS)[0]]
+        assert tried == [next(primes(prime_cap(algebra.dim)))]

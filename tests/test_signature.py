@@ -1,14 +1,14 @@
 """Signature machinery: signature_of against Jacobi's rule on brute-force
 and sympy leading minors, the elimination route and Descartes' rule; the
 congruence certificate, the kernel deflation with its unlucky primes, the
-residues, echelon form and Chinese remaindering underneath; Sylvester
-invariance."""
+prime stream, residues, echelon form and Chinese remaindering underneath;
+the exact rank of matrices of any shape; Sylvester invariance."""
 
 import math
 import random
 from fractions import Fraction
 from math import gcd
-from itertools import permutations
+from itertools import islice, permutations
 
 import numpy as np
 import pytest
@@ -16,9 +16,9 @@ import pytest
 from cuspcount import signature
 from cuspcount.errors import CertificateFailed, NotSymmetric
 from cuspcount.signature import (SignatureResult, _crt, _dominant_inertia, _echelon_mod,
-                                 _hadamard_bits, _kernel_lifts, _nondegenerate_part,
-                                 _prime_pool, _residues, _scaled_integer_matrix, prime_cap,
-                                 rank, rank_mod, signature_of)
+                                 _hadamard_bits, _kernel_lifts, _pivot_columns, _residues,
+                                 _scaled_integer_matrix, prime_cap, primes, rank, rank_mod,
+                                 signature_of)
 from elimination import signature_by_elimination
 
 
@@ -110,7 +110,7 @@ class TestLeadingMinors:
         assert signature_of([[4, 2], [2, 2]]) == jacobi([4, 4], 2) == SignatureResult(2, 2, 2, 0, True)
 
     def test_zero_one_by_one(self):
-        assert _nondegenerate_part([[0]]) == []
+        assert _pivot_columns([[0]]) == []
         assert signature_of([[0]]) == SignatureResult(0, 0, 0, 0, False)
 
     def test_empty_matrix(self):
@@ -119,7 +119,7 @@ class TestLeadingMinors:
         assert signature_of([]) == SignatureResult(0, 0, 0, 0, True)
         for n in range(1, 5):
             zero = [[0] * n for _ in range(n)]
-            assert _nondegenerate_part(zero) == []
+            assert _pivot_columns(zero) == []
             assert signature_of(zero) == SignatureResult(0, 0, 0, 0, False)
 
     def test_rational_entries(self):
@@ -178,7 +178,7 @@ class TestLeadingMinors:
         assert outcomes == {True, False}  # both Jacobi's rule and its failures occur
 
     def test_unlucky_prime_is_dropped_and_the_pool_extended(self, monkeypatch):
-        p = _prime_pool(prime_cap(56), 1)[0]  # the largest prime of the pool
+        p = next(primes(prime_cap(56)))  # the largest prime of the stream
         assert prime_cap(2) == prime_cap(56)
         seen = []
 
@@ -189,12 +189,12 @@ class TestLeadingMinors:
         monkeypatch.setattr(signature, "_echelon_mod", spy)
         # det = p: singular modulo the first prime only
         two = [[p + 1, 1], [1, 1]]
-        assert _nondegenerate_part(two) == [0, 1]
+        assert _pivot_columns(two) == [0, 1]
         assert seen[0] == p and len(seen) > 1
         assert signature_of(two) == SignatureResult(2, 2, 2, 0, True)
         # rank 1, but rank 0 modulo p: p is dropped for the next prime
         seen.clear()
-        assert _nondegenerate_part([[p, 2 * p], [2 * p, 4 * p]]) == [0]
+        assert _pivot_columns([[p, 2 * p], [2 * p, 4 * p]]) == [0]
         assert seen[0] == p and len(seen) > 1
 
         rng = random.Random(20290)
@@ -240,25 +240,33 @@ class TestLeadingMinors:
             if m in hadamards:
                 assert int(dm.det()) ** 2 == math.prod(norms)
 
-    @pytest.mark.parametrize("order", ["rising", "falling"])
-    def test_prime_pool_returns_the_shortest_prefix(self, monkeypatch, order):
-        """Below 2**28 every prime counts 27 bits, so 27 bits take one prime,
-        28 and 54 two, 55 three and 10000 371: each request gets the
-        shortest prefix of the descending primes whose bits reach it."""
+    @pytest.mark.parametrize("cached", [False, True], ids=["fresh", "cached"])
+    def test_prime_stream_descends_through_every_prime(self, monkeypatch, cached):
+        """primes(cap) yields the primes up to cap in descending order, the
+        same whether it finds them or reads them from the cache, and two
+        streams on one cap interleave without skipping or repeating."""
         from sympy import prevprime
 
-        monkeypatch.setattr(signature, "_PRIME_POOLS", {})
+        monkeypatch.setattr(signature, "_PRIMES", {})
         cap = prime_cap(56)
         assert cap == 2 ** 28
         descending = [prevprime(cap)]
         while len(descending) < 371:
             descending.append(prevprime(descending[-1]))
-        lengths = {1: 1, 27: 1, 28: 2, 54: 2, 55: 3, 10000: 371}
-        for bits in sorted(lengths, reverse=order == "falling"):
-            primes = _prime_pool(cap, bits)
-            assert primes == descending[:lengths[bits]], bits
-            counted = [p.bit_length() - 1 for p in primes]
-            assert sum(counted[:-1]) < bits <= sum(counted)
+        if cached:
+            assert list(islice(primes(cap), 371)) == descending
+        first, second = primes(cap), primes(cap)
+        interleaved = [(next(first), next(second)) for _ in range(371)]
+        assert interleaved == [(p, p) for p in descending]
+        assert signature._PRIMES[cap] == descending
+
+    def test_prime_stream_starts_at_an_odd_cap_and_ends(self, monkeypatch):
+        monkeypatch.setattr(signature, "_PRIMES", {})
+        assert list(islice(primes(8), 3)) == [7, 5, 3]
+        stream = primes(7)
+        assert list(islice(stream, 3)) == [7, 5, 3]
+        with pytest.raises(CertificateFailed, match="prime pool exhausted"):
+            next(stream)
 
     @pytest.mark.parametrize("matrix, expected, kept", [
         ([[0, 1], [1, 0]], SignatureResult(0, 2, 1, 1, True), [0, 1]),
@@ -270,7 +278,7 @@ class TestLeadingMinors:
         # a leading minor vanishes before the rank: Jacobi's rule needs a
         # congruent copy, the deflation keeps a nonsingular block
         assert sympy_jacobi(matrix) is None
-        assert _nondegenerate_part(matrix) == kept
+        assert _pivot_columns(matrix) == kept
         assert signature_of(matrix) == signature_by_elimination(matrix) == expected
 
     def test_every_attempt_failing_raises(self, monkeypatch):
@@ -287,15 +295,15 @@ class TestLeadingMinors:
 
 class TestModularKernels:
     def test_residue_table_matches_python_mod(self):
-        primes = _prime_pool(prime_cap(56), 27 * 300)[:300]
+        stream = list(islice(primes(prime_cap(56)), 300))
         rng = random.Random(20292)
         values = [0, 1, -1]
-        for p in primes[:3] + primes[-3:]:
+        for p in stream[:3] + stream[-3:]:
             values += [p - 1, -(p - 1), p, -p, p + 1, -(p + 1)]
         values += [rng.randint(-2 ** 1100, 2 ** 1100) for _ in range(20)]
         values += [rng.randint(-2 ** 20000, 2 ** 20000) for _ in range(5)]
         values += [2 ** 8192 - 1, -(2 ** 8192), 2 ** 8192 + 1, 2 ** 20000 - 1, 1 - 2 ** 20000]
-        for p in primes[:3] + primes[-3:]:
+        for p in stream[:3] + stream[-3:]:
             table = _residues([values, values[::-1]], p)
             assert table.dtype == np.int64
             assert table.tolist() == [[v % p for v in values], [v % p for v in values[::-1]]]
@@ -304,7 +312,7 @@ class TestModularKernels:
     def test_echelon_matches_exact_arithmetic(self, n):
         """Entries near the largest prime of the cap, reduced in int64 and in
         exact Python integers: no product leaves int64."""
-        p = _prime_pool(prime_cap(n), 1)[0]
+        p = next(primes(prime_cap(n)))
         rng = np.random.default_rng(20291 + n)
         a = p - 1 - rng.integers(0, 1 << 10, size=(n, n + 3))
         a[:, -1] = a[:, 0] + a[:, 1]  # a dependent column
@@ -320,7 +328,7 @@ class TestModularKernels:
         from sympy.polys.matrices import DomainMatrix
 
         rng = random.Random(20293)
-        p = _prime_pool(prime_cap(8), 1)[0]
+        p = next(primes(prime_cap(8)))
         for _ in range(50):
             rows, cols = rng.randint(1, 6), rng.randint(1, 8)
             inner = rng.randint(0, min(rows, cols))
@@ -384,14 +392,14 @@ class TestDeflation:
             m = [[sum(x[i][k] * d[k] * x[j][k] for k in range(n)) for j in range(n)]
                  for i in range(n)]
             positive = d.count(1)
-            kept = _nondegenerate_part(m)
+            kept = _pivot_columns(m)
             assert len(kept) == n - zeros
             assert signature_of(m) == SignatureResult(2 * positive - n + zeros, n - zeros,
                                                       positive, n - zeros - positive, False)
 
     def test_a_wrong_kernel_is_rejected(self):
         m = [[1, 2, 3], [2, 4, 6], [3, 6, 10]]  # kernel (2, -1, 0)
-        p = _prime_pool(prime_cap(3), 1)[0]
+        p = next(primes(prime_cap(3)))
         pivots, reduced = _echelon_mod(_residues(m, p), p)
         assert pivots == [0, 2]
         block = np.delete(reduced, pivots, axis=1)
@@ -516,7 +524,65 @@ class TestRank:
         assert rank_mod(np.array([[7, 0], [0, 1]], dtype=np.int64), 7) == 1
 
     def test_empty(self):
-        assert rank([]) == 0
+        assert rank([]) == rank([[]]) == rank([[], []]) == 0
+
+    @pytest.mark.parametrize("matrix, row", [
+        ([[1, 2], [3]], 1), ([[1], [2, 3]], 1), ([[1, 2], [3, 4], []], 2), ([[], [1]], 1)])
+    def test_rejects_ragged_rows(self, matrix, row):
+        with pytest.raises(ValueError, match=f"row {row} has"):
+            rank(matrix)
+
+    @pytest.mark.parametrize("shape", [(5, 9), (9, 5), (3, 12), (12, 3)],
+                             ids=["wide", "tall", "very wide", "very tall"])
+    def test_planted_kernels_lift_over_several_primes(self, monkeypatch, shape):
+        """L R with 120-bit L and R of inner dimension r below both sides: the
+        echelon entries are ratios of minors of hundreds of bits, so the
+        kernel lifts only from several primes, and the certified rank is
+        sympy's on the matrix and on its transpose."""
+        from sympy import Matrix
+
+        rng = random.Random(20330 + shape[0])
+        rows, cols = shape
+        seen = []
+
+        def spy(a, q):
+            seen.append(q)
+            return _echelon_mod(a, q)
+
+        monkeypatch.setattr(signature, "_echelon_mod", spy)
+        for inner in range(min(shape)):
+            left = [[rng.randint(-2 ** 120, 2 ** 120) for _ in range(inner)] for _ in range(rows)]
+            right = [[rng.randint(-2 ** 120, 2 ** 120) for _ in range(cols)] for _ in range(inner)]
+            m = [[sum(left[i][k] * right[k][j] for k in range(inner)) for j in range(cols)]
+                 for i in range(rows)]
+            seen.clear()
+            assert rank(m) == Matrix(m).rank() == inner
+            assert len(seen) > 1 or inner == 0  # the zero matrix lifts at once
+            assert rank([list(column) for column in zip(*m)]) == inner
+
+    def test_full_rank_takes_one_prime_and_no_bound(self, monkeypatch):
+        """A matrix of full rank modulo the first prime is certified by it
+        alone; the Hadamard bound is never computed."""
+        def unread(matrix):
+            raise AssertionError("the Hadamard bound was computed")
+
+        monkeypatch.setattr(signature, "_hadamard_bits", unread)
+        rng = random.Random(20331)
+        for rows, cols in ((4, 7), (7, 4), (6, 6)):
+            m = [[rng.randint(-2 ** 300, 2 ** 300) for _ in range(cols)] for _ in range(rows)]
+            assert rank(m) == min(rows, cols)
+
+    def test_runs_no_congruence(self, monkeypatch):
+        """rank is the deflation alone: no Gram matrix goes through
+        signature_of or the congruence."""
+        def forbidden(*args):
+            raise AssertionError("rank ran the inertia certificate")
+
+        monkeypatch.setattr(signature, "signature_of", forbidden)
+        monkeypatch.setattr(signature, "_congruence_inertia", forbidden)
+        assert rank([[1, 2, 3], [2, 4, 6]]) == 1
+        assert rank([[1, 2], [2, 4], [0, 1]]) == 2
+        assert rank([[Fraction(1, 3), 1], [1, 3]]) == 1
 
 
 def crt_by_weights(residues, primes):
@@ -545,17 +611,17 @@ class TestCrtSymmetric:
     # 2275 primes reconstruct the six-cusp map's orientation form
     @pytest.mark.parametrize("count", [1, 2, 3, 255, 256, 257, 2275])
     def test_product_tree_matches_weights(self, count):
-        primes = _prime_pool(prime_cap(56), 28 * count)[:count]
-        assert len(primes) == count
-        modulus = math.prod(primes)
+        stream = list(islice(primes(prime_cap(56)), count))
+        assert len(stream) == count
+        modulus = math.prod(stream)
         half = (modulus - 1) // 2
         rng = random.Random(20700 + count)
         values = [0, 1, -1, half, -half, half - 1, -half + 1]
         values += [rng.randint(-half, half) for _ in range(6)]
         values += [rng.randint(-9, 9) for _ in range(3)]
-        residues = np.array([[v % p for v in values] for p in primes], dtype=np.int64)
-        assert _crt(residues.tolist(), primes) == (values, modulus)
-        assert crt_by_weights(residues, primes) == values
+        residues = np.array([[v % p for v in values] for p in stream], dtype=np.int64)
+        assert _crt(residues.tolist(), stream) == (values, modulus)
+        assert crt_by_weights(residues, stream) == values
 
 
 def scaled_by_fractions(matrix):
