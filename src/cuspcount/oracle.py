@@ -1,10 +1,11 @@
 """Independent numeric referee for the symbolic cusp census.
 
-Subdivision over a square domain discards boxes where interval arithmetic
-proves one of the three cusp equations nonzero.  Two exclusion tests run on
-each box.  The first is the natural range of each equation, the fold below.
-On a box that it keeps and whose width is at most ``_MEAN_VALUE_WIDTH``, the
-second bounds each equation by its centred mean-value form
+Subdivision over a square domain discards boxes that one exclusion test,
+`_excluded`, proves hold no cusp not yet certified.  It tries three things
+in order.  The first is the natural range of each equation, the fold below.
+The second is containment in a cusp box already certified.  On a box that
+both keep and whose width is at most ``_MEAN_VALUE_WIDTH``, the third bounds
+each equation by its centred mean-value form
 ``p(c) + dp/dx(B) * (B_x - c_x) + dp/dy(B) * (B_y - c_y)``, with c the
 box's midpoint.  On small boxes that hold no zero it is much tighter than
 the natural range, which alone would keep such boxes until they are tiny;
@@ -12,9 +13,10 @@ on wide boxes the gradient ranges are too wide for it to pay, so it is not
 tried there.  Surviving boxes are polished by floating-point Newton
 iteration on the best-conditioned pair of equations and then certified by
 interval-Newton contraction, which proves existence and uniqueness of a
-zero in a tiny isolating box.  The third equation is checked against a
-Lipschitz bound over the certified box, and the sign of the orientation
-polynomial over the box gives the local degree.
+zero of the pair in a tiny isolating box.  That box is kept only if the
+same exclusion test does not remove it, which checks the third equation
+over the box: a necessary condition for a cusp, not a proof of one.  The
+sign of the orientation polynomial over the box gives the local degree.
 
 Interval arithmetic is outward-rounded on hardware doubles: every computed
 range contains the true range.  The range of a polynomial over a box is one
@@ -23,8 +25,8 @@ fold over its terms on float endpoints: it does the products, the
 ``coeff * x**ex * y**ey`` summed by ``Interval`` arithmetic, in the same
 order, and builds one ``Interval`` at the end.  The powers of x and y come
 from one table per box, shared by every polynomial evaluated on that box.
-A polished point whose isolating box would meet a cusp already certified is
-not certified again: the result would be rejected as a duplicate anyway.
+An isolating box that would meet a cusp box already certified is dropped
+before interval Newton: it could only be a duplicate.
 
 The oracle never overrules the exact pipeline; boxes it cannot decide are
 reported as unresolved, not dropped.
@@ -245,9 +247,6 @@ class _IntervalPoly:
     def approx(self, px: float, py: float) -> float:
         return sum(c * px ** ex * py ** ey for ex, ey, c, _, _ in self.terms)
 
-    def at_point(self, px: float, py: float) -> Interval:
-        return self.range(Interval.point(px), Interval.point(py))
-
 
 def _to_float(coeff: Fraction) -> float:
     try:
@@ -305,6 +304,23 @@ def _mean_value_forms(system: _System, box: Box, xp: list, yp: list):
         yield p.fold(cxp, cyp) + gx.fold(xp, yp) * dx + gy.fold(xp, yp) * dy
 
 
+def _excluded(system: _System, box: Box, certified: Sequence[Box] = ()) -> bool:
+    """Whether the box can hold no cusp outside the boxes in `certified`.
+
+    The tests run cheapest first: the natural range of an equation excludes
+    zero; the box lies inside a certified box; on a box of width at most
+    `_MEAN_VALUE_WIDTH`, the mean-value form of an equation excludes zero.
+    """
+    xp, yp = system.tables(*box)
+    if any(p.fold(xp, yp).excludes_zero() for p in system.eqs):
+        return True
+    if any(c[0].contains_interval(box[0]) and c[1].contains_interval(box[1])
+           for c in certified):
+        return True
+    return max(box[0].width, box[1].width) <= _MEAN_VALUE_WIDTH and any(
+        value.excludes_zero() for value in _mean_value_forms(system, box, xp, yp))
+
+
 def _best_pair(system: _System, px: float, py: float) -> tuple[int, int]:
     """Indices of the two equations whose gradients are best conditioned."""
     grads = [(gx.approx(px, py), gy.approx(px, py)) for gx, gy in system.grads]
@@ -343,14 +359,13 @@ def _polish(system: _System, pair: tuple[int, int],
 
 
 def _interval_newton(system: _System, pair: tuple[int, int],
-                     px: float, py: float, radius: float) -> Box | None:
-    """Certify a unique zero of the pair in the box around (px, py).
+                     px: float, py: float, box: Box) -> bool:
+    """Whether the pair has exactly one zero in the box, which holds (px, py).
 
-    Returns the certified box when the interval-Newton image lies strictly
-    inside it, else None.
+    True when the interval-Newton image from (px, py) lies strictly inside
+    the box.
     """
-    box_x = Interval(px - radius, px + radius)
-    box_y = Interval(py - radius, py + radius)
+    box_x, box_y = box
     i, j = pair
     xp, yp = system.tables(box_x, box_y)
     j11 = system.grads[i][0].fold(xp, yp)
@@ -359,7 +374,7 @@ def _interval_newton(system: _System, pair: tuple[int, int],
     j22 = system.grads[j][1].fold(xp, yp)
     det = j11 * j22 - j12 * j21
     if not det.excludes_zero():
-        return None
+        return False
     centre_x = Interval.point(px)
     centre_y = Interval.point(py)
     xp, yp = system.tables(centre_x, centre_y)
@@ -367,51 +382,30 @@ def _interval_newton(system: _System, pair: tuple[int, int],
     v2 = system.eqs[j].fold(xp, yp)
     newton_x = centre_x - (j22 * v1 - j12 * v2) / det
     newton_y = centre_y - (j11 * v2 - j21 * v1) / det
-    if newton_x.strictly_inside(box_x) and newton_y.strictly_inside(box_y):
-        return (box_x, box_y)
-    return None
-
-
-def _third_equation_plausible(system: _System, pair: tuple[int, int],
-                              px: float, py: float, box: Box) -> bool:
-    """Check the remaining equation vanishes within its Lipschitz slack."""
-    third = next(k for k in range(3) if k not in pair)
-    value = system.eqs[third].at_point(px, py)
-    xp, yp = system.tables(*box)
-    gx = system.grads[third][0].fold(xp, yp)
-    gy = system.grads[third][1].fold(xp, yp)
-    lipschitz = max(abs(gx.lo), abs(gx.hi)) + max(abs(gy.lo), abs(gy.hi))
-    radius = 0.5 * max(box[0].width, box[1].width)
-    slack = _up(lipschitz * radius)
-    return value.lo <= slack and value.hi >= -slack
+    return newton_x.strictly_inside(box_x) and newton_y.strictly_inside(box_y)
 
 
 def _try_certify(system: _System, px: float, py: float,
                  certified: Sequence[Box] = ()) -> Box | None:
     """Polish (px, py) and certify a cusp box around the polished point q.
 
-    Returns None, without interval Newton, when the first-radius box
-    around q meets a box in `certified`.  Every box this function could
-    return is centred on q with a radius from `_CERTIFY_RADII`, so it
-    contains the first-radius box (rounding q - r and q + r is monotone in
-    r) and meets that certified box too.  `_is_new` would reject it, and
-    the caller goes on exactly as after None.
+    Tries the box centred on q of each half-width in `_CERTIFY_RADII`.  A
+    box that meets one in `certified` ends the search before interval
+    Newton, since every wider box meets it too.  Returns the first box where
+    interval Newton proves a unique zero of the pair, or None when there is
+    none or `_excluded` removes it.
     """
     pair = _best_pair(system, px, py)
     polished = _polish(system, pair, px, py)
     if polished is None:
         return None
     qx, qy = polished
-    radius = _CERTIFY_RADII[0]
-    near_x, near_y = Interval(qx - radius, qx + radius), Interval(qy - radius, qy + radius)
-    if any(near_x.intersects(c[0]) and near_y.intersects(c[1]) for c in certified):
-        return None
     for radius in _CERTIFY_RADII:
-        box = _interval_newton(system, pair, qx, qy, radius)
-        if box is not None:
-            if _third_equation_plausible(system, pair, qx, qy, box):
-                return box
+        box = (Interval(qx - radius, qx + radius), Interval(qy - radius, qy + radius))
+        if any(box[0].intersects(c[0]) and box[1].intersects(c[1]) for c in certified):
             return None
+        if _interval_newton(system, pair, qx, qy, box):
+            return None if _excluded(system, box) else box
     return None
 
 
@@ -429,6 +423,8 @@ def isolate_cusps(derived: DerivedSystem,
     if not 0 < box_radius < _INF:
         raise ValueError("box_radius must be a positive finite number")
     system = _System(derived)
+    # a certified box is kept only when its centre lies in [-limit, limit]^2
+    limit = box_radius + 1e-9 * (1.0 + box_radius)
     full = (Interval(-box_radius, box_radius), Interval(-box_radius, box_radius))
     stack = [full]
     certified: list[Box] = []
@@ -440,19 +436,12 @@ def isolate_cusps(derived: DerivedSystem,
         if processed > _MAX_BOXES:
             unresolved.append(box)
             continue
-        xp, yp = system.tables(*box)
-        if any(p.fold(xp, yp).excludes_zero() for p in system.eqs):
-            continue
-        if any(c[0].contains_interval(box[0]) and c[1].contains_interval(box[1])
-               for c in certified):
+        if _excluded(system, box, certified):
             continue
         width = max(box[0].width, box[1].width)
-        if width <= _MEAN_VALUE_WIDTH and any(
-                value.excludes_zero() for value in _mean_value_forms(system, box, xp, yp)):
-            continue
         if width <= _POLISH_TRIGGER:
             result = _try_certify(system, box[0].mid, box[1].mid, certified)
-            if result is not None and _is_new(result, certified, box_radius):
+            if result is not None and max(abs(result[0].mid), abs(result[1].mid)) <= limit:
                 certified.append(result)
                 if (result[0].contains_interval(box[0])
                         and result[1].contains_interval(box[1])):
@@ -471,16 +460,6 @@ def isolate_cusps(derived: DerivedSystem,
     points.extend(CertifiedPoint(box=b, kind="unresolved") for b in _merge(unresolved))
     points.sort(key=lambda pt: (pt.box[0].lo, pt.box[1].lo))
     return tuple(points)
-
-
-def _is_new(box: Box, certified: list[Box], box_radius: float) -> bool:
-    centre_x, centre_y = box[0].mid, box[1].mid
-    margin = 1e-9 * (1.0 + box_radius)
-    if not (-box_radius - margin <= centre_x <= box_radius + margin
-            and -box_radius - margin <= centre_y <= box_radius + margin):
-        return False
-    return not any(box[0].intersects(c[0]) and box[1].intersects(c[1])
-                   for c in certified)
 
 
 def _merge(boxes: list[Box]) -> list[Box]:

@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 
 from cuspcount import cli
-from cuspcount.exprio import ProblemInput, format_polynomial, parse_polynomial
+from cuspcount.exprio import ProblemInput, format_polynomial, parse_polynomial, parse_problem
 from cuspcount.groebner import buchberger, leading_monomial, normal_form
 from cuspcount.oracle import isolate_cusps, region_membership
 from cuspcount.pipeline import census, certify_genericity, derive_system
@@ -221,6 +221,22 @@ def test_criterion_3_dense_quintic_map(tmp_path, capsys):
     assert result["cusps"] == {"total": 6, "positive": 5, "negative": 1}
     assert seconds < 8.0
     report(3, f"dense (5, 5) map: dim 72, signatures (6, 4), in {seconds:.1f}s CPU")
+
+
+def test_criterion_5_oracle_cross_checks_the_dense_quintic_map():
+    # the census of this map (test_criterion_3_dense_quintic_map) counts 6 cusps,
+    # 5 positive and 1 negative; one lies near (-2.25, -0.22), outside radius 2
+    problem = parse_problem(DENSE_QUINTIC_TEXT)
+    derived = derive_system(problem.f1, problem.f2)
+    start = time.process_time()
+    points = isolate_cusps(derived, box_radius=4.0)
+    seconds = time.process_time() - start
+    assert [p.kind for p in points] == ["cusp"] * 6
+    degrees = [p.degree_sign for p in points]
+    assert (degrees.count(1), degrees.count(-1)) == (5, 1)
+    assert seconds < 30.0
+    report(5, f"oracle at radius 4 on the dense (5, 5) map: 6 cusps (5 positive, "
+              f"1 negative) as the census counts, nothing unresolved, in {seconds:.1f}s CPU")
 
 
 def test_criterion_3_dense_sextic_quintic_map(tmp_path, capsys):

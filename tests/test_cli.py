@@ -375,6 +375,20 @@ class TestGoldenReports:
         golden = json.loads((GOLDEN_DIR / f"{golden_name}.json").read_text())
         assert report == golden
 
+    @pytest.mark.parametrize("golden_name, text", [
+        ("two_cusps_oracle16", TWO_CUSP_TEXT),
+        ("whitney_oracle16", WHITNEY_TEXT),
+    ], ids=["two_cusps", "whitney"])
+    def test_oracle_report_matches_golden(self, tmp_path, capsys, golden_name, text):
+        # the oracle's certified boxes, bit for bit, at the benchmark's radius
+        path = write_problem(tmp_path, text)
+        code, out, err = run_cli(capsys, [path, "--json", "--oracle", "--radius", "16"])
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        report.pop("timings_ms")
+        golden = json.loads((GOLDEN_DIR / f"{golden_name}.json").read_text())
+        assert report == golden
+
     def test_human_report_carries_same_numbers(self, tmp_path, capsys):
         path = write_problem(tmp_path, TWO_CUSP_TEXT)
         _, out, _ = run_cli(capsys, [path, "--basis"])

@@ -255,8 +255,9 @@ class TestIsolateCusps:
         problem = parse_problem(f"f1 = x - {shift}\nf2 = (x - {shift})*y + y^3\n")
         system = _System(derive_system(problem.f1, problem.f2))
         px, py = float(shift), 0.0
-        assert _interval_newton(system, _best_pair(system, px, py), px, py,
-                                _CERTIFY_RADII[0]) is None
+        r = _CERTIFY_RADII[0]
+        first = (Interval(px - r, px + r), Interval(py - r, py + r))
+        assert not _interval_newton(system, _best_pair(system, px, py), px, py, first)
         box = _try_certify(system, px, py)
         assert box is not None and box[0].contains(px)
         assert box[1] == Interval(-_CERTIFY_RADII[1], _CERTIFY_RADII[1])
@@ -336,10 +337,58 @@ class TestMeanValueForm:
         assert isolate_cusps(derived, box_radius=10.0) == points
         assert widths and max(widths) <= _MEAN_VALUE_WIDTH
 
+    def test_never_sees_a_box_inside_an_earlier_cusp_box(self, monkeypatch):
+        # containment in a certified box is tested before the costlier mean-value
+        # form; the certified box itself goes through the form before it is kept
+        problem = parse_problem(TWO_CUSP_TEXT)
+        derived = derive_system(problem.f1, problem.f2)
+        try_certify = oracle._try_certify
+        returned: list = []
+        seen = {"forms": 0, "inside": 0}
+
+        def certify_spy(system, px, py, certified=()):
+            box = try_certify(system, px, py, certified)
+            if box is not None:
+                returned.append(box)
+            return box
+
+        def forms_spy(system, box, xp, yp):
+            seen["forms"] += 1
+            seen["inside"] += any(c[0].contains_interval(box[0])
+                                  and c[1].contains_interval(box[1]) for c in returned)
+            return _mean_value_forms(system, box, xp, yp)
+
+        monkeypatch.setattr(oracle, "_try_certify", certify_spy)
+        monkeypatch.setattr(oracle, "_mean_value_forms", forms_spy)
+        points = isolate_cusps(derived, box_radius=16.0)
+        assert [p.kind for p in points] == ["cusp", "cusp"] and len(returned) == 2
+        assert seen["forms"] > 100 and seen["inside"] == 0
+
+
+class TestThirdEquation:
+    """A box where interval Newton proves a unique zero of the best pair is
+    kept only if the exclusion test of the subdivision keeps it too."""
+
+    def test_box_where_the_third_equation_is_nonzero_is_rejected(self):
+        system = system_of(X, Y, 1 + X)
+        r = _CERTIFY_RADII[0]
+        assert _best_pair(system, 1e-3, -2e-3) == (0, 1)
+        assert _interval_newton(system, (0, 1), 0.0, 0.0, (Interval(-r, r), Interval(-r, r)))
+        assert _try_certify(system, 1e-3, -2e-3) is None
+
+    @pytest.mark.parametrize("third", [X + Y, X + Fraction(1, 10 ** 12)],
+                             ids=["vanishes_there", "vanishes_nearby"])
+    def test_box_where_the_third_equation_may_vanish_is_kept(self, third):
+        # x + 1/10**12 has no common zero with x and y, but it vanishes on
+        # x = -1/10**12, inside the box: the check is necessary, not sufficient
+        r = _CERTIFY_RADII[0]
+        box = _try_certify(system_of(X, Y, third), 1e-3, -2e-3)
+        assert box == (Interval(-r, r), Interval(-r, r))
+
 
 class TestSkipKnownCusps:
-    """No interval Newton runs around a polished point whose first-radius box
-    meets a cusp box already certified, and the results do not change."""
+    """No interval Newton runs on a box, of any radius, that meets a cusp box
+    already certified."""
 
     @pytest.mark.parametrize("text, radius", [
         (TWO_CUSP_TEXT, 16.0),
@@ -349,35 +398,32 @@ class TestSkipKnownCusps:
     def test_no_newton_next_to_a_certified_box(self, monkeypatch, text, radius):
         problem = parse_problem(text)
         derived = derive_system(problem.f1, problem.f2)
-        try_certify, newton = oracle._try_certify, oracle._interval_newton
+        try_certify, polish, newton = oracle._try_certify, oracle._polish, oracle._interval_newton
         known: list = []
-        calls = {"certify": 0, "newton": 0}
+        calls = {"polished": 0, "newton": 0}
 
         def certify_spy(system, px, py, certified=()):
             known[:] = certified
-            calls["certify"] += 1
             return try_certify(system, px, py, certified)
 
-        def newton_spy(system, pair, px, py, box_radius):
+        def polish_spy(*args):
+            point = polish(*args)
+            calls["polished"] += point is not None
+            return point
+
+        def newton_spy(system, pair, px, py, box):
             calls["newton"] += 1
-            r = _CERTIFY_RADII[0]
-            near = (Interval(px - r, px + r), Interval(py - r, py + r))
-            assert not any(near[0].intersects(c[0]) and near[1].intersects(c[1])
+            assert not any(box[0].intersects(c[0]) and box[1].intersects(c[1])
                            for c in known)
-            return newton(system, pair, px, py, box_radius)
+            return newton(system, pair, px, py, box)
 
         monkeypatch.setattr(oracle, "_try_certify", certify_spy)
+        monkeypatch.setattr(oracle, "_polish", polish_spy)
         monkeypatch.setattr(oracle, "_interval_newton", newton_spy)
         points = isolate_cusps(derived, box_radius=radius)
         assert any(p.kind == "cusp" for p in points)
-
-        monkeypatch.setattr(oracle, "_try_certify",
-                            lambda system, px, py, certified=(): try_certify(system, px, py))
-        known.clear()
-        calls_before = dict(calls)
-        assert isolate_cusps(derived, box_radius=radius) == points
-        # without the certified boxes every polished point runs interval Newton
-        assert calls["newton"] - calls_before["newton"] > calls_before["newton"]
+        # most polished points land on a known cusp and skip interval Newton
+        assert 0 < calls["newton"] < calls["polished"] // 2
 
 
 class TestMerge:
