@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegreeGuardExceeded, DuplicateKeyError, MissingKeyError, ParseError
-from .groebner import DEFAULT_DEGREE_GUARD
+from .groebner import DEFAULT_DEGREE_GUARD, _grevlex_key
 from .poly import Monomial, Polynomial
 
 
@@ -235,24 +235,21 @@ def parse_problem(text: str, degree_guard: int = DEFAULT_DEGREE_GUARD) -> Proble
 
 # -- formatting ------------------------------------------------------------
 
-def _grlex_descending(mono: Monomial) -> tuple[int, int]:
-    return (mono.degree, mono.ex)
-
-
 def format_monomial(mono: Monomial) -> str:
     """Canonical text of a power product: '1', 'x', 'y^3', 'x^2*y', ..."""
     return str(Monomial(*mono))
 
 
 def format_polynomial(p: Polynomial) -> str:
-    """Canonical text: terms in graded-lexicographic descending order.
+    """Canonical text: terms in descending order of the Groebner term order,
+    which in two variables is graded-lexicographic.
 
     Round-trips through parse_polynomial.
     """
     if p.is_zero():
         return "0"
     pieces = []
-    for mono, coeff in sorted(p.terms.items(), key=lambda item: _grlex_descending(item[0]),
+    for mono, coeff in sorted(p.terms.items(), key=lambda item: _grevlex_key(item[0]),
                               reverse=True):
         sign = "-" if coeff < 0 else "+"
         magnitude = -coeff if coeff < 0 else coeff

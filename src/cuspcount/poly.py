@@ -205,6 +205,9 @@ class Polynomial:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # a constant equals its int or Fraction value, so it hashes as that value
+        if self._nums.keys() <= {UNIT_MONOMIAL}:
+            return hash(Fraction(self._nums.get(UNIT_MONOMIAL, 0), self._den))
         return hash((self._den, frozenset(self._nums.items())))
 
     def __bool__(self) -> bool:

@@ -23,22 +23,24 @@ denominators, and by the exact rank certificate of `signature.rank` when
 that falls short.  The census uses it for the one-genericity certificate.
 
 The exact arithmetic runs on integers: M_x and M_y are held as integer
-matrices over one positive denominator each, X/dx and Y/dy, and the
-coordinate vector of every monomial as integer numerators over one
-positive denominator, content-reduced by one gcd per vector.  Normal forms
-of monomials are computed once and cached: the coordinate vector of
-x^a*y^b is reached from its neighbours by one integer matrix-vector
-product, X*v over dx*d, rather than a fresh division.  The trace is one
-integer table over one denominator per algebra: T(b_i*b_j) for every
-distinct product of two basis monomials.  A form reduces delta, reads its
-weights w_k = T(delta*b_k) off the table and applies them to the
-coordinates of each distinct b_i*b_j: one integer dot product each, all
-over one denominator.  Polynomials are read as their integer numerators
-over their one denominator (`Polynomial.numerators`,
-`Polynomial.denominator`): a normal form is a coordinate vector as it
-stands, and multiplication matrices, traces and residues modulo a prime
-scale by that denominator once per polynomial.  The Fraction matrices and
-coordinates of the public interface are built from the integers on request.
+matrices over one positive denominator each, X/dx and Y/dy, and every
+coordinate vector as integer numerators over one positive denominator,
+content-reduced by one gcd per vector.  Once G is certified,
+`build_algebra` computes the two tables every form reads.  The product
+table holds the coordinates of each distinct product b_i*b_j of two basis
+monomials, in degree order: a basis monomial is a unit vector, any other
+product is M_x (or, without x, M_y) applied to the product one degree
+below it, one integer matrix-vector product X*v over dx*d.  The trace
+table holds T(b_i*b_j) for every such product, as integers over one
+denominator.  A form reduces delta, reads its weights w_k = T(delta*b_k)
+off the trace table and contracts them with every product vector: one
+integer dot product each, all over one denominator.  Polynomials are read
+as their integer numerators over their one denominator
+(`Polynomial.numerators`, `Polynomial.denominator`): a normal form is a
+coordinate vector as it stands, and multiplication matrices, traces and
+residues modulo a prime scale by that denominator once per polynomial.
+The Fraction matrices and coordinates of the public interface are built
+from the integers on request.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from operator import mul
 import numpy as np
 
 from .errors import CertificateFailed
-from .groebner import (GroebnerBasis, leading_monomial, normal_form,
+from .groebner import (GroebnerBasis, _grevlex_key, leading_monomial, normal_form,
                        standard_monomials)
 from .poly import Monomial, Polynomial
 from .signature import prime_cap, primes, rank, rank_mod
@@ -83,29 +85,25 @@ def _to_fractions(scaled: ScaledMatrix) -> Matrix:
     return tuple(tuple(Fraction(v, den) for v in row) for row in rows)
 
 
+@dataclass(frozen=True, eq=False)
 class QuotientAlgebra:
-    """Basis, multiplication matrices and trace table of Q[x,y]/I.
+    """Basis, multiplication matrices, product table and trace table of Q[x,y]/I.
 
     `mx` and `my` are the multiplication matrices by x and y as integer
-    rows over one positive denominator each; the trace table, built on
-    first use, holds the trace of every product of two basis monomials.
-    Immutable after construction (internal caches only grow); instances may
-    be shared freely between threads and the form builders below.
+    rows over one positive denominator each.  `products` maps every distinct
+    product of two basis monomials to its coordinates, reduced integers over
+    one positive denominator; `traces` holds the trace of each of those
+    products as integers over one positive denominator.  `build_algebra`
+    computes all of them once; instances never change and may be shared
+    freely between threads and the form builders below.
     """
 
-    def __init__(self, gb: GroebnerBasis, basis: tuple[Monomial, ...],
-                 mx: ScaledMatrix, my: ScaledMatrix):
-        self.gb = gb
-        self.basis = basis
-        self._mx = mx
-        self._my = my
-        self._index = {m: i for i, m in enumerate(basis)}
-        self._vectors: dict[Monomial, Scaled] = {}
-        for i, mono in enumerate(basis):
-            self._vectors[mono] = (tuple(int(j == i) for j in range(len(basis))), 1)
-        if not basis:
-            self._vectors[Monomial(0, 0)] = ((), 1)
-        self._traces: tuple[dict[Monomial, int], int] | None = None
+    gb: GroebnerBasis
+    basis: tuple[Monomial, ...]
+    mx: ScaledMatrix
+    my: ScaledMatrix
+    products: dict[Monomial, Scaled]
+    traces: tuple[dict[Monomial, int], int]
 
     @property
     def dim(self) -> int:
@@ -114,62 +112,17 @@ class QuotientAlgebra:
     @property
     def mult_x(self) -> Matrix:
         """Matrix of multiplication by x, in Fractions."""
-        return _to_fractions(self._mx)
+        return _to_fractions(self.mx)
 
     @property
     def mult_y(self) -> Matrix:
         """Matrix of multiplication by y, in Fractions."""
-        return _to_fractions(self._my)
+        return _to_fractions(self.my)
 
     def coordinates(self, mono: Monomial) -> tuple[Fraction, ...]:
         """Coordinate vector of the residue class of a monomial."""
-        nums, den = self._vector(mono)
-        return tuple(Fraction(v, den) for v in nums)
-
-    def _vector(self, mono: Monomial) -> Scaled:
-        """Coordinates of a monomial as reduced integer numerators over one
-        positive denominator."""
-        cached = self._vectors.get(mono)
-        if cached is not None:
-            return cached
-        # reach the monomial from a smaller cached one, one variable at a time
-        pending = [mono]
-        while pending:
-            m = pending[-1]
-            if m in self._vectors:
-                pending.pop()
-                continue
-            prev = Monomial(m.ex - 1, m.ey) if m.ex else Monomial(m.ex, m.ey - 1)
-            prev_vec = self._vectors.get(prev)
-            if prev_vec is None:
-                pending.append(prev)
-                continue
-            # M*(v/d) = (rows*v)/(dm*d)
-            rows, dm = self._mx if m.ex else self._my
-            nums, den = prev_vec
-            product = [sum(map(mul, row, nums)) for row in rows]
-            den *= dm
-            g = gcd(den, *product)
-            self._vectors[m] = tuple(v // g for v in product), den // g
-            pending.pop()
-        return self._vectors[mono]
-
-    def _trace_table(self) -> tuple[dict[Monomial, int], int]:
-        """T(b_i*b_j) for every distinct product of two basis monomials, as
-        gcd-reduced integers over one positive denominator: T(b_k) is the sum
-        over j of coordinate j of b_k*b_j, and T(m) = sum_k T(b_k) * m_k."""
-        if self._traces is None:
-            basis = self.basis
-            vectors = {bi * bj: self._vector(bi * bj) for bi in basis for bj in basis}
-            den = lcm(*(d for _, d in vectors.values()))
-            tau = [sum(nums[j] * (den // d) for j, (nums, d) in
-                       enumerate(vectors[b * other] for other in basis)) for b in basis]
-            # T(b_k) = tau_k / den, so T(m) = (tau . nums) * (den / d) / den**2
-            table = {m: sum(map(mul, tau, nums)) * (den // d)
-                     for m, (nums, d) in vectors.items()}
-            g = gcd(den * den, *table.values())
-            self._traces = {m: t // g for m, t in table.items()}, den * den // g
-        return self._traces
+        residue = normal_form(Polynomial.monomial(mono), self.gb)
+        return tuple(residue.coefficient(b) for b in self.basis)
 
 
 def build_algebra(gb: GroebnerBasis) -> QuotientAlgebra:
@@ -177,7 +130,8 @@ def build_algebra(gb: GroebnerBasis) -> QuotientAlgebra:
 
     Condition (1) is checked on integer numerators: with M_x = X/dx and
     M_y = Y/dy, M_x*M_y = XY/(dx*dy) and M_y*M_x = YX/(dx*dy), so the
-    matrices commute exactly when XY = YX.
+    matrices commute exactly when XY = YX.  The product and trace tables
+    are computed once the three conditions hold.
 
     Raises NotZeroDimensional when the basis has infinitely many standard
     monomials, and CertificateFailed naming the failed condition when any of
@@ -186,14 +140,12 @@ def build_algebra(gb: GroebnerBasis) -> QuotientAlgebra:
     basis = standard_monomials(gb)
     _require_reduced(gb)
     dim = len(basis)
-    standard = set(basis)
+    units = {b: (tuple(int(j == i) for j in range(dim)), 1) for i, b in enumerate(basis)}
     border: dict[Monomial, Scaled] = {}
     index = {m: i for i, m in enumerate(basis)}
 
     def column(product: Monomial) -> Scaled:
-        if product in standard:
-            return tuple(int(j == index[product]) for j in range(dim)), 1
-        vec = border.get(product)
+        vec = units.get(product) or border.get(product)
         if vec is None:
             residue = normal_form(Polynomial.monomial(product), gb)
             coords = [0] * dim
@@ -221,9 +173,38 @@ def build_algebra(gb: GroebnerBasis) -> QuotientAlgebra:
         if not normal_form(p, gb).is_zero():
             raise CertificateFailed(f"input generator {i} has a nonzero normal form; "
                                     "the basis does not generate its inputs")
-    algebra = QuotientAlgebra(gb, basis, mx, my)
-    algebra._vectors.update(border)
-    return algebra
+
+    # the product one degree below a product of two basis monomials is again
+    # one, because the basis is closed under division
+    products = dict(units)
+    for m in sorted({bi * bj for bi in basis for bj in basis} - units.keys(),
+                    key=_grevlex_key):
+        # M*(v/d) = (rows*v)/(dm*d)
+        rows, dm = mx if m.ex else my
+        nums, den = products[Monomial(m.ex - 1, m.ey) if m.ex else Monomial(m.ex, m.ey - 1)]
+        product = [sum(map(mul, row, nums)) for row in rows]
+        den *= dm
+        g = gcd(den, *product)
+        products[m] = tuple(v // g for v in product), den // g
+
+    # T(b_k) is the sum over j of coordinate j of b_k*b_j, here tau_k / den
+    den = lcm(*(d for _, d in products.values()))
+    tau = [sum(nums[j] * (den // d) for j, (nums, d) in
+               enumerate(products[b * other] for other in basis)) for b in basis]
+    return QuotientAlgebra(gb, basis, mx, my, products, _contract(tau, den, products))
+
+
+def _contract(weights: list[int], weight_den: int,
+              products: dict[Monomial, Scaled]) -> tuple[dict[Monomial, int], int]:
+    """w . c for the weight vector w = weights/weight_den and the coordinates
+    c of every product, as gcd-reduced integers over one positive
+    denominator."""
+    den = lcm(*(d for _, d in products.values()))
+    entries = {m: sum(map(mul, weights, nums)) * (den // d)
+               for m, (nums, d) in products.items()}
+    den *= weight_den
+    g = gcd(den, *entries.values())
+    return {m: v // g for m, v in entries.items()}, den // g
 
 
 def _require_reduced(gb: GroebnerBasis) -> None:
@@ -246,19 +227,25 @@ def mult_matrix(algebra: QuotientAlgebra, h: Polynomial) -> Matrix:
     Equals the evaluation of h at the pair of generator matrices; h is
     reduced internally, so any member of the ideal yields the zero matrix.
     """
-    dim = algebra.dim
-    terms = h.numerators.items()
+    columns = _mult_columns(algebra, normal_form(h, algebra.gb))
+    return tuple(zip(*([Fraction(v, den) for v in col] for col, den in columns)))
+
+
+def _mult_columns(algebra: QuotientAlgebra, residue: Polynomial) -> list[Scaled]:
+    """Columns of M_h for h in normal form, as integers over one denominator
+    each: every term of h times a basis monomial b is a product in the table,
+    so the column of b sums the coordinates of those products."""
+    terms = residue.numerators.items()
     columns = []
     for b in algebra.basis:
-        parts = [(c, algebra._vector(mono * b)) for mono, c in terms]
+        parts = [(c, algebra.products[mono * b]) for mono, c in terms]
         den = lcm(*(d for _, (_, d) in parts))
-        col = [0] * dim
+        col = [0] * algebra.dim
         for c, (nums, d) in parts:
             scale = c * (den // d)
             col = [a + scale * v for a, v in zip(col, nums)]
-        den *= h.denominator
-        columns.append([Fraction(v, den) for v in col])
-    return tuple(zip(*columns))
+        columns.append((tuple(col), den * residue.denominator))
+    return columns
 
 
 def generates_algebra(algebra: QuotientAlgebra, hs) -> bool:
@@ -272,17 +259,19 @@ def generates_algebra(algebra: QuotientAlgebra, hs) -> bool:
     such a prime is a ring map and cannot raise a rank.  The first such
     prime of the descending stream is tried; when the rank falls short
     modulo it, the exact rank decides, so a false verdict is exact too.
+    Scaling a column by its positive denominator changes no rank, so the
+    exact rank runs on the integer numerators of the columns.
     """
     n = algebra.dim
     if n == 0:
         return True
     reduced = [normal_form(h, algebra.gb) for h in hs]
-    denominators = [algebra._mx[1], algebra._my[1], *(h.denominator for h in reduced)]
+    denominators = [algebra.mx[1], algebra.my[1], *(h.denominator for h in reduced)]
     p = next(q for q in primes(prime_cap(n)) if all(d % q for d in denominators))
     if rank_mod(_block_mod(algebra, reduced, p), p) == n:
         return True
-    blocks = [mult_matrix(algebra, h) for h in reduced]
-    return rank([sum((m[i] for m in blocks), ()) for i in range(n)]) == n
+    columns = [col for h in reduced for col, _ in _mult_columns(algebra, h)]
+    return rank(list(zip(*columns))) == n
 
 
 def _block_mod(algebra: QuotientAlgebra, reduced, p: int) -> np.ndarray:
@@ -295,19 +284,20 @@ def _block_mod(algebra: QuotientAlgebra, reduced, p: int) -> np.ndarray:
     p <= prime_cap(n) keeps each product in int64.
     """
     n = algebra.dim
+    index = {m: i for i, m in enumerate(algebra.basis)}
     mx, my = (np.array([[v % p for v in row] for row in rows], dtype=np.int64)
-              * pow(den, -1, p) % p for rows, den in (algebra._mx, algebra._my))
+              * pow(den, -1, p) % p for rows, den in (algebra.mx, algebra.my))
     columns = np.zeros((n, n, len(reduced)), dtype=np.int64)
     for k, h in enumerate(reduced):
         inverse = pow(h.denominator, -1, p)
         for mono, num in h.numerators.items():
-            columns[0, algebra._index[mono], k] = num * inverse % p
+            columns[0, index[mono], k] = num * inverse % p
     for j, b in enumerate(algebra.basis[1:], start=1):
         if b.ex:
             previous, matrix = Monomial(b.ex - 1, b.ey), mx
         else:
             previous, matrix = Monomial(b.ex, b.ey - 1), my
-        columns[j] = matrix @ columns[algebra._index[previous]] % p
+        columns[j] = matrix @ columns[index[previous]] % p
     return columns.transpose(1, 2, 0).reshape(n, -1)
 
 
@@ -323,17 +313,10 @@ def form_matrix(algebra: QuotientAlgebra, delta: Polynomial) -> SymmetricForm:
     matrix is symmetric by construction.
     """
     basis = algebra.basis
-    traces, trace_den = algebra._trace_table()
+    traces, trace_den = algebra.traces
     residue = normal_form(delta, algebra.gb)
     terms = residue.numerators.items()
-    # w_k over trace_den * residue.denominator
     weights = [sum(c * traces[mono * b] for mono, c in terms) for b in basis]
-    vectors = {product: algebra._vector(product) for product in traces}
-    den = lcm(*(d for _, d in vectors.values()))
-    entries = {product: sum(map(mul, weights, nums)) * (den // d)
-               for product, (nums, d) in vectors.items()}
-    den *= trace_den * residue.denominator
-    g = gcd(den, *entries.values())
-    entries = {product: v // g for product, v in entries.items()}
+    entries, den = _contract(weights, trace_den * residue.denominator, algebra.products)
     rows = tuple(tuple(entries[bi * bj] for bj in basis) for bi in basis)
-    return SymmetricForm(rows, den // g)
+    return SymmetricForm(rows, den)

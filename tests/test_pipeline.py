@@ -101,7 +101,7 @@ class TestGenericityCertificate:
         over both, and the modular rank runs at the largest prime."""
         d = derived_of(EIGHT_CUSP_TEXT)
         algebra = cusp_algebra(d)
-        assert algebra._mx[1] % 23 == 0 and algebra._my[1] % 13 == 0
+        assert algebra.mx[1] % 23 == 0 and algebra.my[1] % 13 == 0
         monkeypatch.setattr(quotient, "primes", lambda cap: chain([23, 13], primes(cap)))
         tried = []
         monkeypatch.setattr(quotient, "rank_mod",
@@ -140,9 +140,19 @@ class TestGenericityCertificate:
             return 0
 
         monkeypatch.setattr(quotient, "rank_mod", deficient)
+        handed = []
+
+        def integer_rank(matrix):
+            handed.append(matrix)
+            return rank(matrix)
+
+        monkeypatch.setattr(quotient, "rank", integer_rank)
         d = derived_of(text)
         assert certify_genericity(d, cusp_algebra(d)) is verdict
         assert len(calls) == 1
+        # the exact fallback sees the integer columns of the block, no Fractions
+        assert len(handed) == 1
+        assert all(type(v) is int for row in handed[0] for v in row)
 
 
 class TestCensus:

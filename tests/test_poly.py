@@ -243,6 +243,12 @@ class TestRepresentation:
         zero = p - p
         assert zero == Polynomial.zero() and hash(zero) == hash(Polynomial.zero())
         assert zero.denominator == 1 and not zero.numerators
+        # a constant equals, and hashes as, the int or Fraction it stands for
+        for value in (0, 2, -7, Fraction(3, 4), Fraction(-5, 2)):
+            for constant in (Polynomial.constant(value), Polynomial({(0, 0): value})):
+                assert constant == value and hash(constant) == hash(value)
+                assert value in {constant} and constant in {value}
+        assert zero == 0 and hash(zero) == hash(0) and 0 in {zero}
         assert Polynomial({(1, 0): Fraction(1, 6)}) + Polynomial({(1, 0): Fraction(1, 3)}) \
             == Polynomial({(1, 0): Fraction(1, 2)})
         rng = random.Random(20512)

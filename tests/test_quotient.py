@@ -8,7 +8,7 @@ from math import gcd
 import pytest
 
 from cuspcount.errors import NotZeroDimensional
-from cuspcount.exprio import parse_polynomial
+from cuspcount.exprio import parse_polynomial, parse_problem
 from cuspcount.groebner import GroebnerBasis, buchberger, normal_form
 from cuspcount.pipeline import derive_system
 from cuspcount.poly import Monomial, Polynomial, X, Y
@@ -16,7 +16,7 @@ from cuspcount import quotient
 from cuspcount.quotient import (_block_mod, build_algebra, form_matrix,
                                 generates_algebra, mult_matrix)
 from cuspcount.signature import prime_cap, primes
-from conftest import random_polynomial
+from conftest import SIX_CUSP_TEXT, TWO_CUSP_TEXT, random_polynomial
 
 ONE = Polynomial.constant(1)
 
@@ -145,10 +145,12 @@ class TestIntegerRepresentation:
                 expected = coordinates_by_fractions(algebra, mono, cache)
                 assert algebra.coordinates(mono) == expected
                 assert all(type(v) is Fraction for v in algebra.coordinates(mono))
-            # every cached vector is reduced, over a positive denominator
-            for nums, den in algebra._vectors.values():
+            # every table vector is the recursion's, reduced, over a positive denominator
+            for mono, (nums, den) in algebra.products.items():
+                assert tuple(Fraction(v, den) for v in nums) == \
+                    coordinates_by_fractions(algebra, mono, cache)
                 assert den > 0 and gcd(den, *nums) == 1
-            for rows, den in (algebra._mx, algebra._my):
+            for rows, den in (algebra.mx, algebra.my):
                 assert den > 0 and gcd(den, *(v for row in rows for v in row)) == 1
         assert min(dims) == 0 and max(dims) == 16
 
@@ -196,6 +198,44 @@ class TestIntegerRepresentation:
             assert is_fraction_matrix(result, n)
             assert result == expected
             checked += 1
+
+
+def cusp_algebra_of(text):
+    """The derived system of a map and the quotient algebra its census builds."""
+    problem = parse_problem(text)
+    d = derive_system(problem.f1, problem.f2)
+    return d, build_algebra(buchberger([d.jac, d.vel1, d.vel2]))
+
+
+class TestProductTable:
+    """build_algebra computes the coordinates of every product of two basis
+    monomials, and nothing computes anything into an algebra afterwards."""
+
+    def test_vectors_are_normal_forms(self):
+        rng = random.Random(20702)
+        algebras = [cusp_algebra_of(SIX_CUSP_TEXT)[1]]
+        algebras += [a for a in (random_algebra(rng) for _ in range(40)) if a is not None]
+        assert {a.dim for a in algebras} >= {0, 16, 56}
+        for algebra in algebras:
+            basis = algebra.basis
+            assert algebra.products.keys() == {bi * bj for bi in basis for bj in basis}
+            for mono, (nums, den) in algebra.products.items():
+                residue = normal_form(Polynomial.monomial(mono), algebra.gb)
+                assert tuple(Fraction(v, den) for v in nums) == \
+                    tuple(residue.coefficient(b) for b in basis)
+
+    @pytest.mark.parametrize("text", [TWO_CUSP_TEXT, SIX_CUSP_TEXT], ids=["two_cusp", "six_cusp"])
+    def test_readers_leave_the_algebra_as_built(self, text):
+        d, algebra = cusp_algebra_of(text)
+        built = dict(vars(algebra))
+        products, traces = dict(algebra.products), dict(algebra.traces[0])
+        form_matrix(algebra, d.vel_jac)
+        mult_matrix(algebra, d.minor1 * X)
+        algebra.coordinates(Monomial(7, 5))
+        assert generates_algebra(algebra, (d.minor1, d.minor2))
+        assert vars(algebra).keys() == built.keys()
+        assert all(vars(algebra)[k] is v for k, v in built.items())
+        assert algebra.products == products and algebra.traces[0] == traces
 
 
 class TestMultMatrix:
@@ -333,11 +373,10 @@ class TestFormMatrix:
             if algebra is None:
                 continue
             dims.add(algebra.dim)
-            fresh = build_algebra(algebra.gb)  # caches the form builder never saw
             for delta in (random_polynomial(rng, 4, lo=-9, hi=9),
                           normal_form(random_polynomial(rng, 4), algebra.gb)):
                 products = {bi * bj for bi in algebra.basis for bj in algebra.basis}
-                traces = {m: trace_functional(fresh, delta * Polynomial.monomial(m))
+                traces = {m: trace_functional(algebra, delta * Polynomial.monomial(m))
                           for m in products}
                 expected = tuple(tuple(traces[bi * bj] for bj in algebra.basis)
                                  for bi in algebra.basis)
