@@ -120,15 +120,13 @@ def main(argv: list[str] | None = None) -> int:
         print("cuspcount: oracle left unresolved boxes (reported below)", file=sys.stderr)
         exit_code = EXIT_GUARD
 
-    if args.json:
-        report = json.dumps(_json_report(problem, result, points, timings), indent=2)
-    else:
-        report = _text_report(problem, result, points, args.basis, timings)
+    report = _json_report(problem, result, points, timings)
+    output = json.dumps(report, indent=2) if args.json else _text_report(report, args.basis)
     if sys.stdout is None:  # the interpreter's stand-in for a closed descriptor 1
         print("cuspcount: cannot write report: standard output is closed", file=sys.stderr)
         return EXIT_INTERNAL
     try:
-        print(report, flush=True)
+        print(output, flush=True)
     except OSError as err:  # a full device or a reader that closed the pipe
         print(f"cuspcount: cannot write report: {err}", file=sys.stderr)
         # the unwritten report stays buffered; point its descriptor at the null
@@ -191,43 +189,38 @@ def _json_point(pt: CertifiedPoint) -> dict:
     }
 
 
-def _text_report(problem: ProblemInput, result: CuspCensus,
-                 points: tuple[CertifiedPoint, ...] | None,
-                 show_basis: bool, timings: dict[str, float]) -> str:
-    lines = [
-        f"map: f1 = {format_polynomial(problem.f1)}",
-        f"     f2 = {format_polynomial(problem.f2)}",
-    ]
-    if problem.u is not None:
-        lines.append(f"region: u = {format_polynomial(problem.u)}")
+def _text_report(report: dict, show_basis: bool) -> str:
+    echo = report["input_echo"]
+    lines = [f"map: f1 = {echo['f1']}", f"     f2 = {echo['f2']}"]
+    if echo["u"] is not None:
+        lines.append(f"region: u = {echo['u']}")
     lines.append("one-generic: certified")
-    lines.append(f"quotient dimension: {result.dim}")
+    lines.append(f"quotient dimension: {report['dim']}")
     if show_basis:
-        lines.append("basis: " + (", ".join(format_monomial(m) for m in result.basis) or "(empty)"))
-    sig_bits = [f"theta1={result.sig1}", f"theta2={result.sig2}"]
-    if result.sig3 is not None:
-        sig_bits.append(f"theta3={result.sig3}")
-    if result.sig4 is not None:
-        sig_bits.append(f"theta4={result.sig4}")
-    lines.append("signatures: " + " ".join(sig_bits))
-    lines.append(f"cusps: total={result.total_cusps} "
-                 f"positive={result.positive_cusps} negative={result.negative_cusps}")
-    if result.region is not None:
-        lines.append(f"cusps in region: positive={result.region.positive} "
-                     f"negative={result.region.negative}")
-    elif problem.u is not None:
+        lines.append("basis: " + (", ".join(report["basis"]) or "(empty)"))
+    lines.append("signatures: " + " ".join(f"{name}={value}" for name, value
+                                           in report["signatures"].items() if value is not None))
+    cusps = report["cusps"]
+    lines.append(f"cusps: total={cusps['total']} "
+                 f"positive={cusps['positive']} negative={cusps['negative']}")
+    region = report["region"]
+    if region is not None:
+        lines.append(f"cusps in region: positive={region['positive']} "
+                     f"negative={region['negative']}")
+    elif echo["u"] is not None:
         lines.append("cusps in region: withheld (degenerate region form)")
+    points = report["oracle"]
     if points is not None:
-        cusps = [pt for pt in points if pt.kind == "cusp"]
-        unresolved = [pt for pt in points if pt.kind == "unresolved"]
-        lines.append(f"oracle: {len(cusps)} certified point(s), {len(unresolved)} unresolved")
+        kinds = [pt["kind"] for pt in points]
+        lines.append(f"oracle: {kinds.count('cusp')} certified point(s), "
+                     f"{kinds.count('unresolved')} unresolved")
         for pt in points:
-            region_text = {True: "yes", False: "no", None: "n/a"}[pt.in_region]
+            (x_lo, x_hi), (y_lo, y_hi) = pt["box"]
+            region_text = {True: "yes", False: "no", None: "n/a"}[pt["in_region"]]
             lines.append(
-                f"  x in [{pt.box[0].lo:.9g}, {pt.box[0].hi:.9g}], "
-                f"y in [{pt.box[1].lo:.9g}, {pt.box[1].hi:.9g}]  "
-                f"kind={pt.kind} degree_sign={pt.degree_sign} in_region={region_text}")
-    lines.append(f"elapsed: {timings['total'] * 1000.0:.1f} ms")
+                f"  x in [{x_lo:.9g}, {x_hi:.9g}], y in [{y_lo:.9g}, {y_hi:.9g}]  "
+                f"kind={pt['kind']} degree_sign={pt['degree_sign']} in_region={region_text}")
+    lines.append(f"elapsed: {report['timings_ms']['total']:.1f} ms")
     return "\n".join(lines)
 
 

@@ -17,10 +17,11 @@ proves that the inputs lie in (G); Buchberger builds G from the inputs, so
 A is the quotient by the ideal of the inputs.
 
 `generates_algebra` decides whether given polynomials generate A itself as
-an ideal, by the rank of their multiplication matrices side by side: modulo
-the first word-size prime of `signature.primes` that divides none of their
-denominators, and by the exact rank certificate of `signature.rank` when
-that falls short.  The census uses it for the one-genericity certificate.
+an ideal, by the rank of their multiplication matrices side by side, each
+column scaled by a positive integer that clears its denominators: modulo
+the first word-size prime of `signature.primes`, and by the exact rank
+certificate of `signature.rank` when that falls short.  The census uses it
+for the one-genericity certificate.
 
 The exact arithmetic runs on integers: M_x and M_y are held as integer
 matrices over one positive denominator each, X/dx and Y/dy, and every
@@ -39,8 +40,8 @@ as their integer numerators over their one denominator
 (`Polynomial.numerators`, `Polynomial.denominator`): a normal form is a
 coordinate vector as it stands, and multiplication matrices, traces and
 residues modulo a prime scale by that denominator once per polynomial.
-The Fraction matrices and coordinates of the public interface are built
-from the integers on request.
+The Fraction matrices of the public interface, `mult_matrix` and
+`SymmetricForm.matrix`, are built from the integers on request.
 """
 
 from __future__ import annotations
@@ -77,12 +78,7 @@ class SymmetricForm:
 
     @property
     def matrix(self) -> Matrix:
-        return _to_fractions((self.rows, self.denominator))
-
-
-def _to_fractions(scaled: ScaledMatrix) -> Matrix:
-    rows, den = scaled
-    return tuple(tuple(Fraction(v, den) for v in row) for row in rows)
+        return tuple(tuple(Fraction(v, self.denominator) for v in row) for row in self.rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,21 +104,6 @@ class QuotientAlgebra:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    @property
-    def mult_x(self) -> Matrix:
-        """Matrix of multiplication by x, in Fractions."""
-        return _to_fractions(self.mx)
-
-    @property
-    def mult_y(self) -> Matrix:
-        """Matrix of multiplication by y, in Fractions."""
-        return _to_fractions(self.my)
-
-    def coordinates(self, mono: Monomial) -> tuple[Fraction, ...]:
-        """Coordinate vector of the residue class of a monomial."""
-        residue = normal_form(Polynomial.monomial(mono), self.gb)
-        return tuple(residue.coefficient(b) for b in self.basis)
 
 
 def build_algebra(gb: GroebnerBasis) -> QuotientAlgebra:
@@ -254,44 +235,46 @@ def generates_algebra(algebra: QuotientAlgebra, hs) -> bool:
     The ideal they generate is the column space of the n x kn block
     [M_h1 | ... | M_hk] of their multiplication matrices, so the answer is
     whether that block has rank n = dim A; the zero algebra is generated by
-    anything.  Full rank modulo a prime that divides no denominator of M_x,
-    M_y or the reduced hs proves full rank over Q, because reduction modulo
-    such a prime is a ring map and cannot raise a rank.  The first such
-    prime of the descending stream is tried; when the rank falls short
-    modulo it, the exact rank decides, so a false verdict is exact too.
-    Scaling a column by its positive denominator changes no rank, so the
-    exact rank runs on the integer numerators of the columns.
+    anything.  Scaling a column by a positive integer changes no rank, so
+    both tests run on integer columns.  `_block_mod` reduces columns scaled
+    by products of the stored denominators; full rank of that block modulo
+    any prime proves full rank over Q, because reduction modulo a prime is
+    a ring map and cannot raise a rank.  The first prime of the descending
+    stream is tried; when the rank falls short modulo it, as it may when
+    the prime divides a denominator, the exact rank decides on the columns'
+    integer numerators, so a false verdict is exact too.
     """
     n = algebra.dim
     if n == 0:
         return True
     reduced = [normal_form(h, algebra.gb) for h in hs]
-    denominators = [algebra.mx[1], algebra.my[1], *(h.denominator for h in reduced)]
-    p = next(q for q in primes(prime_cap(n)) if all(d % q for d in denominators))
+    p = next(primes(prime_cap(n)))
     if rank_mod(_block_mod(algebra, reduced, p), p) == n:
         return True
-    columns = [col for h in reduced for col, _ in _mult_columns(algebra, h)]
-    return rank(list(zip(*columns))) == n
+    return rank([col for h in reduced for col, _ in _mult_columns(algebra, h)]) == n
 
 
 def _block_mod(algebra: QuotientAlgebra, reduced, p: int) -> np.ndarray:
-    """[M_h1 | ... | M_hk] modulo p for hs already in normal form.
+    """[M_h1 | ... | M_hk] modulo p for hs already in normal form, with
+    each column scaled by a positive integer.
 
     The column of M_h for a basis monomial b holds the coordinates of h*b:
     those of h itself for b = 1, else M_x or M_y applied to the column of
     b/x or b/y, which is standard because the basis is closed under
-    division.  p must divide none of the denominators, and
-    p <= prime_cap(n) keeps each product in int64.
+    division.  The recursion runs on the integer numerators X = dx*M_x,
+    Y = dy*M_y and h.denominator*h, climbing in y first and then in x, so
+    the column of b = x^i y^j is the exact one times
+    h.denominator * dx**i * dy**j, which changes no rank.  Any prime
+    p <= prime_cap(n) serves, and keeps each product in int64.
     """
     n = algebra.dim
     index = {m: i for i, m in enumerate(algebra.basis)}
     mx, my = (np.array([[v % p for v in row] for row in rows], dtype=np.int64)
-              * pow(den, -1, p) % p for rows, den in (algebra.mx, algebra.my))
+              for rows, _ in (algebra.mx, algebra.my))
     columns = np.zeros((n, n, len(reduced)), dtype=np.int64)
     for k, h in enumerate(reduced):
-        inverse = pow(h.denominator, -1, p)
         for mono, num in h.numerators.items():
-            columns[0, index[mono], k] = num * inverse % p
+            columns[0, index[mono], k] = num % p
     for j, b in enumerate(algebra.basis[1:], start=1):
         if b.ex:
             previous, matrix = Monomial(b.ex - 1, b.ey), mx

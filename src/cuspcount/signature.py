@@ -1,9 +1,10 @@
 """Exact inertia of symmetric rational matrices, exact rank of any matrix.
 
-Rescaling a matrix by a positive rational never disturbs inertia, so the
-counts run on a denominator-cleared integer matrix A.  One certificate
-gives them: a congruence to a diagonally dominant matrix, after an exact
-deflation of the kernel.
+Scaling a matrix by a positive integer changes neither its rank nor, when
+it is symmetric, its inertia, so the counts run on the integer matrix A
+that the least common multiple of the entries' denominators clears.  One
+certificate gives them: a congruence to a diagonally dominant matrix, after
+an exact deflation of the kernel.
 
 Congruence.  By Sylvester's law of inertia, B = W^T A W has the inertia of
 A for every nonsingular W.  If every row of B is strictly diagonally
@@ -93,22 +94,11 @@ def _require_symmetric(matrix: MatrixLike, n: int) -> None:
                     f"{matrix[i][j]} vs {matrix[j][i]}")
 
 
-def _scaled_integer_matrix(matrix: MatrixLike) -> tuple[list[list[int]], Fraction]:
-    """Return (s*M as integers, s) for the smallest convenient rational s > 0."""
-    denominator_lcm = lcm(*(v.denominator for row in matrix for v in row))
-    scaled = [[v.numerator * (denominator_lcm // v.denominator) for v in row]
-              for row in matrix]
-    content = 0
-    for row in scaled:
-        for v in row:
-            content = gcd(content, v)
-            if content == 1:
-                break
-    if content > 1:
-        scaled = [[v // content for v in row] for row in scaled]
-    else:
-        content = 1
-    return scaled, Fraction(denominator_lcm, content)
+def _scaled_integer_matrix(matrix: MatrixLike) -> list[list[int]]:
+    """s*M as integers, for s the least common multiple of the entries'
+    denominators."""
+    s = lcm(*(v.denominator for row in matrix for v in row))
+    return [[v.numerator * (s // v.denominator) for v in row] for row in matrix]
 
 
 # -- primes -------------------------------------------------------------------
@@ -180,7 +170,7 @@ def rank(matrix: MatrixLike) -> int:
     if not width:
         return 0
     # a positive scaling and a transposition change no rank
-    scaled, _ = _scaled_integer_matrix(matrix)
+    scaled = _scaled_integer_matrix(matrix)
     if width > len(scaled):
         scaled = [list(column) for column in zip(*scaled)]
     return len(_pivot_columns(scaled))
@@ -410,7 +400,7 @@ def signature_of(matrix: MatrixLike) -> SignatureResult:
     if n == 0:
         return SignatureResult(0, 0, 0, 0, True)
     # positive rescaling preserves inertia, so count on the integer matrix
-    scaled, _ = _scaled_integer_matrix(matrix)
+    scaled = _scaled_integer_matrix(matrix)
     kept = _pivot_columns(scaled)
     positive, negative = (_congruence_inertia([[scaled[i][j] for j in kept] for i in kept])
                           if kept else (0, 0))

@@ -2,10 +2,11 @@
 
 import random
 from itertools import chain
+from math import gcd
 
 import pytest
 
-from cuspcount import pipeline, quotient
+from cuspcount import pipeline, quotient, signature
 from cuspcount.errors import (DegreeGuardExceeded, GenericityNotCertified,
                               NotZeroDimensional)
 from cuspcount.exprio import parse_polynomial, parse_problem
@@ -13,8 +14,7 @@ from cuspcount.groebner import buchberger, normal_form
 from cuspcount.pipeline import CuspCensus, census, certify_genericity, derive_system
 from cuspcount.poly import Monomial, Polynomial, X, Y, func_det
 from cuspcount.quotient import build_algebra, mult_matrix
-from cuspcount.signature import (_scaled_integer_matrix, prime_cap, primes, rank,
-                                 rank_mod, signature_of)
+from cuspcount.signature import _pivot_columns, primes, rank, rank_mod, signature_of
 from conftest import (EIGHT_CUSP_TEXT, FOLD_ONLY_TEXT, IDENTITY_TEXT,
                       NON_GENERIC_TEXT, SIX_CUSP_TEXT, TWO_CUSP_TEXT,
                       WHITNEY_TEXT, random_polynomial)
@@ -95,19 +95,29 @@ class TestGenericityCertificate:
         assert Matrix(block).rank() == 1
         assert not certify_genericity(d, algebra)
 
-    def test_prime_dividing_a_multiplication_denominator_is_skipped(self, monkeypatch):
-        """The eight-cusp map's M_x and M_y have denominators 2^4 3^3 7^3 13 23
-        and 2^4 3^3 7^3 13^2 23: a stream that offers 23 and 13 first passes
-        over both, and the modular rank runs at the largest prime."""
+    def test_denominator_prime_falls_to_the_exact_rank(self, monkeypatch):
+        """The eight-cusp map's M_x has denominator 2^4 3^3 7^3 13 23.  A
+        stream that starts at 23 hands it to the modular block, whose rank
+        falls short modulo 23, and the exact rank certifies."""
         d = derived_of(EIGHT_CUSP_TEXT)
         algebra = cusp_algebra(d)
-        assert algebra.mx[1] % 23 == 0 and algebra.my[1] % 13 == 0
-        monkeypatch.setattr(quotient, "primes", lambda cap: chain([23, 13], primes(cap)))
-        tried = []
-        monkeypatch.setattr(quotient, "rank_mod",
-                            lambda block, p: tried.append(p) or rank_mod(block, p))
+        assert algebra.mx[1] % 23 == 0
+        monkeypatch.setattr(quotient, "primes", lambda cap: chain([23], primes(cap)))
+        modular, exact = [], []
+
+        def spy_rank_mod(block, p):
+            modular.append((p, rank_mod(block, p)))
+            return modular[-1][1]
+
+        def spy_rank(matrix):
+            exact.append(rank(matrix))
+            return exact[-1]
+
+        monkeypatch.setattr(quotient, "rank_mod", spy_rank_mod)
+        monkeypatch.setattr(quotient, "rank", spy_rank)
         assert certify_genericity(d, algebra)
-        assert tried == [next(primes(prime_cap(algebra.dim)))]
+        assert [p for p, _ in modular] == [23] and modular[0][1] < algebra.dim
+        assert exact == [algebra.dim]
 
     def test_curve_of_cusp_candidates_is_not_certified(self):
         # jac, vel1 and vel2 all vanish on the line {y = 0}
@@ -208,24 +218,24 @@ class TestCensus:
         assert (c.positive_cusps, c.negative_cusps) == (0, 2)
 
     def test_forms_reach_the_signature_as_integer_rows(self, monkeypatch):
-        # same primitive matrix as the Fractions give, so the same primes
+        # the deflation gets each form's rows as they are, content and all
         forms, matrices = [], []
 
         def spy_form(*args):
             forms.append(quotient.form_matrix(*args))
             return forms[-1]
 
-        def spy_signature(matrix):
+        def spy_pivot_columns(matrix):
             matrices.append(matrix)
-            return signature_of(matrix)
+            return _pivot_columns(matrix)
 
         monkeypatch.setattr(pipeline, "form_matrix", spy_form)
-        monkeypatch.setattr(pipeline, "signature_of", spy_signature)
+        monkeypatch.setattr(signature, "_pivot_columns", spy_pivot_columns)
         census(parse_problem(EIGHT_CUSP_TEXT))
         assert len(matrices) == len(forms) == 4
+        assert any(gcd(*(v for row in form.rows for v in row)) > 1 for form in forms)
         for form, matrix in zip(forms, matrices):
-            assert all(type(v) is int for row in matrix for v in row)
-            assert _scaled_integer_matrix(matrix)[0] == _scaled_integer_matrix(form.matrix)[0]
+            assert matrix == [list(row) for row in form.rows]
 
     def test_region_form_with_zero_diagonal(self, monkeypatch):
         # an odd map: Theta_3 has no nonzero diagonal entry to pivot on

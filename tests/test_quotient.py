@@ -16,7 +16,7 @@ from cuspcount import quotient
 from cuspcount.quotient import (_block_mod, build_algebra, form_matrix,
                                 generates_algebra, mult_matrix)
 from cuspcount.signature import prime_cap, primes
-from conftest import SIX_CUSP_TEXT, TWO_CUSP_TEXT, random_polynomial
+from conftest import EIGHT_CUSP_TEXT, SIX_CUSP_TEXT, TWO_CUSP_TEXT, random_polynomial
 
 ONE = Polynomial.constant(1)
 
@@ -38,6 +38,13 @@ def frac_matrix(rows):
     return tuple(tuple(Fraction(v) for v in row) for row in rows)
 
 
+def fractions_of(scaled):
+    """The Fraction matrix of integer rows over one denominator, such as
+    `algebra.mx` and `algebra.my`."""
+    rows, den = scaled
+    return tuple(tuple(Fraction(v, den) for v in row) for row in rows)
+
+
 def random_algebra(rng):
     """Quotient by two random generators of degree at most 4 (dimension 0-16);
     None when it is not finite."""
@@ -52,24 +59,24 @@ class TestBuildAlgebra:
     def test_origin_point_algebra(self):
         algebra = build_algebra(buchberger([X, Y]))
         assert algebra.basis == (Monomial(0, 0),)
-        assert algebra.mult_x == ((0,),)
-        assert algebra.mult_y == ((0,),)
+        assert fractions_of(algebra.mx) == ((0,),)
+        assert fractions_of(algebra.my) == ((0,),)
 
     def test_two_cusp_algebra(self, two_cusp):
         _, _, algebra = two_cusp
         assert algebra.basis == (Monomial(0, 0), Monomial(0, 1))
         # x = -2y and y*y = 2y modulo the ideal
-        assert algebra.mult_x == frac_matrix([[0, 0], [-2, -4]])
-        assert algebra.mult_y == frac_matrix([[0, 0], [1, 2]])
+        assert fractions_of(algebra.mx) == frac_matrix([[0, 0], [-2, -4]])
+        assert fractions_of(algebra.my) == frac_matrix([[0, 0], [1, 2]])
 
     def test_unit_ideal_gives_zero_algebra(self):
         algebra = build_algebra(buchberger([ONE]))
         assert algebra.basis == ()
-        assert algebra.mult_x == ()
+        assert fractions_of(algebra.mx) == ()
 
     def test_multiplication_matrices_commute(self, two_cusp):
         _, _, algebra = two_cusp
-        mx, my = algebra.mult_x, algebra.mult_y
+        mx, my = fractions_of(algebra.mx), fractions_of(algebra.my)
 
         def matmul(a, b):
             n = len(a)
@@ -112,7 +119,7 @@ def coordinates_by_fractions(algebra, mono, cache):
     if mono not in cache:
         prev = Monomial(mono.ex - 1, mono.ey) if mono.ex else Monomial(mono.ex, mono.ey - 1)
         vec = coordinates_by_fractions(algebra, prev, cache)
-        matrix = algebra.mult_x if mono.ex else algebra.mult_y
+        matrix = fractions_of(algebra.mx if mono.ex else algebra.my)
         cache[mono] = tuple(
             sum((row[c] * vec[c] for c in range(len(vec)) if vec[c]), Fraction(0))
             for row in matrix)
@@ -142,9 +149,9 @@ class TestIntegerRepresentation:
             monomials |= {Monomial(a, d - a) for d in range(9) for a in range(d + 1)}
             cache = {}
             for mono in sorted(monomials):
-                expected = coordinates_by_fractions(algebra, mono, cache)
-                assert algebra.coordinates(mono) == expected
-                assert all(type(v) is Fraction for v in algebra.coordinates(mono))
+                residue = normal_form(Polynomial.monomial(mono), algebra.gb)
+                assert tuple(residue.coefficient(b) for b in basis) == \
+                    coordinates_by_fractions(algebra, mono, cache)
             # every table vector is the recursion's, reduced, over a positive denominator
             for mono, (nums, den) in algebra.products.items():
                 assert tuple(Fraction(v, den) for v in nums) == \
@@ -161,8 +168,7 @@ class TestIntegerRepresentation:
             if algebra is None:
                 continue
             basis, n = algebra.basis, algebra.dim
-            for matrix, var in ((algebra.mult_x, X), (algebra.mult_y, Y)):
-                assert is_fraction_matrix(matrix, n)
+            for matrix, var in ((fractions_of(algebra.mx), X), (fractions_of(algebra.my), Y)):
                 columns = [normal_form(var * Polynomial.monomial(b), algebra.gb)
                            for b in basis]
                 assert matrix == tuple(tuple(columns[c].coefficient(basis[r])
@@ -182,6 +188,7 @@ class TestIntegerRepresentation:
             if algebra is None:
                 continue
             n = algebra.dim
+            mx, my = fractions_of(algebra.mx), fractions_of(algebra.my)
             identity = tuple(tuple(Fraction(int(i == j)) for j in range(n))
                              for i in range(n))
             h = random_polynomial(rng, 3) + Polynomial({Monomial(1, 1): Fraction(-2, 3)})
@@ -189,9 +196,9 @@ class TestIntegerRepresentation:
             for mono, coeff in h.terms.items():
                 term = identity
                 for _ in range(mono.ex):
-                    term = matmul(term, algebra.mult_x)
+                    term = matmul(term, mx)
                 for _ in range(mono.ey):
-                    term = matmul(term, algebra.mult_y)
+                    term = matmul(term, my)
                 expected = tuple(tuple(e + coeff * t for e, t in zip(er, tr))
                                  for er, tr in zip(expected, term))
             result = mult_matrix(algebra, h)
@@ -231,7 +238,6 @@ class TestProductTable:
         products, traces = dict(algebra.products), dict(algebra.traces[0])
         form_matrix(algebra, d.vel_jac)
         mult_matrix(algebra, d.minor1 * X)
-        algebra.coordinates(Monomial(7, 5))
         assert generates_algebra(algebra, (d.minor1, d.minor2))
         assert vars(algebra).keys() == built.keys()
         assert all(vars(algebra)[k] is v for k, v in built.items())
@@ -264,6 +270,7 @@ class TestMultMatrix:
                                for j in range(n)) for i in range(n))
 
         n = len(algebra.basis)
+        mx, my = fractions_of(algebra.mx), fractions_of(algebra.my)
         identity = tuple(tuple(Fraction(int(i == j)) for j in range(n))
                          for i in range(n))
         for _ in range(50):
@@ -272,9 +279,9 @@ class TestMultMatrix:
             for mono, coeff in h.terms.items():
                 term = identity
                 for _ in range(mono.ex):
-                    term = matmul(term, algebra.mult_x)
+                    term = matmul(term, mx)
                 for _ in range(mono.ey):
-                    term = matmul(term, algebra.mult_y)
+                    term = matmul(term, my)
                 expected = tuple(tuple(e + coeff * t for e, t in zip(er, tr))
                                  for er, tr in zip(expected, term))
             assert mult_matrix(algebra, h) == expected
@@ -391,11 +398,15 @@ class TestFormMatrix:
 
 class TestGeneratesAlgebra:
     def test_modular_block_is_the_exact_block_mod_p(self):
-        """_block_mod is [M_h1 | M_h2] of mult_matrix, reduced modulo p."""
+        """Column (h, b) of _block_mod, for b = x^i y^j, is column b of
+        mult_matrix(h) times h.denominator * dx**i * dy**j, reduced modulo p,
+        also for primes that divide those denominators: the eight-cusp
+        map's dx is divisible by 2, 3 and 23."""
         rng = random.Random(20330)
-        p = 268435399
-        checked = 0
-        while checked < 40:
+        d, eight = cusp_algebra_of(EIGHT_CUSP_TEXT)
+        assert all(eight.mx[1] % p == 0 for p in (2, 3, 23))
+        cases = [(eight, [normal_form(h, eight.gb) for h in (d.minor1, d.minor2)])]
+        while len(cases) < 41:
             gens = [random_polynomial(rng, rng.randint(1, 3), lo=-5, hi=5)
                     for _ in range(3)]
             try:
@@ -403,21 +414,30 @@ class TestGeneratesAlgebra:
                                                    or [X]))
             except NotZeroDimensional:
                 continue
-            if not algebra.dim:  # generates_algebra answers n = 0 by itself
-                continue
-            hs = [normal_form(random_polynomial(rng, 3), algebra.gb) for _ in range(2)]
-            exact = [mult_matrix(algebra, h) for h in hs]
-            expected = [[v.numerator * pow(v.denominator, -1, p) % p
-                         for m in exact for v in m[i]] for i in range(algebra.dim)]
-            assert _block_mod(algebra, hs, p).tolist() == expected
-            checked += 1
+            if algebra.dim:  # generates_algebra answers n = 0 by itself
+                cases.append((algebra, [normal_form(random_polynomial(rng, 3), algebra.gb)
+                                        for _ in range(2)]))
+        for algebra, hs in cases:
+            (_, dx), (_, dy) = algebra.mx, algebra.my
+            columns = []
+            for h in hs:
+                exact = mult_matrix(algebra, h)
+                for j, b in enumerate(algebra.basis):
+                    scale = h.denominator * dx ** b.ex * dy ** b.ey
+                    column = [row[j] * scale for row in exact]
+                    assert all(v.denominator == 1 for v in column)
+                    columns.append([int(v) for v in column])
+            for p in (2, 3, 23, next(primes(prime_cap(algebra.dim)))):
+                assert _block_mod(algebra, hs, p).T.tolist() == \
+                    [[v % p for v in column] for column in columns]
 
     @pytest.mark.parametrize("h, verdict", [(ONE, True), (X, False)])
-    def test_prime_dividing_a_denominator_is_skipped(self, two_cusp, monkeypatch, h, verdict):
+    def test_prime_dividing_a_denominator_is_used(self, two_cusp, monkeypatch, h, verdict):
         """A prime that divides a reduced polynomial's denominator comes first
-        in the stream; generates_algebra passes over it to the next prime and
-        keeps its verdict.  x vanishes at the cusp (0, 0), so it generates
-        nothing."""
+        in the stream; generates_algebra reduces the block modulo it and keeps
+        its verdict.  The numerators of 1/p are those of 1, so the block has
+        full rank modulo p; x vanishes at the cusp (0, 0), so it generates
+        nothing, which the exact rank decides."""
         _, gb, algebra = two_cusp
         bad = 1000003
         hs = [normal_form(h * Polynomial.constant(Fraction(1, bad)), gb)]
@@ -432,4 +452,4 @@ class TestGeneratesAlgebra:
 
         monkeypatch.setattr(quotient, "_block_mod", spy)
         assert generates_algebra(algebra, hs) is verdict
-        assert tried == [next(primes(prime_cap(algebra.dim)))]
+        assert tried == [bad]
