@@ -19,7 +19,7 @@ from .pipeline import (CuspCensus, DerivedSystem, RegionCount, census,
                        certify_genericity, derive_system)
 from .poly import Monomial, Polynomial, func_det
 from .quotient import (QuotientAlgebra, SymmetricForm, build_algebra,
-                       form_matrix, generates_algebra, mult_matrix)
+                       form_matrix, generates_algebra)
 from .signature import SignatureResult, signature_of
 
 __version__ = "0.1.0"
@@ -37,7 +37,7 @@ __all__ = [
     "certify_genericity", "derive_system",
     "Monomial", "Polynomial", "func_det",
     "QuotientAlgebra", "SymmetricForm", "build_algebra", "form_matrix",
-    "generates_algebra", "mult_matrix",
+    "generates_algebra",
     "SignatureResult", "signature_of",
     "__version__",
 ]

@@ -40,8 +40,8 @@ as their integer numerators over their one denominator
 (`Polynomial.numerators`, `Polynomial.denominator`): a normal form is a
 coordinate vector as it stands, and multiplication matrices, traces and
 residues modulo a prime scale by that denominator once per polynomial.
-The Fraction matrices of the public interface, `mult_matrix` and
-`SymmetricForm.matrix`, are built from the integers on request.
+The Fraction matrix of the public interface, `SymmetricForm.matrix`, is
+built from the integers on request.
 """
 
 from __future__ import annotations
@@ -200,16 +200,6 @@ def _require_reduced(gb: GroebnerBasis) -> None:
                 raise CertificateFailed(
                     f"basis element {i} is not reduced: its term {mono} is "
                     "divisible by another leading monomial")
-
-
-def mult_matrix(algebra: QuotientAlgebra, h: Polynomial) -> Matrix:
-    """Matrix of multiplication by h on the quotient, in the standard basis.
-
-    Equals the evaluation of h at the pair of generator matrices; h is
-    reduced internally, so any member of the ideal yields the zero matrix.
-    """
-    columns = _mult_columns(algebra, normal_form(h, algebra.gb))
-    return tuple(zip(*([Fraction(v, den) for v in col] for col, den in columns)))
 
 
 def _mult_columns(algebra: QuotientAlgebra, residue: Polynomial) -> list[Scaled]:

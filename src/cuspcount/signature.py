@@ -22,8 +22,11 @@ the multipliers by 2.  W is the integer matrix D' R U: D' the powers of
 two of D up to a common factor, R the product of the rotations, and U the
 inverse transpose of the unit triangular factor, rounded with diagonal
 exactly 2**_PRECISION and kept triangular in the pivot order.  So W is
-nonsingular by construction, whatever the rounding.  B is formed exactly;
-the floating-point step only proposes, and a poor W costs another round on
+nonsingular by construction, whatever the rounding.  B is formed exactly,
+from the nonzero entries of W, which are read off W itself, and only on
+and above the diagonal: every term left out has a zero factor, and B is
+symmetric because A is, so the lower triangle mirrors the upper.  The
+floating-point step only proposes, and a poor W costs another round on
 B, never soundness.  The rounds go on for as long as it takes: they run
 only on a matrix proven nonsingular.
 
@@ -376,6 +379,24 @@ def _proposal(b: np.ndarray, exponents: list[int]) -> np.ndarray:
     return np.array([[v << (top - e) for v in row] for row, e in zip(w, exponents)], dtype=object)
 
 
+def _congruent_copy(b: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """W^T B W for a symmetric object matrix B and an integer matrix W, exactly.
+
+    Row c of W^T B sums only the rows of B where column c of W is nonzero,
+    and so does entry (c, c') of W^T B W, which is formed for c <= c' only
+    and mirrored.  Every skipped term has a zero factor, and W^T B W is
+    symmetric because B is, so the copy is the full product entry for entry.
+    The supports are read off W: the rotations mix pairs of rows, so they
+    are not the prefixes of the pivot order."""
+    n = len(b)
+    columns = [(rows, w[rows, c]) for c, rows in enumerate(w.T != 0)]
+    wtb = np.array([values @ b[rows] for rows, values in columns])
+    copy = np.empty((n, n), dtype=object)
+    for c, (rows, values) in enumerate(columns):
+        copy[c, c:] = copy[c:, c] = wtb[c:, rows] @ values
+    return copy
+
+
 def _congruence_inertia(matrix: list[list[int]]) -> tuple[int, int]:
     """(positive, negative) eigenvalue counts of a nonsingular integer
     symmetric matrix, certified by a diagonally dominant congruent copy."""
@@ -386,7 +407,7 @@ def _congruence_inertia(matrix: list[list[int]]) -> tuple[int, int]:
         if inertia is not None:
             return inertia
         w = _proposal(b, exponents)
-        b = w.T @ b @ w
+        b = _congruent_copy(b, w)
 
 
 def signature_of(matrix: MatrixLike) -> SignatureResult:

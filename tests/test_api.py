@@ -12,7 +12,7 @@ PUBLIC_NAMES = [
     "SymmetricForm", "__version__", "buchberger", "build_algebra", "census",
     "certify_genericity", "derive_system", "form_matrix",
     "format_monomial", "format_polynomial", "func_det", "generates_algebra",
-    "is_zero_dimensional", "isolate_cusps", "mult_matrix",
+    "is_zero_dimensional", "isolate_cusps",
     "normal_form", "parse_polynomial", "parse_problem", "region_membership",
     "signature_of", "standard_monomials",
 ]

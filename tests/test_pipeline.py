@@ -13,12 +13,13 @@ from cuspcount.exprio import parse_polynomial, parse_problem
 from cuspcount.groebner import buchberger, normal_form
 from cuspcount.pipeline import CuspCensus, census, certify_genericity, derive_system
 from cuspcount.poly import Monomial, Polynomial, X, Y, func_det
-from cuspcount.quotient import build_algebra, mult_matrix
+from cuspcount.quotient import build_algebra
 from cuspcount.signature import _pivot_columns, primes, rank, rank_mod, signature_of
 from conftest import (EIGHT_CUSP_TEXT, FOLD_ONLY_TEXT, IDENTITY_TEXT,
                       NON_GENERIC_TEXT, SIX_CUSP_TEXT, TWO_CUSP_TEXT,
                       WHITNEY_TEXT, random_polynomial)
 from elimination import signature_by_elimination
+from test_quotient import mult_matrix
 
 
 def cusp_algebra(derived):

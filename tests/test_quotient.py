@@ -13,12 +13,22 @@ from cuspcount.groebner import GroebnerBasis, buchberger, normal_form
 from cuspcount.pipeline import derive_system
 from cuspcount.poly import Monomial, Polynomial, X, Y
 from cuspcount import quotient
-from cuspcount.quotient import (_block_mod, build_algebra, form_matrix,
-                                generates_algebra, mult_matrix)
+from cuspcount.quotient import (_block_mod, _mult_columns, build_algebra, form_matrix,
+                                generates_algebra)
 from cuspcount.signature import prime_cap, primes
 from conftest import EIGHT_CUSP_TEXT, SIX_CUSP_TEXT, TWO_CUSP_TEXT, random_polynomial
 
 ONE = Polynomial.constant(1)
+
+
+def mult_matrix(algebra, h):
+    """Matrix of multiplication by h on the quotient, in the standard basis.
+
+    Equals the evaluation of h at the pair of generator matrices; h is
+    reduced first, so any member of the ideal yields the zero matrix.
+    """
+    columns = _mult_columns(algebra, normal_form(h, algebra.gb))
+    return tuple(zip(*([Fraction(v, den) for v in col] for col, den in columns)))
 
 
 def trace_functional(algebra, h):

@@ -1,8 +1,9 @@
 """Signature machinery: signature_of against Jacobi's rule on brute-force
 and sympy leading minors, the elimination route and Descartes' rule; the
-congruence certificate, the kernel deflation with its unlucky primes, the
-prime stream, residues, echelon form and Chinese remaindering underneath;
-the exact rank of matrices of any shape; Sylvester invariance."""
+congruence certificate and its exact congruent copies, the kernel deflation
+with its unlucky primes, the prime stream, residues, echelon form and
+Chinese remaindering underneath; the exact rank of matrices of any shape;
+Sylvester invariance."""
 
 import math
 import random
@@ -15,10 +16,13 @@ import pytest
 
 from cuspcount import signature
 from cuspcount.errors import CertificateFailed, NotSymmetric
-from cuspcount.signature import (SignatureResult, _crt, _dominant_inertia, _echelon_mod,
-                                 _hadamard_bits, _kernel_lifts, _pivot_columns, _residues,
-                                 _scaled_integer_matrix, prime_cap, primes, rank, rank_mod,
-                                 signature_of)
+from cuspcount.exprio import parse_problem
+from cuspcount.pipeline import census
+from cuspcount.signature import (SignatureResult, _congruent_copy, _crt, _dominant_inertia,
+                                 _echelon_mod, _exponents, _hadamard_bits, _kernel_lifts,
+                                 _pivot_columns, _proposal, _residues, _scaled_integer_matrix,
+                                 prime_cap, primes, rank, rank_mod, signature_of)
+from conftest import SIX_CUSP_TEXT
 from elimination import signature_by_elimination
 
 
@@ -341,7 +345,103 @@ class TestModularKernels:
                                         for row in expected.to_Matrix().tolist()[:len(pivots)]]
 
 
+class Counted(int):
+    """An integer that counts the products it takes part in."""
+
+    products = 0
+
+    def __mul__(self, other):
+        Counted.products += 1
+        return int(self) * other
+
+    __rmul__ = __mul__
+
+
+@pytest.fixture(scope="module")
+def six_cusp_rounds():
+    """Per form of the six-cusp census, in the census' order, every
+    congruence round as (B, W, products): W as proposed, and the number of
+    entry products that forming the copy of B took, counted by entries of W
+    that count their products."""
+    forms, pending = [], []
+    congruence = signature._congruence_inertia
+
+    def each_form(matrix):
+        forms.append([])
+        return congruence(matrix)
+
+    def counted_proposal(b, exponents):
+        w = _proposal(b, exponents)
+        pending.append((b, w))
+        Counted.products = 0
+        return np.array([[Counted(v) for v in row] for row in w.tolist()], dtype=object)
+
+    def after_each_round(b):
+        # every copy goes straight on to the exponents of the next round
+        if pending:
+            forms[-1].append((*pending.pop(), Counted.products))
+        return _exponents(b)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(signature, "_congruence_inertia", each_form)
+        patch.setattr(signature, "_proposal", counted_proposal)
+        patch.setattr(signature, "_exponents", after_each_round)
+        census(parse_problem(SIX_CUSP_TEXT))
+    return forms
+
+
+def assert_congruent_copy(b, w):
+    b, w = np.array(b, dtype=object), np.array(w, dtype=object)
+    assert _congruent_copy(b, w).tolist() == (w.T @ b @ w).tolist()
+
+
 class TestCongruence:
+    def test_copy_of_the_orientation_form(self, six_cusp_rounds):
+        rounds = six_cusp_rounds[1]
+        assert [len(b) for b, _, _ in rounds] == [56, 56]
+        for b, w, _ in rounds:
+            assert_congruent_copy(b, w)
+
+    def test_copy_skips_the_zero_products(self, six_cusp_rounds):
+        # at most 36 % of the 2 n^3 products of w.T @ b @ w: W's nonzero
+        # entries against every row of B, then the upper triangle only
+        assert [len(rounds) for rounds in six_cusp_rounds] == [1, 2, 1, 2]
+        for rounds in six_cusp_rounds:
+            for b, w, products in rounds:
+                n = len(b)
+                assert 0 < products <= 0.36 * 2 * n ** 3
+
+    def test_copy_after_a_rotation(self):
+        # the zero diagonal takes a rotation, which mixes two rows of W: the
+        # first two columns, in pivot order, are nonzero on all three rows
+        b = np.array([[0, 2 ** 1200, 0], [2 ** 1200, 0, 1], [0, 1, 1]], dtype=object)
+        w = _proposal(b, _exponents(b))
+        support = w.T != 0
+        assert not all(support[:a + 1].any(axis=0).sum() <= a + 1 for a in range(3))
+        assert_congruent_copy(b, w)
+
+    @pytest.mark.parametrize("b, w", [
+        ([[-7]], [[3]]),
+        ([[2 ** 900]], [[0]]),
+        ([[0, 5], [5, -2]], [[1, 1], [1, -1]]),
+        ([[3, -2 ** 700], [-2 ** 700, 1]], [[2 ** 53, 0], [-9, 2 ** 60]]),
+    ], ids=["1x1", "1x1 zero", "2x2 rotation", "2x2 triangular"])
+    def test_copy_of_small_matrices(self, b, w):
+        assert_congruent_copy(b, w)
+
+    def test_copy_of_random_matrices(self):
+        rng = random.Random(21001)
+        for _ in range(200):
+            n = rng.randint(1, 9)
+            bits = rng.choice([4, 64, 1024])
+            b = integer_symmetric(n, lambda: rng.randint(-2 ** bits, 2 ** bits))
+            while True:
+                w = [[rng.randint(-2 ** 60, 2 ** 60) if rng.random() < 0.6 else 0
+                      for _ in range(n)] for _ in range(n)]
+                if rank(w) == n:
+                    break
+            assert_congruent_copy(b, w)
+
     def test_dominance_is_strict(self):
         # weakly dominant rows prove nothing: these are singular
         for weak in ([[1, 1], [1, 1]], [[1, -1], [-1, 1]], [[2, 1, 1], [1, 2, 1], [1, 1, 2]]):
@@ -369,12 +469,13 @@ class TestCongruence:
     @pytest.mark.parametrize("n", [40, 60])
     def test_hilbert_takes_several_rounds(self, monkeypatch, n):
         rounds = []
-        proposal = signature._proposal
         monkeypatch.setattr(signature, "_proposal",
-                            lambda b, e: rounds.append(len(b)) or proposal(b, e))
+                            lambda b, e: rounds.append((b, _proposal(b, e))) or rounds[-1][1])
         hilbert = [[Fraction(1, i + j + 1) for j in range(n)] for i in range(n)]
         assert signature_of(hilbert) == SignatureResult(n, n, n, 0, True)
         assert len(rounds) > 3
+        for b, w in rounds:
+            assert_congruent_copy(b, w)
         negated = [[-v for v in row] for row in hilbert]
         assert signature_of(negated) == SignatureResult(-n, n, 0, n, True)
 
@@ -607,7 +708,8 @@ def crt_by_weights(residues, primes):
 
 
 class TestCrtSymmetric:
-    # 2275 primes reconstruct the six-cusp map's orientation form
+    # the lift to least absolute values that the deflation's kernels take,
+    # over prime counts on both sides of a power of two and a large odd one
     @pytest.mark.parametrize("count", [1, 2, 3, 255, 256, 257, 2275])
     def test_product_tree_matches_weights(self, count):
         stream = list(islice(primes(prime_cap(56)), count))
