@@ -30,6 +30,30 @@ floating-point step only proposes, and a poor W costs another round on
 B, never soundness.  The rounds go on for as long as it takes: they run
 only on a matrix proven nonsingular.
 
+Truncation.  The rounds first run on the top k = 128 bits of D A D.  With
+e_i as above, |A_ij| < 2**(e_i + e_j); let S_ij be the floor of
+2**(k - e_i - e_j) A_ij, formed by exact shifts.  Then
+2**k D A D = S + X with 0 <= X_ij < 1, and 2**k D A D, a congruence of A
+by a positive diagonal, has the inertia of A.  After rounds W_1, ..., W_r
+with product V, the copy is B_t = V^T S V, while the copy of 2**k D A D is
+B = B_t + V^T X V, and |(V^T X V)_ij| is at most g_i g_j for any g at
+least the column sums of |V|.  g starts at all ones and each round sets g
+to |W|^T g, which bounds the column sums of |V W| without forming V.  B_t
+is accepted when every weighted row has
+(|B_t,ii| - g_i^2) w_i > sum_{j != i} (|B_t,ij| + g_i g_j) w_j: then
+every matrix within g_i g_j of B_t, B among them, is strictly dominant,
+and its diagonal has the signs of diag(B_t), since it moves by at most
+g_i^2 < |B_t,ii|.  k doubles when B_t is dominant but not by the bound,
+and when, after a round, some g_i^2 reaches |B_t,ii|: the dropped bits may
+then decide that diagonal entry's sign, and every later round builds on it.
+Once k >= 2 max e_i nothing is dropped: S is A, g = 0, the test is the one
+above and the rounds are those on A.  So the loop ends: k doubles at most
+ceil(log2(max e_i / 64)) times before the exact case.  Below it, the
+rounds on a nonsingular S end as those on A do, with a dominant B_t, which
+passes or doubles k; a singular or nearly singular S leaves in B_t a
+diagonal entry that is a rounding residue of the float step, which each
+round shrinks against g_i^2 until the second rule doubles k.
+
 Deflation.  One certificate gives the exact rank of an integer matrix A of
 any shape.  The reduced echelon form R of A modulo a prime proposes the
 pivot columns N.  Reduction modulo a prime never raises a rank, so full
@@ -52,7 +76,6 @@ vector per column beyond the rank; `rank_mod` shares the echelon form.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
@@ -67,6 +90,10 @@ MatrixLike = Sequence[Sequence]
 
 #: The rounded triangular factor of a congruence has diagonal 2**_PRECISION.
 _PRECISION = 53
+
+#: The congruence first runs on the top _TRUNCATION bits of the equilibrated
+#: matrix, and doubles them while the dropped bits may decide the inertia.
+_TRUNCATION = 128
 
 
 @dataclass(frozen=True)
@@ -316,30 +343,35 @@ def _pivot_columns(matrix: list[list[int]]) -> list[int]:
 
 def _exponents(b: np.ndarray) -> list[int]:
     """e_i with 2**(2 e_i) above every entry of row i."""
-    return [(max(abs(v) for v in row).bit_length() + 1) // 2 for row in b.tolist()]
+    return [(int(v).bit_length() + 1) // 2 for v in np.abs(b).max(axis=1)]
 
 
-def _dominant_inertia(b: np.ndarray, exponents: list[int]) -> tuple[int, int] | None:
+def _dominant_inertia(b: np.ndarray, exponents: list[int],
+                      bound: np.ndarray) -> tuple[int, int] | None:
     """The numbers of positive and negative diagonal entries of the integer
-    matrix b when each row of E b E is strictly diagonally dominant, for
-    E = diag(2**-e_i); else None."""
+    matrix b when each row of E (b + X) E is strictly diagonally dominant,
+    for E = diag(2**-e_i) and every X with |X_ij| <= g_i g_j, g the bound;
+    else None.  Every such b + X then has the signs of diag(b) on its
+    diagonal.  With g = 0 this is the test on b itself."""
     top = max(exponents)
-    weights = [1 << (top - e) for e in exponents]
-    for i, row in enumerate(b.tolist()):
-        off = sum(abs(v) * w for v, w in zip(row, weights)) - abs(row[i]) * weights[i]
-        if not abs(row[i]) * weights[i] > off:
-            return None
-    positive = sum(1 for i in range(len(b)) if b[i, i] > 0)
+    weights = np.array([1 << (top - e) for e in exponents], dtype=object)
+    size = np.abs(b)
+    # (|b_ii| - g_i^2) w_i > sum_{j != i} (|b_ij| + g_i g_j) w_j is
+    # 2 |b_ii| w_i > sum_j (|b_ij| + g_i g_j) w_j
+    rows = size @ weights + bound * (bound @ weights)
+    if not (2 * size.diagonal() * weights > rows).all():
+        return None
+    positive = int((b.diagonal() > 0).sum())
     return positive, len(b) - positive
 
 
 def _proposal(b: np.ndarray, exponents: list[int]) -> np.ndarray:
     """The integer matrix W = D' R U of the module docstring for b."""
     n = len(b)
-    s = np.array([[math.ldexp(v >> max(v.bit_length() - 60, 0),
-                              max(v.bit_length() - 60, 0) - ei - ej)
-                   for v, ej in zip(row, exponents)]
-                  for row, ei in zip(b.tolist(), exponents)])
+    # |b_ij| < 2**(e_i + e_j), so b_ij >> shift fits in 62 bits
+    bits = np.add.outer(exponents, exponents)
+    shift = np.maximum(bits - 62, 0)
+    s = np.ldexp((b >> shift).astype(float), shift - bits)
     low = np.zeros((n, n))  # low[c, k]: multiplier of pivot k in row c
     live = np.ones(n, dtype=bool)
     order, turns = [], []
@@ -397,17 +429,40 @@ def _congruent_copy(b: np.ndarray, w: np.ndarray) -> np.ndarray:
     return copy
 
 
+def _truncated(a: np.ndarray, exponents: list[int], k: int) -> tuple[np.ndarray, np.ndarray]:
+    """S and the first bound g of the truncation at k bits: S_ij is
+    floor(2**(k - e_i - e_j) a_ij), formed by exact shifts, and g = 1; once
+    2**k covers every entry of the equilibrated a, S = a and g = 0."""
+    n = len(a)
+    if k >= 2 * max(exponents):
+        return a, np.zeros(n, dtype=object)
+    drop = np.add.outer(exponents, exponents) - k
+    return (a << np.maximum(-drop, 0)) >> np.maximum(drop, 0), np.ones(n, dtype=object)
+
+
 def _congruence_inertia(matrix: list[list[int]]) -> tuple[int, int]:
     """(positive, negative) eigenvalue counts of a nonsingular integer
-    symmetric matrix, certified by a diagonally dominant congruent copy."""
-    b = np.array(matrix, dtype=object)
+    symmetric matrix, certified by a diagonally dominant congruent copy of
+    its truncation at k bits, k doubling from _TRUNCATION."""
+    a = np.array(matrix, dtype=object)
+    scale = _exponents(a)
+    k = _TRUNCATION
     while True:
-        exponents = _exponents(b)
-        inertia = _dominant_inertia(b, exponents)
-        if inertia is not None:
-            return inertia
-        w = _proposal(b, exponents)
-        b = _congruent_copy(b, w)
+        b, bound = _truncated(a, scale, k)
+        truncated = bound.any()
+        for rounds in count():
+            exponents = _exponents(b)
+            inertia = _dominant_inertia(b, exponents, bound)
+            if inertia is not None:
+                return inertia
+            if truncated and (rounds and (bound * bound >= np.abs(b.diagonal())).any()
+                              or _dominant_inertia(b, exponents, 0 * bound) is not None):
+                break  # the dropped bits may decide: take more of them
+            w = _proposal(b, exponents)
+            b = _congruent_copy(b, w)
+            if truncated:  # else g stays 0
+                bound = np.abs(w).T @ bound
+        k *= 2
 
 
 def signature_of(matrix: MatrixLike) -> SignatureResult:

@@ -189,6 +189,13 @@ f1 = 4*x^6 - 5*x^5*y - 5*x^4*y^2 + 5*x^3*y^3 - 5*x^2*y^4 + 3*x*y^5 + 3*y^6 - 5*x
 f2 = -4*x^5 + 4*x^4*y - 5*x^3*y^2 - 2*x^2*y^3 + 4*x*y^4 - 5*y^5 + x^4 - x^3*y - 2*x^2*y^2 + 2*x*y^3 + y^4 + 2*x^3 + 2*x*y^2 - 2*y^3 - 2*x^2 - 2*x*y + 5*y^2 + 3*x + y - 5
 """
 
+# The dense map of bidegree (6, 6), drawn the same way (degree 6, then
+# degree 6; f1 is that of the (6, 5) map): quotient dimension 115.
+DENSE_SEXTIC_TEXT = """\
+f1 = 4*x^6 - 5*x^5*y - 5*x^4*y^2 + 5*x^3*y^3 - 5*x^2*y^4 + 3*x*y^5 + 3*y^6 - 5*x^5 - 2*x^3*y^2 + 4*x^2*y^3 - 4*x*y^4 + 2*y^5 - 4*x^4 - x^3*y + x^2*y^2 - 2*x*y^3 - 4*y^4 + 2*x^3 + x^2*y + x*y^2 - y^3 - 5*x^2 + 5*x*y - 4*y^2 + 2*x + 4*y - 3
+f2 = 4*x^6 + x^5*y - x^4*y^2 - 4*x^3*y^3 - x^2*y^4 + x*y^5 + 4*y^6 - 4*x^5 + 5*x^4*y + 3*x^3*y^2 + 2*x^2*y^3 - 2*x*y^4 - 5*y^5 - 3*x^4 + x^3*y - 2*x^2*y^2 + 3*x*y^3 + y^4 - 5*x^3 + 5*x^2*y + 2*x*y^2 - 2*y^3 - 2*x^2 + 2*x*y + 5*y^2 - 2*x + y - 5
+"""
+
 
 def timed_json_report(tmp_path, capsys, text):
     """(exit code, JSON report, process CPU seconds) of one command-line run."""
@@ -247,6 +254,18 @@ def test_criterion_3_dense_sextic_quintic_map(tmp_path, capsys):
     assert result["cusps"] == {"total": 6, "positive": 2, "negative": 4}
     assert seconds < 30.0
     report(3, f"dense (6, 5) map: dim 92, signatures (6, -2), in {seconds:.1f}s CPU")
+
+
+def test_criterion_3_dense_sextic_map(tmp_path, capsys):
+    # a ceiling that exact congruences on the forms' 4-kbit entries miss:
+    # they run on the forms' top 128 bits
+    code, result, seconds = timed_json_report(tmp_path, capsys, DENSE_SEXTIC_TEXT)
+    assert code == 0
+    assert result["dim"] == 115
+    assert [result["signatures"][k] for k in ("theta1", "theta2")] == [5, 3]
+    assert result["cusps"] == {"total": 5, "positive": 4, "negative": 1}
+    assert seconds < 4.0
+    report(3, f"dense (6, 6) map: dim 115, signatures (5, 3), in {seconds:.1f}s CPU")
 
 
 class TestCriterion6PropertySuites:

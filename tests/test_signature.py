@@ -1,9 +1,9 @@
 """Signature machinery: signature_of against Jacobi's rule on brute-force
 and sympy leading minors, the elimination route and Descartes' rule; the
-congruence certificate and its exact congruent copies, the kernel deflation
-with its unlucky primes, the prime stream, residues, echelon form and
-Chinese remaindering underneath; the exact rank of matrices of any shape;
-Sylvester invariance."""
+congruence certificate, its truncation with the bound on the dropped bits
+and its exact congruent copies, the kernel deflation with its unlucky
+primes, the prime stream, residues, echelon form and Chinese remaindering
+underneath; the exact rank of matrices of any shape; Sylvester invariance."""
 
 import math
 import random
@@ -390,6 +390,25 @@ def six_cusp_rounds():
     return forms
 
 
+def exact(n):
+    """The zero bound: the dominance test on b itself."""
+    return np.zeros(n, dtype=object)
+
+
+def spy_truncations(monkeypatch):
+    """The (k, first bound) of every truncation the congruence starts from."""
+    seen = []
+    truncated = signature._truncated
+
+    def spy(a, exponents, k):
+        s, bound = truncated(a, exponents, k)
+        seen.append((k, bound))
+        return s, bound
+
+    monkeypatch.setattr(signature, "_truncated", spy)
+    return seen
+
+
 def assert_congruent_copy(b, w):
     b, w = np.array(b, dtype=object), np.array(w, dtype=object)
     assert _congruent_copy(b, w).tolist() == (w.T @ b @ w).tolist()
@@ -410,6 +429,12 @@ class TestCongruence:
             for b, w, products in rounds:
                 n = len(b)
                 assert 0 < products <= 0.36 * 2 * n ** 3
+
+    def test_copies_run_on_truncated_entries(self, six_cusp_rounds):
+        # the six-cusp forms have entries of 650 to 1240 bits; every copy
+        # runs on their top 128 bits and the copies of those
+        assert max(abs(v).bit_length() for rounds in six_cusp_rounds
+                   for b, _, _ in rounds for v in b.ravel()) < 512
 
     def test_copy_after_a_rotation(self):
         # the zero diagonal takes a rotation, which mixes two rows of W: the
@@ -446,16 +471,26 @@ class TestCongruence:
         # weakly dominant rows prove nothing: these are singular
         for weak in ([[1, 1], [1, 1]], [[1, -1], [-1, 1]], [[2, 1, 1], [1, 2, 1], [1, 1, 2]]):
             b = np.array(weak, dtype=object)
-            assert _dominant_inertia(b, [0] * len(weak)) is None
+            assert _dominant_inertia(b, [0] * len(weak), exact(len(weak))) is None
         b = np.array([[3, 1, 1], [1, -3, 1], [1, 1, 3]], dtype=object)
-        assert _dominant_inertia(b, [0, 0, 0]) == (2, 1)
+        assert _dominant_inertia(b, [0, 0, 0], exact(3)) == (2, 1)
 
     def test_rows_are_weighted_by_the_equilibration(self):
         # row 2 is dominant only once its small entries count 2**-600 of the rest
         b = np.array([[2 ** 1201, 0, 1], [0, -2 ** 1201, 1], [1, 1, 1]], dtype=object)
-        assert _dominant_inertia(b, [0, 0, 0]) is None
-        assert _dominant_inertia(b, [601, 601, 1]) == (2, 1)
+        assert _dominant_inertia(b, [0, 0, 0], exact(3)) is None
+        assert _dominant_inertia(b, [601, 601, 1], exact(3)) == (2, 1)
         assert signature_of(b.tolist()) == signature_by_elimination(b.tolist())
+
+    @pytest.mark.parametrize("g, dominant", [
+        ([0, 0], True), ([1, 1], True), ([2, 1], False), ([1, 3], False), ([3, 3], False),
+    ])
+    def test_dominance_covers_the_bound(self, g, dominant):
+        # b + X is dominant for every |X_ij| <= g_i g_j when both
+        # 8 - g0^2 > 5 + g0 g1 and 17 - g1^2 > 5 + g0 g1
+        b = np.array([[8, 5], [5, -17]], dtype=object)
+        bound = np.array(g, dtype=object)
+        assert _dominant_inertia(b, [0, 0], bound) == ((1, 1) if dominant else None)
 
     @pytest.mark.parametrize("matrix", [
         [[1, 2 ** 1100], [2 ** 1100, 1]],
@@ -466,18 +501,83 @@ class TestCongruence:
     def test_entries_beyond_the_float_range(self, matrix):
         assert signature_of(matrix) == signature_by_elimination(matrix)
 
-    @pytest.mark.parametrize("n", [40, 60])
-    def test_hilbert_takes_several_rounds(self, monkeypatch, n):
+    @pytest.mark.parametrize("n, widths", [(40, [128]), (60, [128, 256])], ids=["40", "60"])
+    def test_hilbert_takes_several_rounds(self, monkeypatch, n, widths):
+        # order 40 has 114-bit entries, which the first k covers: the exact
+        # rounds; order 60 has 172-bit entries and a condition number near
+        # 2**300, past what 128 bits of it carry, so k doubles
         rounds = []
         monkeypatch.setattr(signature, "_proposal",
                             lambda b, e: rounds.append((b, _proposal(b, e))) or rounds[-1][1])
+        truncations = spy_truncations(monkeypatch)
         hilbert = [[Fraction(1, i + j + 1) for j in range(n)] for i in range(n)]
         assert signature_of(hilbert) == SignatureResult(n, n, n, 0, True)
+        assert [k for k, _ in truncations] == widths
+        assert not truncations[-1][1].any()
         assert len(rounds) > 3
         for b, w in rounds:
             assert_congruent_copy(b, w)
         negated = [[-v for v in row] for row in hilbert]
         assert signature_of(negated) == SignatureResult(-n, n, 0, n, True)
+
+    def test_ill_conditioned_forms_of_known_inertia(self):
+        # by Sylvester's law U^T diag(d) U has the inertia of the signs of d
+        # for every nonsingular U: here a permuted unit upper triangular one
+        rng = random.Random(22002)
+        for _ in range(300):
+            n = rng.randint(1, 24)
+            d = [rng.choice((-1, 1)) * rng.randint(1, 2 ** rng.randint(0, 900)) for _ in range(n)]
+            u = np.array([[int(i == j) if i >= j else rng.randint(-2 ** 8, 2 ** 8)
+                           for j in range(n)] for i in range(n)], dtype=object)
+            u = u[rng.sample(range(n), n)]
+            a = u.T @ (np.array(d, dtype=object)[:, None] * u)
+            positive = sum(v > 0 for v in d)
+            assert signature_of(a.tolist()) == SignatureResult(
+                2 * positive - n, n, positive, n - positive, True)
+
+    def test_the_bound_catches_a_truncation_of_other_inertia(self, monkeypatch):
+        # det A = -1, so A has inertia (1, 1); its top 128 bits are
+        # positive definite, and so is 2**46 times its top 256 bits
+        a = [[2 ** 300, 2 ** 300 - 1], [2 ** 300 - 1, 2 ** 300 - 2]]
+        truncations = spy_truncations(monkeypatch)
+        assert signature_of(a) == SignatureResult(0, 2, 1, 1, True)
+        assert [k for k, _ in truncations] == [128, 256, 512]
+        assert signature_by_elimination(a) == SignatureResult(0, 2, 1, 1, True)
+        # with the bound dropped, the truncation's inertia passes for A's
+        truncated = signature._truncated
+        monkeypatch.setattr(signature, "_truncated",
+                            lambda a, e, k: (truncated(a, e, k)[0], exact(len(a))))
+        assert signature_of(a) == SignatureResult(2, 2, 2, 0, True)
+
+    def test_a_singular_truncation_takes_more_bits(self, monkeypatch):
+        # the top 128 bits of this positive definite form are the singular
+        # 2**126 [[1, 1], [1, 1]], which no congruence makes dominant
+        a = [[2 ** 300, 2 ** 300], [2 ** 300, 2 ** 300 + 1]]
+        truncations = spy_truncations(monkeypatch)
+        assert signature_of(a) == SignatureResult(2, 2, 2, 0, True)
+        assert truncations[0][0] == 128 and len(truncations) > 1
+        s, bound = signature._truncated(np.array(a, dtype=object), [151, 151], 128)
+        assert s.tolist() == [[2 ** 126] * 2] * 2 and bound.tolist() == [1, 1]
+
+    def test_truncation_floors_the_equilibrated_matrix(self):
+        rng = random.Random(22001)
+        for _ in range(100):
+            n = rng.randint(1, 6)
+            a = integer_symmetric(n, lambda: rng.randint(-2 ** 400, 2 ** 400) >> rng.randint(0, 400))
+            if not any(map(any, a)):
+                continue
+            exponents = _exponents(np.array(a, dtype=object))
+            for k in (128, 256, 512, 1024):
+                s, bound = signature._truncated(np.array(a, dtype=object), exponents, k)
+                if k >= 2 * max(exponents):
+                    assert s.tolist() == a and not bound.any()
+                    break
+                assert bound.tolist() == [1] * n
+                for i in range(n):
+                    for j in range(n):
+                        scaled = Fraction(a[i][j] * 2 ** k, 2 ** (exponents[i] + exponents[j]))
+                        assert s[i, j] == math.floor(scaled)
+                        assert abs(s[i, j]) <= 2 ** k
 
 
 class TestDeflation:
