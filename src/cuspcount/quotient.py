@@ -26,28 +26,39 @@ for the one-genericity certificate.
 The exact arithmetic runs on integers: M_x and M_y are held as integer
 matrices over one positive denominator each, X/dx and Y/dy, and every
 coordinate vector as integer numerators over one positive denominator,
-content-reduced by one gcd per vector.  Once G is certified,
-`build_algebra` computes the two tables every form reads.  The product
+content-reduced by one gcd per vector.  Many columns of X and Y are unit
+vectors (x*b or y*b is again a basis monomial), so `build_algebra` derives
+the nonzero entries of every column once and works on those alone: the
+commutation check compares X times each column of Y with Y times the same
+column of X, and every matrix-vector product sums the columns of the
+matrix at the vector's nonzero coordinates.  Once G is certified,
+`build_algebra` computes the three tables every form reads.  The product
 table holds the coordinates of each distinct product b_i*b_j of two basis
-monomials, in degree order: a basis monomial is a unit vector, any other
-product is M_x (or, without x, M_y) applied to the product one degree
-below it, one integer matrix-vector product X*v over dx*d.  The trace
-table holds T(b_i*b_j) for every such product, as integers over one
-denominator.  A form reduces delta, reads its weights w_k = T(delta*b_k)
-off the trace table and contracts them with every product vector: one
-integer dot product each, all over one denominator.  Polynomials are read
-as their integer numerators over their one denominator
-(`Polynomial.numerators`, `Polynomial.denominator`): a normal form is a
-coordinate vector as it stands, and multiplication matrices, traces and
-residues modulo a prime scale by that denominator once per polynomial.
+monomials, the basis monomials first and the others in degree order: a
+basis monomial is a unit vector, any other product is M_x (or, without x,
+M_y) applied to the product one degree below it, one sparse integer
+matrix-vector product X*v over dx*d.  The pair table records, for every
+pair (i, j), the position of b_i*b_j in the product table.  The trace
+table holds T(b_i*b_j) for every product, as integers over one
+denominator.  A form reduces delta to sum_m c_m*b_m, forms its weights
+w_k = T(delta*b_k) = sum_m c_m*T(b_m*b_k) by position in the trace table,
+contracts them with every product vector, one integer dot product each,
+all over one denominator, and fills its rows by position too.
+Polynomials are read as their integer numerators over their one
+denominator (`Polynomial.numerators`, `Polynomial.denominator`): a normal
+form is a coordinate vector as it stands, and multiplication matrices,
+traces and residues modulo a prime scale by that denominator once per
+polynomial.
 The Fraction matrix of the public interface, `SymmetricForm.matrix`, is
 built from the integers on request.
 """
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 
@@ -65,6 +76,8 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 #: stands for nums/d, a matrix (rows, d) for rows/d.
 Scaled = tuple[tuple[int, ...], int]
 ScaledMatrix = tuple[tuple[tuple[int, ...], ...], int]
+#: The nonzero entries (index, value) of an integer vector.
+_Sparse = tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -88,8 +101,10 @@ class QuotientAlgebra:
     `mx` and `my` are the multiplication matrices by x and y as integer
     rows over one positive denominator each.  `products` maps every distinct
     product of two basis monomials to its coordinates, reduced integers over
-    one positive denominator; `traces` holds the trace of each of those
-    products as integers over one positive denominator.  `build_algebra`
+    one positive denominator, the basis monomials first and the others in
+    increasing degree order; `pairs[i][j]` is the position of b_i*b_j among
+    those products; `traces` holds the trace of each product, keyed in the
+    same order, as integers over one positive denominator.  `build_algebra`
     computes all of them once; instances never change and may be shared
     freely between threads and the form builders below.
     """
@@ -99,6 +114,7 @@ class QuotientAlgebra:
     mx: ScaledMatrix
     my: ScaledMatrix
     products: dict[Monomial, Scaled]
+    pairs: tuple[tuple[int, ...], ...]
     traces: tuple[dict[Monomial, int], int]
 
     @property
@@ -111,8 +127,8 @@ def build_algebra(gb: GroebnerBasis) -> QuotientAlgebra:
 
     Condition (1) is checked on integer numerators: with M_x = X/dx and
     M_y = Y/dy, M_x*M_y = XY/(dx*dy) and M_y*M_x = YX/(dx*dy), so the
-    matrices commute exactly when XY = YX.  The product and trace tables
-    are computed once the three conditions hold.
+    matrices commute exactly when XY = YX (`_commute`).  The product, pair
+    and trace tables are computed once the three conditions hold.
 
     Raises NotZeroDimensional when the basis has infinitely many standard
     monomials, and CertificateFailed naming the failed condition when any of
@@ -136,18 +152,17 @@ def build_algebra(gb: GroebnerBasis) -> QuotientAlgebra:
             border[product] = vec
         return vec
 
-    def matrix(columns: list[Scaled]) -> ScaledMatrix:
-        # the least common denominator of reduced columns leaves the matrix reduced
+    def matrix(columns: list[Scaled]) -> tuple[ScaledMatrix, list[_Sparse]]:
+        # the least common denominator of reduced columns leaves the matrix
+        # reduced; the nonzero entries of its columns are all that is read
         den = lcm(*(d for _, d in columns))
         scaled = [[v * (den // d) for v in nums] for nums, d in columns]
-        return tuple(zip(*scaled)), den
+        nonzeros = [tuple((r, v) for r, v in enumerate(col) if v) for col in scaled]
+        return (tuple(zip(*scaled)), den), nonzeros
 
-    mx = matrix([column(Monomial(b.ex + 1, b.ey)) for b in basis])
-    my = matrix([column(Monomial(b.ex, b.ey + 1)) for b in basis])
-    x, y = mx[0], my[0]
-    x_cols, y_cols = tuple(zip(*x)), tuple(zip(*y))
-    if any(sum(map(mul, xr, yc)) != sum(map(mul, yr, xc))
-           for xr, yr in zip(x, y) for xc, yc in zip(x_cols, y_cols)):
+    mx, x_cols = matrix([column(Monomial(b.ex + 1, b.ey)) for b in basis])
+    my, y_cols = matrix([column(Monomial(b.ex, b.ey + 1)) for b in basis])
+    if not _commute(x_cols, y_cols, dim):
         raise CertificateFailed("multiplication matrices fail to commute; "
                                 "the basis is not a Groebner basis of its ideal")
     for i, p in enumerate(gb.inputs):
@@ -157,35 +172,58 @@ def build_algebra(gb: GroebnerBasis) -> QuotientAlgebra:
 
     # the product one degree below a product of two basis monomials is again
     # one, because the basis is closed under division
+    pair_products = [[bi * bj for bj in basis] for bi in basis]
     products = dict(units)
-    for m in sorted({bi * bj for bi in basis for bj in basis} - units.keys(),
+    for m in sorted(set(chain.from_iterable(pair_products)) - units.keys(),
                     key=_grevlex_key):
-        # M*(v/d) = (rows*v)/(dm*d)
-        rows, dm = mx if m.ex else my
+        # M*(v/d) = (M's numerators * v)/(dm*d)
+        (_, dm), cols = (mx, x_cols) if m.ex else (my, y_cols)
         nums, den = products[Monomial(m.ex - 1, m.ey) if m.ex else Monomial(m.ex, m.ey - 1)]
-        product = [sum(map(mul, row, nums)) for row in rows]
+        product = _apply(cols, [(k, v) for k, v in enumerate(nums) if v], dim)
         den *= dm
         g = gcd(den, *product)
         products[m] = tuple(v // g for v in product), den // g
+    position = {m: k for k, m in enumerate(products)}
+    pairs = tuple(tuple(map(position.__getitem__, row)) for row in pair_products)
 
     # T(b_k) is the sum over j of coordinate j of b_k*b_j, here tau_k / den
-    den = lcm(*(d for _, d in products.values()))
-    tau = [sum(nums[j] * (den // d) for j, (nums, d) in
-               enumerate(products[b * other] for other in basis)) for b in basis]
-    return QuotientAlgebra(gb, basis, mx, my, products, _contract(tau, den, products))
+    vectors = tuple(products.values())
+    den = lcm(*(d for _, d in vectors))
+    scales = [den // d for _, d in vectors]
+    tau = [sum(vectors[p][0][j] * scales[p] for j, p in enumerate(row)) for row in pairs]
+    entries, trace_den = _contract(tau, den, vectors)
+    return QuotientAlgebra(gb, basis, mx, my, products, pairs,
+                           (dict(zip(products, entries)), trace_den))
+
+
+def _commute(x_cols: list[_Sparse], y_cols: list[_Sparse], n: int) -> bool:
+    """XY = YX for the n x n integer matrices X and Y given by the nonzero
+    entries of their columns: column j of XY is X times column j of Y, and
+    both sides of each column are summed over those nonzeros alone."""
+    return all(_apply(x_cols, yc, n) == _apply(y_cols, xc, n)
+               for xc, yc in zip(x_cols, y_cols))
+
+
+def _apply(columns: list[_Sparse], vector, n: int) -> list[int]:
+    """A*v as a list of n integers, for the matrix A given by the nonzero
+    entries of its columns and v by its nonzero entries (k, v_k)."""
+    out = [0] * n
+    for k, v in vector:
+        for r, a in columns[k]:
+            out[r] += a * v
+    return out
 
 
 def _contract(weights: list[int], weight_den: int,
-              products: dict[Monomial, Scaled]) -> tuple[dict[Monomial, int], int]:
-    """w . c for the weight vector w = weights/weight_den and the coordinates
-    c of every product, as gcd-reduced integers over one positive
+              vectors: Collection[Scaled]) -> tuple[list[int], int]:
+    """w . c for the weight vector w = weights/weight_den and each of the
+    coordinate vectors c, as gcd-reduced integers over one positive
     denominator."""
-    den = lcm(*(d for _, d in products.values()))
-    entries = {m: sum(map(mul, weights, nums)) * (den // d)
-               for m, (nums, d) in products.items()}
+    den = lcm(*(d for _, d in vectors))
+    entries = [sum(map(mul, weights, nums)) * (den // d) for nums, d in vectors]
     den *= weight_den
-    g = gcd(den, *entries.values())
-    return {m: v // g for m, v in entries.items()}, den // g
+    g = gcd(den, *entries)
+    return [v // g for v in entries], den // g
 
 
 def _require_reduced(gb: GroebnerBasis) -> None:
@@ -205,11 +243,13 @@ def _require_reduced(gb: GroebnerBasis) -> None:
 def _mult_columns(algebra: QuotientAlgebra, residue: Polynomial) -> list[Scaled]:
     """Columns of M_h for h in normal form, as integers over one denominator
     each: every term of h times a basis monomial b is a product in the table,
-    so the column of b sums the coordinates of those products."""
-    terms = residue.numerators.items()
+    so the column of b_k sums the coordinates of those products, found at
+    their positions in the pair table."""
+    vectors = tuple(algebra.products.values())
+    terms = _pair_rows(algebra, residue)
     columns = []
-    for b in algebra.basis:
-        parts = [(c, algebra.products[mono * b]) for mono, c in terms]
+    for k in range(algebra.dim):
+        parts = [(c, vectors[row[k]]) for row, c in terms]
         den = lcm(*(d for _, (_, d) in parts))
         col = [0] * algebra.dim
         for c, (nums, d) in parts:
@@ -217,6 +257,13 @@ def _mult_columns(algebra: QuotientAlgebra, residue: Polynomial) -> list[Scaled]
             col = [a + scale * v for a, v in zip(col, nums)]
         columns.append((tuple(col), den * residue.denominator))
     return columns
+
+
+def _pair_rows(algebra: QuotientAlgebra, residue: Polynomial):
+    """(pairs[m], c_m) for every term c_m * b_m of a polynomial in normal
+    form: row m of the pair table locates b_m * b_k for every k."""
+    index = {b: i for i, b in enumerate(algebra.basis)}
+    return [(algebra.pairs[index[mono]], c) for mono, c in residue.numerators.items()]
 
 
 def generates_algebra(algebra: QuotientAlgebra, hs) -> bool:
@@ -281,15 +328,18 @@ def form_matrix(algebra: QuotientAlgebra, delta: Polynomial) -> SymmetricForm:
     the ideal b_i * b_j = sum_k c_ij[k] * b_k, where c_ij is the coordinate
     vector of the product, and the trace is linear and blind to the ideal, so
     the entry equals w . c_ij for the weight vector w_k = trace(delta * b_k).
-    Once delta is reduced, every delta-term times b_k is a product of two
-    basis monomials, so the weights are read off the trace table.  The
-    matrix is symmetric by construction.
+    Once delta is reduced to sum_m c_m * b_m, w_k = sum_m c_m * T(b_m * b_k)
+    is read off the trace table at the positions of the pair table, and
+    entry (i, j) is the contraction at position pairs[i][j].  The matrix is
+    symmetric by construction.
     """
-    basis = algebra.basis
     traces, trace_den = algebra.traces
+    values = tuple(traces.values())
     residue = normal_form(delta, algebra.gb)
-    terms = residue.numerators.items()
-    weights = [sum(c * traces[mono * b] for mono, c in terms) for b in basis]
-    entries, den = _contract(weights, trace_den * residue.denominator, algebra.products)
-    rows = tuple(tuple(entries[bi * bj] for bj in basis) for bi in basis)
+    weights = [0] * algebra.dim
+    for row, c in _pair_rows(algebra, residue):
+        weights = [w + c * values[p] for w, p in zip(weights, row)]
+    entries, den = _contract(weights, trace_den * residue.denominator,
+                             algebra.products.values())
+    rows = tuple(tuple(map(entries.__getitem__, row)) for row in algebra.pairs)
     return SymmetricForm(rows, den)

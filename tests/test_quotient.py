@@ -3,18 +3,20 @@
 import random
 from fractions import Fraction
 from itertools import chain
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 import pytest
 
 from cuspcount.errors import NotZeroDimensional
 from cuspcount.exprio import parse_polynomial, parse_problem
-from cuspcount.groebner import GroebnerBasis, buchberger, normal_form
+from cuspcount.groebner import (GroebnerBasis, _grevlex_key, buchberger, normal_form,
+                                standard_monomials)
 from cuspcount.pipeline import derive_system
 from cuspcount.poly import Monomial, Polynomial, X, Y
 from cuspcount import quotient
-from cuspcount.quotient import (_block_mod, _mult_columns, build_algebra, form_matrix,
-                                generates_algebra)
+from cuspcount.quotient import (_block_mod, _commute, _mult_columns, build_algebra,
+                                form_matrix, generates_algebra)
 from cuspcount.signature import prime_cap, primes
 from conftest import EIGHT_CUSP_TEXT, SIX_CUSP_TEXT, TWO_CUSP_TEXT, random_polynomial
 
@@ -117,6 +119,43 @@ class TestCertificate:
         with pytest.raises(RuntimeError, match="fail to commute"):
             build_algebra(GroebnerBasis(gens, gens))
 
+    def test_sparse_commutation_check_agrees_with_full_rows(self):
+        """A commuting integer pair (X, Y), and copies that differ from it in
+        one entry of a column with more than one nonzero and at least one
+        zero, which the sparse check skips: `_commute` accepts exactly the
+        pairs whose products by full rows agree."""
+        rng = random.Random(20723)
+        pairs = []
+        for text in (EIGHT_CUSP_TEXT, SIX_CUSP_TEXT):
+            algebra = cusp_algebra_of(text)[1]
+            pairs.append((algebra.mx[0], algebra.my[0]))
+        while len(pairs) < 12:
+            # polynomials in one sparse integer matrix commute
+            n = rng.randint(3, 8)
+            a = [[rng.choice((0, 0, rng.randint(-4, 4))) for _ in range(n)] for _ in range(n)]
+            a2 = dense_product(a, a)
+            pairs.append((a2, [[3 * u - v for u, v in zip(r, s)]
+                               for r, s in zip(a, dense_product(a2, a))]))
+        rejected = 0
+        for x, y in pairs:
+            n = len(x)
+            assert _commute(sparse_columns(x), sparse_columns(y), n)
+            assert dense_product(x, y) == dense_product(y, x)
+            for matrix in (x, y):
+                for j in range(n):
+                    column = [row[j] for row in matrix]
+                    if sum(map(bool, column)) < 2 or all(column):
+                        continue
+                    for r in (rng.choice([r for r, v in enumerate(column) if v]),
+                              rng.choice([r for r, v in enumerate(column) if not v])):
+                        planted = [list(row) for row in matrix]
+                        planted[r][j] += rng.choice((-1, 1)) * rng.randint(1, 7)
+                        px, py = (planted, y) if matrix is x else (x, planted)
+                        dense = dense_product(px, py) == dense_product(py, px)
+                        assert _commute(sparse_columns(px), sparse_columns(py), n) is dense
+                        rejected += not dense
+        assert rejected > 100
+
 
 def coordinates_by_fractions(algebra, mono, cache):
     """Coordinates of a monomial by Fraction matrix-vector products with
@@ -217,6 +256,18 @@ class TestIntegerRepresentation:
             checked += 1
 
 
+def dense_product(a, b):
+    """The integer matrix product AB by full rows."""
+    columns = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in columns] for row in a]
+
+
+def sparse_columns(rows):
+    """The nonzero entries (row, value) of each column of an integer matrix."""
+    return [tuple((r, row[j]) for r, row in enumerate(rows) if row[j])
+            for j in range(len(rows))]
+
+
 def cusp_algebra_of(text):
     """The derived system of a map and the quotient algebra its census builds."""
     problem = parse_problem(text)
@@ -246,12 +297,136 @@ class TestProductTable:
         d, algebra = cusp_algebra_of(text)
         built = dict(vars(algebra))
         products, traces = dict(algebra.products), dict(algebra.traces[0])
+        pairs = [list(row) for row in algebra.pairs]
         form_matrix(algebra, d.vel_jac)
         mult_matrix(algebra, d.minor1 * X)
         assert generates_algebra(algebra, (d.minor1, d.minor2))
         assert vars(algebra).keys() == built.keys()
         assert all(vars(algebra)[k] is v for k, v in built.items())
         assert algebra.products == products and algebra.traces[0] == traces
+        # the pair table is immutable, and its positions still index both
+        # tables, whose keys keep their order
+        assert type(algebra.pairs) is tuple and all(type(row) is tuple for row in algebra.pairs)
+        assert [list(row) for row in algebra.pairs] == pairs
+        assert list(algebra.products) == list(products) == list(algebra.traces[0])
+
+
+def reference_algebra(gb):
+    """(XY == YX, mx, my, products, traces) by the dense formulas: every
+    column of M_x and M_y the normal form of x*b or y*b, XY and YX by full
+    rows, each product of two basis monomials by a dense matrix-vector
+    product from the one a degree below it, and each trace by keyed
+    lookups of the products b_k*b_j."""
+    basis = standard_monomials(gb)
+    n = len(basis)
+
+    def matrix(var):
+        columns = [normal_form(var * Polynomial.monomial(b), gb) for b in basis]
+        den = lcm(*(c.denominator for c in columns))
+        rows = tuple(tuple(c.numerators.get(b, 0) * (den // c.denominator) for c in columns)
+                     for b in basis)
+        return rows, den
+
+    mx, my = matrix(X), matrix(Y)
+    commute = dense_product(mx[0], my[0]) == dense_product(my[0], mx[0])
+    units = {b: (tuple(int(j == i) for j in range(n)), 1) for i, b in enumerate(basis)}
+    products = dict(units)
+    for m in sorted({bi * bj for bi in basis for bj in basis} - units.keys(),
+                    key=_grevlex_key):
+        rows, dm = mx if m.ex else my
+        nums, den = products[Monomial(m.ex - 1, m.ey) if m.ex else Monomial(m.ex, m.ey - 1)]
+        product = [sum(map(mul, row, nums)) for row in rows]
+        g = gcd(den * dm, *product)
+        products[m] = tuple(v // g for v in product), den * dm // g
+    den = lcm(*(d for _, d in products.values()))
+    tau = [sum(nums[j] * (den // d) for j, (nums, d) in
+               enumerate(products[b * other] for other in basis)) for b in basis]
+    return commute, mx, my, products, reference_contract(tau, den, products)
+
+
+def reference_contract(weights, weight_den, products):
+    """w . c for w = weights/weight_den and every product's coordinates c,
+    keyed by the product, as gcd-reduced integers over one denominator."""
+    den = lcm(*(d for _, d in products.values()))
+    entries = {m: sum(map(mul, weights, nums)) * (den // d)
+               for m, (nums, d) in products.items()}
+    den *= weight_den
+    g = gcd(den, *entries.values())
+    return {m: v // g for m, v in entries.items()}, den // g
+
+
+def reference_form(algebra, delta):
+    """(rows, denominator) of the trace form of delta, its weights read off
+    the trace table by the key mono*b of every term of delta and every basis
+    monomial b, and entry (i, j) by the key b_i*b_j."""
+    basis = algebra.basis
+    traces, trace_den = algebra.traces
+    residue = normal_form(delta, algebra.gb)
+    weights = [sum(c * traces[mono * b] for mono, c in residue.numerators.items())
+               for b in basis]
+    entries, den = reference_contract(weights, trace_den * residue.denominator,
+                                      algebra.products)
+    return tuple(tuple(entries[bi * bj] for bj in basis) for bi in basis), den
+
+
+def reference_mult_columns(algebra, residue):
+    """Columns of M_h for h in normal form, summing the products keyed by
+    mono*b for every term of h and every basis monomial b."""
+    columns = []
+    for b in algebra.basis:
+        parts = [(c, algebra.products[mono * b]) for mono, c in residue.numerators.items()]
+        den = lcm(*(d for _, (_, d) in parts))
+        col = [0] * algebra.dim
+        for c, (nums, d) in parts:
+            col = [a + c * (den // d) * v for a, v in zip(col, nums)]
+        columns.append((tuple(col), den * residue.denominator))
+    return columns
+
+
+def assert_equals_reference(algebra, deltas):
+    commute, mx, my, products, (traces, trace_den) = reference_algebra(algebra.gb)
+    assert commute
+    assert algebra.mx == mx and algebra.my == my
+    assert algebra.products == products
+    assert algebra.traces == (traces, trace_den)
+    # one order for both tables, and the pair table locates every product in it
+    keys = tuple(algebra.products)
+    assert tuple(algebra.traces[0]) == keys
+    assert keys[:algebra.dim] == algebra.basis
+    assert algebra.pairs == tuple(tuple(keys.index(bi * bj) for bj in algebra.basis)
+                                  for bi in algebra.basis)
+    for delta in deltas:
+        form = form_matrix(algebra, delta)
+        assert (form.rows, form.denominator) == reference_form(algebra, delta)
+        residue = normal_form(delta, algebra.gb)
+        assert _mult_columns(algebra, residue) == reference_mult_columns(algebra, residue)
+
+
+class TestDenseReference:
+    """build_algebra and form_matrix, which work on nonzero entries and on
+    positions, equal the dense formulas entry for entry."""
+
+    @pytest.mark.parametrize("text", [TWO_CUSP_TEXT, EIGHT_CUSP_TEXT, SIX_CUSP_TEXT],
+                             ids=["two_cusp", "eight_cusp", "six_cusp"])
+    def test_paper_maps(self, text):
+        problem = parse_problem(text)
+        d, algebra = cusp_algebra_of(text)
+        gb = algebra.gb
+        vel_jac, u = normal_form(d.vel_jac, gb), normal_form(problem.u, gb)
+        assert_equals_reference(algebra, (ONE, vel_jac, u, normal_form(u * vel_jac, gb)))
+
+    def test_random_algebras(self):
+        rng = random.Random(20724)
+        dims = set()
+        for _ in range(40):
+            algebra = random_algebra(rng)
+            if algebra is None:
+                continue
+            dims.add(algebra.dim)
+            assert_equals_reference(algebra, (ONE, random_polynomial(rng, 4, lo=-9, hi=9),
+                                              normal_form(random_polynomial(rng, 4),
+                                                          algebra.gb)))
+        assert min(dims) == 0 and max(dims) == 16
 
 
 class TestMultMatrix:
