@@ -58,7 +58,6 @@ from __future__ import annotations
 from collections.abc import Collection
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
 from operator import mul
 
@@ -172,9 +171,8 @@ def build_algebra(gb: GroebnerBasis) -> QuotientAlgebra:
 
     # the product one degree below a product of two basis monomials is again
     # one, because the basis is closed under division
-    pair_products = [[bi * bj for bj in basis] for bi in basis]
     products = dict(units)
-    for m in sorted(set(chain.from_iterable(pair_products)) - units.keys(),
+    for m in sorted({bi * bj for bi in basis for bj in basis} - units.keys(),
                     key=_grevlex_key):
         # M*(v/d) = (M's numerators * v)/(dm*d)
         (_, dm), cols = (mx, x_cols) if m.ex else (my, y_cols)
@@ -183,8 +181,11 @@ def build_algebra(gb: GroebnerBasis) -> QuotientAlgebra:
         den *= dm
         g = gcd(den, *product)
         products[m] = tuple(v // g for v in product), den // g
-    position = {m: k for k, m in enumerate(products)}
-    pairs = tuple(tuple(map(position.__getitem__, row)) for row in pair_products)
+    # pairs[i][j] is the position of b_i*b_j, looked up by its exponents
+    position = {(m.ex, m.ey): k for k, m in enumerate(products)}
+    exponents = [(b.ex, b.ey) for b in basis]
+    pairs = tuple(tuple(position[ei + ej, fi + fj] for ej, fj in exponents)
+                  for ei, fi in exponents)
 
     # T(b_k) is the sum over j of coordinate j of b_k*b_j, here tau_k / den
     vectors = tuple(products.values())
