@@ -260,7 +260,8 @@ def _mult_columns(algebra: QuotientAlgebra, residue: Polynomial) -> list[Scaled]
     return columns
 
 
-def _pair_rows(algebra: QuotientAlgebra, residue: Polynomial):
+def _pair_rows(algebra: QuotientAlgebra,
+               residue: Polynomial) -> list[tuple[tuple[int, ...], int]]:
     """(pairs[m], c_m) for every term c_m * b_m of a polynomial in normal
     form: row m of the pair table locates b_m * b_k for every k."""
     index = {b: i for i, b in enumerate(algebra.basis)}
