@@ -2,9 +2,11 @@
 
 Scaling a matrix by a positive integer changes neither its rank nor, when
 it is symmetric, its inertia, so the counts run on the integer matrix A
-that the least common multiple of the entries' denominators clears.  One
-certificate gives them: a congruence to a diagonally dominant matrix, after
-an exact deflation of the kernel.
+that the least common multiple of the entries' denominators clears; a
+matrix of ints is used as it is.  One certificate gives them: a congruence
+to a diagonally dominant matrix, which also proves A nonsingular, and,
+only where the congruence needs that proof first, an exact deflation of
+the kernel.
 
 Congruence.  By Sylvester's law of inertia, B = W^T A W has the inertia of
 A for every nonsingular W.  If every row of B is strictly diagonally
@@ -27,8 +29,8 @@ from the nonzero entries of W, which are read off W itself, and only on
 and above the diagonal: every term left out has a zero factor, and B is
 symmetric because A is, so the lower triangle mirrors the upper.  The
 floating-point step only proposes, and a poor W costs another round on
-B, never soundness.  The rounds go on for as long as it takes: they run
-only on a matrix proven nonsingular.
+B, never soundness.  The rounds on A go on for as long as it takes: they
+run only once A is proven nonsingular (see Deflation).
 
 Truncation.  The rounds first run on the top k = 128 bits of D A D.  With
 e_i as above, |A_ij| < 2**(e_i + e_j); let S_ij be the floor of
@@ -52,7 +54,9 @@ ceil(log2(max e_i / 64)) times before the exact case.  Below it, the
 rounds on a nonsingular S end as those on A do, with a dominant B_t, which
 passes or doubles k; a singular or nearly singular S leaves in B_t a
 diagonal entry that is a rounding residue of the float step, which each
-round shrinks against g_i^2 until the second rule doubles k.
+round shrinks against g_i^2 until the second rule doubles k.  Neither rule
+asks A to be nonsingular, so a truncated stage ends on a singular A too:
+it cannot pass, since a passing copy proves A nonsingular, so it doubles k.
 
 Deflation.  One certificate gives the exact rank of an integer matrix A of
 any shape.  The reduced echelon form R of A modulo a prime proposes the
@@ -72,13 +76,24 @@ column space, so A[N, N] is nonsingular, T = [e_N | V] is nonsingular and
 T^T A T = diag(A[N, N], 0): the inertia of A is that of A[N, N], which the
 congruence certifies.  `rank` turns a wide matrix first, so that V has a
 vector per column beyond the rank; `rank_mod` shares the echelon form.
+
+When the deflation runs.  The congruence starts on the whole of A.  A copy
+that passes proves A nonsingular, since a strictly dominant matrix is and
+so is every matrix congruent to it: then rank A = n, and no deflation is
+needed.  The deflation runs only where the rounds need that proof: before
+the first round of the exact stage, whose rounds end only on a
+nonsingular matrix, and when a truncated stage ends uncertified, which a
+singular A always does.  Full rank lets the rounds go on where they were;
+otherwise they run on A[N, N], nonsingular by the certificate above, and
+the rank is |N|.  So the deflation runs at most once per matrix, and
+never for a matrix that the first truncated stage certifies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import chain, count
 from math import gcd, isqrt, lcm
 from typing import Sequence
 
@@ -124,9 +139,11 @@ def _require_symmetric(matrix: MatrixLike, n: int) -> None:
                     f"{matrix[i][j]} vs {matrix[j][i]}")
 
 
-def _scaled_integer_matrix(matrix: MatrixLike) -> list[list[int]]:
+def _scaled_integer_matrix(matrix: MatrixLike) -> MatrixLike:
     """s*M as integers, for s the least common multiple of the entries'
-    denominators."""
+    denominators; a matrix of ints is returned as it is."""
+    if {int} >= set(map(type, chain.from_iterable(matrix))):
+        return matrix
     s = lcm(*(v.denominator for row in matrix for v in row))
     return [[v.numerator * (s // v.denominator) for v in row] for row in matrix]
 
@@ -341,44 +358,47 @@ def _pivot_columns(matrix: list[list[int]]) -> list[int]:
 
 # -- congruence ---------------------------------------------------------------
 
-def _exponents(b: np.ndarray) -> list[int]:
-    """e_i with 2**(2 e_i) above every entry of row i."""
-    return [(int(v).bit_length() + 1) // 2 for v in np.abs(b).max(axis=1)]
+def _exponents(size: np.ndarray) -> list[int]:
+    """e_i with 2**(2 e_i) above every entry of row i, from the absolute
+    values of the entries."""
+    return [(v.bit_length() + 1) // 2 for v in size.max(axis=1)]
 
 
-def _dominant_inertia(b: np.ndarray, exponents: list[int],
-                      bound: np.ndarray) -> tuple[int, int] | None:
-    """The numbers of positive and negative diagonal entries of the integer
-    matrix b when each row of E (b + X) E is strictly diagonally dominant,
-    for E = diag(2**-e_i) and every X with |X_ij| <= g_i g_j, g the bound;
-    else None.  Every such b + X then has the signs of diag(b) on its
-    diagonal.  With g = 0 this is the test on b itself."""
+def _dominance(size: np.ndarray, exponents: list[int], bound: np.ndarray) -> tuple[bool, bool]:
+    """For the absolute values of an integer matrix b: whether each row of
+    E b E is strictly diagonally dominant, for E = diag(2**-e_i), and
+    whether each row of E (b + X) E is, for every X with |X_ij| <= g_i g_j,
+    g the bound.  Every such b + X then has the signs of diag(b) on its
+    diagonal.  With g = 0 the two tests are one."""
     top = max(exponents)
     weights = np.array([1 << (top - e) for e in exponents], dtype=object)
-    size = np.abs(b)
-    # (|b_ii| - g_i^2) w_i > sum_{j != i} (|b_ij| + g_i g_j) w_j is
-    # 2 |b_ii| w_i > sum_j (|b_ij| + g_i g_j) w_j
-    rows = size @ weights + bound * (bound @ weights)
-    if not (2 * size.diagonal() * weights > rows).all():
-        return None
-    positive = int((b.diagonal() > 0).sum())
-    return positive, len(b) - positive
+    # |b_ii| w_i > sum_{j != i} |b_ij| w_j is 2 |b_ii| w_i - sum_j |b_ij| w_j > 0,
+    # and (|b_ii| - g_i^2) w_i > sum_{j != i} (|b_ij| + g_i g_j) w_j is
+    # 2 |b_ii| w_i - sum_j |b_ij| w_j > g_i sum_j g_j w_j
+    margin = 2 * size.diagonal() * weights - size @ weights
+    if not (margin > 0).all():
+        return False, False
+    return True, bool((margin > bound * (bound @ weights)).all())
 
 
-def _proposal(b: np.ndarray, exponents: list[int]) -> np.ndarray:
-    """The integer matrix W = D' R U of the module docstring for b."""
+def _elimination(b: np.ndarray,
+                 exponents: list[int]) -> tuple[np.ndarray, list[int], list[tuple[int, int]]]:
+    """The float step of the proposal for b: the strictly upper triangle of
+    U, rounded, with zeros for what overflowed; the pivot order; and the
+    rotations (i, j) in the order taken."""
     n = len(b)
     # |b_ij| < 2**(e_i + e_j), so b_ij >> shift fits in 62 bits
     bits = np.add.outer(exponents, exponents)
     shift = np.maximum(bits - 62, 0)
     s = np.ldexp((b >> shift).astype(float), shift - bits)
     low = np.zeros((n, n))  # low[c, k]: multiplier of pivot k in row c
+    size, update = np.empty((n, n)), np.empty((n, n))
     live = np.ones(n, dtype=bool)
     order, turns = [], []
     with np.errstate(all="ignore"):
         for _ in range(n):
             # eliminated rows and columns of s are zero
-            size = np.abs(s)
+            np.abs(s, out=size)
             diagonal = np.where(live, size.diagonal(), -1.0)
             if size.max() > 2 * diagonal.max():  # an off-diagonal entry
                 i, j = divmod(int(size.argmax()), n)
@@ -392,7 +412,9 @@ def _proposal(b: np.ndarray, exponents: list[int]) -> np.ndarray:
             column = s[:, k] * live
             if s[k, k]:
                 low[:, k] = column / s[k, k]
-                s -= np.outer(column, column) / s[k, k]  # symmetric to the last bit
+                np.multiply.outer(column, column, out=update)
+                update /= s[k, k]
+                s -= update  # symmetric to the last bit
             s[k] = s[:, k] = 0.0
         # U = L^-T in pivot order, by forward substitution for L^-1
         unit = low[np.ix_(order, order)]
@@ -401,14 +423,25 @@ def _proposal(b: np.ndarray, exponents: list[int]) -> np.ndarray:
             inverse[i] -= unit[i, :i] @ inverse[:i]
         upper = np.triu(np.rint(np.ldexp(inverse.T, _PRECISION)), 1)
     upper[~np.isfinite(upper)] = 0
-    w: list[list[int]] = [[] for _ in range(n)]
-    for a, (row, k) in enumerate(zip(upper.tolist(), order)):
-        w[k] = [int(v) for v in row]
-        w[k][a] = 1 << _PRECISION
+    return upper, order, turns
+
+
+def _proposal(b: np.ndarray, exponents: list[int]) -> np.ndarray:
+    """The integer matrix W = D' R U of the module docstring for b."""
+    upper, order, turns = _elimination(b, exponents)
+    # an entry m 2**p, 1/2 <= |m| < 1, is m 2**(p - shift) << shift with
+    # shift = max(p - 53, 0): m 2**53 is an integer, as a double has 53 bits
+    mantissa, power = np.frexp(upper)
+    shift = np.maximum(power - 53, 0)
+    u = np.ldexp(mantissa, power - shift).astype(np.int64).astype(object)
+    wide = shift > 0
+    u[wide] = u[wide] << shift[wide]
+    np.fill_diagonal(u, 1 << _PRECISION)
+    w = np.empty_like(u)
+    w[order] = u  # row a of U is row order[a] of W
     for i, j in reversed(turns):
-        w[i], w[j] = [x + y for x, y in zip(w[i], w[j])], [x - y for x, y in zip(w[i], w[j])]
-    top = max(exponents)
-    return np.array([[v << (top - e) for v in row] for row, e in zip(w, exponents)], dtype=object)
+        w[[i, j]] = w[i] + w[j], w[i] - w[j]
+    return w << (max(exponents) - np.array(exponents))[:, None]
 
 
 def _congruent_copy(b: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -440,23 +473,34 @@ def _truncated(a: np.ndarray, exponents: list[int], k: int) -> tuple[np.ndarray,
     return (a << np.maximum(-drop, 0)) >> np.maximum(drop, 0), np.ones(n, dtype=object)
 
 
-def _congruence_inertia(matrix: list[list[int]]) -> tuple[int, int]:
-    """(positive, negative) eigenvalue counts of a nonsingular integer
-    symmetric matrix, certified by a diagonally dominant congruent copy of
-    its truncation at k bits, k doubling from _TRUNCATION."""
+def _congruence_inertia(matrix: MatrixLike, nonsingular: bool = False) -> tuple[int, int, int]:
+    """(positive, negative, rank) of a nonempty integer symmetric matrix A,
+    certified by a diagonally dominant congruent copy of its truncation at
+    k bits, k doubling from _TRUNCATION.  Unless the caller knows A to be
+    nonsingular, the deflation runs where the rounds need that proof:
+    before the exact stage, and after a truncated stage that ends
+    uncertified.  A singular A goes on as A[N, N]."""
     a = np.array(matrix, dtype=object)
-    scale = _exponents(a)
+    scale = _exponents(np.abs(a))
     k = _TRUNCATION
     while True:
         b, bound = _truncated(a, scale, k)
         truncated = bound.any()
+        # the exact stage, or a stage after one that ended uncertified
+        if not nonsingular and (k > _TRUNCATION or not truncated):
+            kept = _pivot_columns(matrix)
+            if len(kept) < len(a):
+                return (_congruence_inertia([[matrix[i][j] for j in kept] for i in kept], True)
+                        if kept else (0, 0, 0))
+            nonsingular = True
         for rounds in count():
-            exponents = _exponents(b)
-            inertia = _dominant_inertia(b, exponents, bound)
-            if inertia is not None:
-                return inertia
-            if truncated and (rounds and (bound * bound >= np.abs(b.diagonal())).any()
-                              or _dominant_inertia(b, exponents, 0 * bound) is not None):
+            size = np.abs(b)
+            exponents = _exponents(size)
+            dominant, covered = _dominance(size, exponents, bound)
+            if covered:
+                positive = int((b.diagonal() > 0).sum())
+                return positive, len(b) - positive, len(b)
+            if truncated and (dominant or rounds and (bound * bound >= size.diagonal()).any()):
                 break  # the dropped bits may decide: take more of them
             w = _proposal(b, exponents)
             b = _congruent_copy(b, w)
@@ -476,14 +520,11 @@ def signature_of(matrix: MatrixLike) -> SignatureResult:
     if n == 0:
         return SignatureResult(0, 0, 0, 0, True)
     # positive rescaling preserves inertia, so count on the integer matrix
-    scaled = _scaled_integer_matrix(matrix)
-    kept = _pivot_columns(scaled)
-    positive, negative = (_congruence_inertia([[scaled[i][j] for j in kept] for i in kept])
-                          if kept else (0, 0))
+    positive, negative, rank_of = _congruence_inertia(_scaled_integer_matrix(matrix))
     return SignatureResult(
         signature=positive - negative,
-        rank=len(kept),
+        rank=rank_of,
         positive_count=positive,
         negative_count=negative,
-        nondegenerate=len(kept) == n,
+        nondegenerate=rank_of == n,
     )

@@ -14,7 +14,7 @@ from cuspcount.groebner import buchberger, normal_form
 from cuspcount.pipeline import CuspCensus, census, certify_genericity, derive_system
 from cuspcount.poly import Monomial, Polynomial, X, Y, func_det
 from cuspcount.quotient import build_algebra
-from cuspcount.signature import _pivot_columns, primes, rank, rank_mod, signature_of
+from cuspcount.signature import primes, rank, rank_mod, signature_of
 from conftest import (EIGHT_CUSP_TEXT, FOLD_ONLY_TEXT, IDENTITY_TEXT,
                       NON_GENERIC_TEXT, SIX_CUSP_TEXT, TWO_CUSP_TEXT,
                       WHITNEY_TEXT, random_polynomial)
@@ -219,24 +219,26 @@ class TestCensus:
         assert (c.positive_cusps, c.negative_cusps) == (0, 2)
 
     def test_forms_reach_the_signature_as_integer_rows(self, monkeypatch):
-        # the deflation gets each form's rows as they are, content and all
+        # the congruence gets each form's rows as they are, content and all,
+        # without a copy
         forms, matrices = [], []
+        congruence = signature._congruence_inertia
 
         def spy_form(*args):
             forms.append(quotient.form_matrix(*args))
             return forms[-1]
 
-        def spy_pivot_columns(matrix):
+        def spy_congruence(matrix, *args):
             matrices.append(matrix)
-            return _pivot_columns(matrix)
+            return congruence(matrix, *args)
 
         monkeypatch.setattr(pipeline, "form_matrix", spy_form)
-        monkeypatch.setattr(signature, "_pivot_columns", spy_pivot_columns)
+        monkeypatch.setattr(signature, "_congruence_inertia", spy_congruence)
         census(parse_problem(EIGHT_CUSP_TEXT))
         assert len(matrices) == len(forms) == 4
         assert any(gcd(*(v for row in form.rows for v in row)) > 1 for form in forms)
         for form, matrix in zip(forms, matrices):
-            assert matrix == [list(row) for row in form.rows]
+            assert matrix is form.rows
 
     def test_region_form_with_zero_diagonal(self, monkeypatch):
         # an odd map: Theta_3 has no nonzero diagonal entry to pivot on

@@ -18,11 +18,11 @@ from cuspcount import signature
 from cuspcount.errors import CertificateFailed, NotSymmetric
 from cuspcount.exprio import parse_problem
 from cuspcount.pipeline import census
-from cuspcount.signature import (SignatureResult, _congruent_copy, _crt, _dominant_inertia,
+from cuspcount.signature import (SignatureResult, _congruent_copy, _crt, _dominance,
                                  _echelon_mod, _exponents, _hadamard_bits, _kernel_lifts,
                                  _pivot_columns, _proposal, _residues, _scaled_integer_matrix,
                                  prime_cap, primes, rank, rank_mod, signature_of)
-from conftest import SIX_CUSP_TEXT
+from conftest import EIGHT_CUSP_TEXT, SIX_CUSP_TEXT
 from elimination import signature_by_elimination
 
 
@@ -366,9 +366,9 @@ def six_cusp_rounds():
     forms, pending = [], []
     congruence = signature._congruence_inertia
 
-    def each_form(matrix):
+    def each_form(*args):
         forms.append([])
-        return congruence(matrix)
+        return congruence(*args)
 
     def counted_proposal(b, exponents):
         w = _proposal(b, exponents)
@@ -376,11 +376,11 @@ def six_cusp_rounds():
         Counted.products = 0
         return np.array([[Counted(v) for v in row] for row in w.tolist()], dtype=object)
 
-    def after_each_round(b):
+    def after_each_round(size):
         # every copy goes straight on to the exponents of the next round
         if pending:
             forms[-1].append((*pending.pop(), Counted.products))
-        return _exponents(b)
+        return _exponents(size)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(signature, "_congruence_inertia", each_form)
@@ -409,12 +409,45 @@ def spy_truncations(monkeypatch):
     return seen
 
 
+def proposal_by_lists(b, exponents):
+    """W assembled from the float step entry by entry in Python integers:
+    the reference for the numpy assembly in _proposal."""
+    upper, order, turns = signature._elimination(b, exponents)
+    w = [[] for _ in range(len(b))]
+    for a, (row, k) in enumerate(zip(upper.tolist(), order)):
+        w[k] = [int(v) for v in row]
+        w[k][a] = 1 << signature._PRECISION
+    for i, j in reversed(turns):
+        w[i], w[j] = [x + y for x, y in zip(w[i], w[j])], [x - y for x, y in zip(w[i], w[j])]
+    top = max(exponents)
+    return [[v << (top - e) for v in row] for row, e in zip(w, exponents)]
+
+
+def assert_proposal(b):
+    exponents = _exponents(np.abs(b))
+    w = _proposal(b, exponents)
+    assert w.dtype == object and all(type(v) is int for v in w.ravel())
+    assert w.tolist() == proposal_by_lists(b, exponents)
+    return w
+
+
 def assert_congruent_copy(b, w):
     b, w = np.array(b, dtype=object), np.array(w, dtype=object)
     assert _congruent_copy(b, w).tolist() == (w.T @ b @ w).tolist()
 
 
 class TestCongruence:
+    def test_proposal_matches_the_assembly_by_lists(self, six_cusp_rounds):
+        # every round of the six-cusp forms, among them entries of U past
+        # the 53 bits of a double, which the assembly shifts as integers
+        wide = 0
+        for rounds in six_cusp_rounds:
+            for b, w, _ in rounds:
+                assert assert_proposal(b).tolist() == w.tolist()
+                upper = signature._elimination(b, _exponents(np.abs(b)))[0]
+                wide += int((np.abs(upper) > 2.0 ** 53).sum())
+        assert wide
+
     def test_copy_of_the_orientation_form(self, six_cusp_rounds):
         rounds = six_cusp_rounds[1]
         assert [len(b) for b, _, _ in rounds] == [56, 56]
@@ -440,7 +473,8 @@ class TestCongruence:
         # the zero diagonal takes a rotation, which mixes two rows of W: the
         # first two columns, in pivot order, are nonzero on all three rows
         b = np.array([[0, 2 ** 1200, 0], [2 ** 1200, 0, 1], [0, 1, 1]], dtype=object)
-        w = _proposal(b, _exponents(b))
+        assert signature._elimination(b, _exponents(np.abs(b)))[2]
+        w = assert_proposal(b)
         support = w.T != 0
         assert not all(support[:a + 1].any(axis=0).sum() <= a + 1 for a in range(3))
         assert_congruent_copy(b, w)
@@ -470,16 +504,17 @@ class TestCongruence:
     def test_dominance_is_strict(self):
         # weakly dominant rows prove nothing: these are singular
         for weak in ([[1, 1], [1, 1]], [[1, -1], [-1, 1]], [[2, 1, 1], [1, 2, 1], [1, 1, 2]]):
-            b = np.array(weak, dtype=object)
-            assert _dominant_inertia(b, [0] * len(weak), exact(len(weak))) is None
-        b = np.array([[3, 1, 1], [1, -3, 1], [1, 1, 3]], dtype=object)
-        assert _dominant_inertia(b, [0, 0, 0], exact(3)) == (2, 1)
+            size = np.abs(np.array(weak, dtype=object))
+            assert _dominance(size, [0] * len(weak), exact(len(weak))) == (False, False)
+        b = [[3, 1, 1], [1, -3, 1], [1, 1, 3]]
+        assert _dominance(np.abs(np.array(b, dtype=object)), [0, 0, 0], exact(3)) == (True, True)
+        assert signature_of(b) == SignatureResult(1, 3, 2, 1, True)
 
     def test_rows_are_weighted_by_the_equilibration(self):
         # row 2 is dominant only once its small entries count 2**-600 of the rest
         b = np.array([[2 ** 1201, 0, 1], [0, -2 ** 1201, 1], [1, 1, 1]], dtype=object)
-        assert _dominant_inertia(b, [0, 0, 0], exact(3)) is None
-        assert _dominant_inertia(b, [601, 601, 1], exact(3)) == (2, 1)
+        assert _dominance(np.abs(b), [0, 0, 0], exact(3)) == (False, False)
+        assert _dominance(np.abs(b), [601, 601, 1], exact(3)) == (True, True)
         assert signature_of(b.tolist()) == signature_by_elimination(b.tolist())
 
     @pytest.mark.parametrize("g, dominant", [
@@ -488,9 +523,10 @@ class TestCongruence:
     def test_dominance_covers_the_bound(self, g, dominant):
         # b + X is dominant for every |X_ij| <= g_i g_j when both
         # 8 - g0^2 > 5 + g0 g1 and 17 - g1^2 > 5 + g0 g1
-        b = np.array([[8, 5], [5, -17]], dtype=object)
+        size = np.abs(np.array([[8, 5], [5, -17]], dtype=object))
         bound = np.array(g, dtype=object)
-        assert _dominant_inertia(b, [0, 0], bound) == ((1, 1) if dominant else None)
+        # b itself is dominant, whatever the bound
+        assert _dominance(size, [0, 0], bound) == (True, dominant)
 
     @pytest.mark.parametrize("matrix", [
         [[1, 2 ** 1100], [2 ** 1100, 1]],
@@ -559,6 +595,17 @@ class TestCongruence:
         s, bound = signature._truncated(np.array(a, dtype=object), [151, 151], 128)
         assert s.tolist() == [[2 ** 126] * 2] * 2 and bound.tolist() == [1, 1]
 
+    def test_a_dominant_truncation_takes_more_bits_at_once(self, monkeypatch):
+        # each truncation of this form is dominant by a margin of 1, less
+        # than the bound asks: k doubles before any round, up to A itself
+        x = 2 ** 300
+        rounds = []
+        monkeypatch.setattr(signature, "_proposal",
+                            lambda b, e: rounds.append(b) or _proposal(b, e))
+        truncations = spy_truncations(monkeypatch)
+        assert signature_of([[x, x - 1], [x - 1, x]]) == SignatureResult(2, 2, 2, 0, True)
+        assert [k for k, _ in truncations] == [128, 256, 512] and rounds == []
+
     def test_truncation_floors_the_equilibrated_matrix(self):
         rng = random.Random(22001)
         for _ in range(100):
@@ -566,7 +613,7 @@ class TestCongruence:
             a = integer_symmetric(n, lambda: rng.randint(-2 ** 400, 2 ** 400) >> rng.randint(0, 400))
             if not any(map(any, a)):
                 continue
-            exponents = _exponents(np.array(a, dtype=object))
+            exponents = _exponents(np.abs(np.array(a, dtype=object)))
             for k in (128, 256, 512, 1024):
                 s, bound = signature._truncated(np.array(a, dtype=object), exponents, k)
                 if k >= 2 * max(exponents):
@@ -580,7 +627,72 @@ class TestCongruence:
                         assert abs(s[i, j]) <= 2 ** k
 
 
+def spy_deflation_stages(monkeypatch):
+    """In order, ("stage", k, truncated) for every stage the congruence
+    starts and "deflate" for every deflation."""
+    events = []
+    truncated, pivot_columns = signature._truncated, _pivot_columns
+
+    def stage(a, exponents, k):
+        s, bound = truncated(a, exponents, k)
+        events.append(("stage", k, bool(bound.any())))
+        return s, bound
+
+    monkeypatch.setattr(signature, "_truncated", stage)
+    monkeypatch.setattr(signature, "_pivot_columns",
+                        lambda matrix: events.append("deflate") or pivot_columns(matrix))
+    return events
+
+
+def planted(rng, bits, d):
+    """X diag(d) X^T for a random X with entries of the given bits."""
+    n = len(d)
+    x = [[rng.randint(-2 ** bits, 2 ** bits) for _ in range(n)] for _ in range(n)]
+    return [[sum(x[i][k] * d[k] * x[j][k] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+
+
+def six_cusp_region_form():
+    """Theta_3 of the six-cusp map with u = x: rank 55 of 56, entries of
+    600 to 1200 bits."""
+    forms = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("cuspcount.pipeline.signature_of",
+                      lambda m: forms.append(m) or signature_of(m))
+        census(parse_problem(SIX_CUSP_TEXT.replace("u = x - 1", "u = x")))
+    return forms[2]
+
+
 class TestDeflation:
+    def test_paper_forms_need_no_deflation(self, monkeypatch):
+        # a dominant congruent copy proves the six- and eight-cusp forms
+        # nonsingular, in truncated stages: the echelon form never runs
+        events = spy_deflation_stages(monkeypatch)
+        for text in (SIX_CUSP_TEXT, EIGHT_CUSP_TEXT):
+            census(parse_problem(text))
+        assert "deflate" not in events
+        assert len(events) == 8 and all(truncated for _, _, truncated in events)
+
+    @pytest.mark.parametrize("build, expected, stages", [
+        (lambda: [[0] * 3] * 3, SignatureResult(0, 0, 0, 0, False), 0),
+        (lambda: [[1, 2, 3], [2, 4, 6], [3, 6, 10]], SignatureResult(2, 2, 2, 0, False), 0),
+        (lambda: planted(random.Random(24001), 300, [1, -1, 1, 0, -1, 1]),
+         SignatureResult(1, 5, 3, 2, False), 1),
+        (six_cusp_region_form, SignatureResult(-1, 55, 27, 28, False), 1),
+    ], ids=["zero", "small entries", "large entries", "six-cusp region form"])
+    def test_singular_forms_deflate_once(self, monkeypatch, build, expected, stages):
+        # the exact stage needs a proof of nonsingularity before its first
+        # round, and a truncated stage that ends uncertified asks for one:
+        # the deflation runs once, and the rounds go on on A[N, N]
+        matrix = build()
+        events = spy_deflation_stages(monkeypatch)
+        assert signature_of(matrix) == expected
+        assert events.count("deflate") == 1
+        # stages: the truncated stages that end uncertified before it
+        before = events[:events.index("deflate")]
+        assert [k for _, k, _ in before] == [128 * 2 ** i for i in range(stages + 1)]
+        assert [truncated for _, _, truncated in before] == [True] * stages + [stages > 0]
+
     def test_planted_kernel(self):
         """X D X^T with 30-bit X and zeros in D: the kernel lifts, the
         rank and inertia are those of D."""
