@@ -7,12 +7,15 @@ underneath; the exact rank of matrices of any shape; Sylvester invariance."""
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 from itertools import islice, permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuspcount import signature
 from cuspcount.errors import CertificateFailed, NotSymmetric
@@ -345,47 +348,24 @@ class TestModularKernels:
                                         for row in expected.to_Matrix().tolist()[:len(pivots)]]
 
 
-class Counted(int):
-    """An integer that counts the products it takes part in."""
-
-    products = 0
-
-    def __mul__(self, other):
-        Counted.products += 1
-        return int(self) * other
-
-    __rmul__ = __mul__
-
-
 @pytest.fixture(scope="module")
 def six_cusp_rounds():
     """Per form of the six-cusp census, in the census' order, every
-    congruence round as (B, W, products): W as proposed, and the number of
-    entry products that forming the copy of B took, counted by entries of W
-    that count their products."""
-    forms, pending = [], []
-    congruence = signature._congruence_inertia
+    congruence round as (B, W): the round forms the copy W^T B W."""
+    forms = []
+    congruence, copy = signature._congruence_inertia, _congruent_copy
 
     def each_form(*args):
         forms.append([])
         return congruence(*args)
 
-    def counted_proposal(b, exponents):
-        w = _proposal(b, exponents)
-        pending.append((b, w))
-        Counted.products = 0
-        return np.array([[Counted(v) for v in row] for row in w.tolist()], dtype=object)
-
-    def after_each_round(size):
-        # every copy goes straight on to the exponents of the next round
-        if pending:
-            forms[-1].append((*pending.pop(), Counted.products))
-        return _exponents(size)
+    def each_round(b, w):
+        forms[-1].append((b, w))
+        return copy(b, w)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(signature, "_congruence_inertia", each_form)
-        patch.setattr(signature, "_proposal", counted_proposal)
-        patch.setattr(signature, "_exponents", after_each_round)
+        patch.setattr(signature, "_congruent_copy", each_round)
         census(parse_problem(SIX_CUSP_TEXT))
     return forms
 
@@ -442,7 +422,7 @@ class TestCongruence:
         # the 53 bits of a double, which the assembly shifts as integers
         wide = 0
         for rounds in six_cusp_rounds:
-            for b, w, _ in rounds:
+            for b, w in rounds:
                 assert assert_proposal(b).tolist() == w.tolist()
                 upper = signature._elimination(b, _exponents(np.abs(b)))[0]
                 wide += int((np.abs(upper) > 2.0 ** 53).sum())
@@ -450,24 +430,56 @@ class TestCongruence:
 
     def test_copy_of_the_orientation_form(self, six_cusp_rounds):
         rounds = six_cusp_rounds[1]
-        assert [len(b) for b, _, _ in rounds] == [56, 56]
-        for b, w, _ in rounds:
+        assert [len(b) for b, _ in rounds] == [56, 56]
+        for b, w in rounds:
             assert_congruent_copy(b, w)
 
-    def test_copy_skips_the_zero_products(self, six_cusp_rounds):
-        # at most 36 % of the 2 n^3 products of w.T @ b @ w: W's nonzero
-        # entries against every row of B, then the upper triangle only
+    def test_copy_of_every_six_cusp_round(self, six_cusp_rounds):
         assert [len(rounds) for rounds in six_cusp_rounds] == [1, 2, 1, 2]
         for rounds in six_cusp_rounds:
-            for b, w, products in rounds:
-                n = len(b)
-                assert 0 < products <= 0.36 * 2 * n ** 3
+            for b, w in rounds:
+                assert len(b) == 56
+                assert_congruent_copy(b, w)
+
+    def test_copy_stays_within_its_memory_budget(self, six_cusp_rounds):
+        # the second round of the orientation form, B of 235 bits and W of
+        # 81: the float temporaries are formed by blocks of rows, which
+        # keeps the peak within 1 MiB; in one block it is 5.4 MiB
+        b, w = six_cusp_rounds[1][1]
+        assert max(abs(v).bit_length() for v in b.ravel()) == 235
+        tracemalloc.start()
+        try:
+            _congruent_copy(b, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 ** 20
+
+    def test_sums_are_carried_before_they_pass_the_float_limit(self, monkeypatch):
+        # with the limit at 2**35, a sum takes a few digits of W before a
+        # partial sum could pass it: the planes are carried first, and the
+        # copy stays exact
+        monkeypatch.setattr(signature, "_EXACT", 2 ** 35)
+        bounds = []
+        carry = signature._carry
+        monkeypatch.setattr(signature, "_carry",
+                            lambda planes, bound: bounds.append(bound) or carry(planes, bound))
+        rng = random.Random(25001)
+        for n in (1, 2, 4):
+            b = integer_symmetric(n, lambda: rng.randint(-2 ** 400, 2 ** 400))
+            w = [[rng.randint(-2 ** 300, 2 ** 300) for _ in range(n)] for _ in range(n)]
+            assert_congruent_copy(b, w)
+        # W has 19 digits; a sum of n digit products is at most n 2**30
+        # against B and n 2**31 against B W, so the two products of dimension
+        # n carry mid-sum every 32 / n and 16 / n digits: 1 + 1 + 2 + 2 + 4
+        # times in all, besides the carry that ends each of the six
+        assert len(bounds) == 6 + 10 and max(bounds) <= 2 ** 35
 
     def test_copies_run_on_truncated_entries(self, six_cusp_rounds):
         # the six-cusp forms have entries of 650 to 1240 bits; every copy
         # runs on their top 128 bits and the copies of those
         assert max(abs(v).bit_length() for rounds in six_cusp_rounds
-                   for b, _, _ in rounds for v in b.ravel()) < 512
+                   for b, _ in rounds for v in b.ravel()) < 512
 
     def test_copy_after_a_rotation(self):
         # the zero diagonal takes a rotation, which mixes two rows of W: the
@@ -500,6 +512,31 @@ class TestCongruence:
                 if rank(w) == n:
                     break
             assert_congruent_copy(b, w)
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(st.integers(1, 64), st.integers(0, 1100), st.integers(0, 1100),
+           st.integers(0, 2 ** 32), st.booleans())
+    def test_copy_matches_the_object_product(self, n, bits_b, bits_w, seed, zero_column):
+        # entries up to 1100 bits, a quarter of them on a digit boundary:
+        # +-2**(16 k), +-(2**(16 k) - 1) and -2**(16 k) - 1; some rows of W
+        # zero and, in half the examples, a column
+        rng = random.Random(seed)
+
+        def entry(bits):
+            if rng.random() < 0.25:
+                k = rng.randint(0, bits // 16)
+                return rng.choice([2 ** (16 * k), -2 ** (16 * k), 2 ** (16 * k) - 1,
+                                   1 - 2 ** (16 * k), -2 ** (16 * k) - 1])
+            return rng.randint(-2 ** bits, 2 ** bits)
+
+        b = integer_symmetric(n, lambda: entry(bits_b))
+        w = [[0] * n if rng.random() < 0.2 else [entry(bits_w) for _ in range(n)]
+             for _ in range(n)]
+        if zero_column:
+            column = rng.randrange(n)
+            for row in w:
+                row[column] = 0
+        assert_congruent_copy(b, w)
 
     def test_dominance_is_strict(self):
         # weakly dominant rows prove nothing: these are singular
