@@ -25,20 +25,15 @@ two of D up to a common factor, R the product of the rotations, and U the
 inverse transpose of the unit triangular factor, rounded with diagonal
 exactly 2**_PRECISION and kept triangular in the pivot order.  So W is
 nonsingular by construction, whatever the rounding.  B is formed exactly
-from float64 products of 16-bit digits, the error-free splitting of a
-matrix product of Ozaki, Ogita, Oishi and Rump: A = sum_s 2**(16 s) A_s
-and W = sum_t 2**(16 t) W_t with every entry of A_s and W_t in
-[-2**15, 2**15), and the float64 product A_s W_t lands on digit plane
-s + t of A W.  An entry of A_s W_t is a sum of n integers of at most
-2**30 in absolute value, and the planes are carried back to digits below
-2**16 before a sum of them could pass 2**53.  So every partial sum is an
-integer that a double holds exactly, and neither the order of the
-additions nor a fused multiply-add changes a bit.  B = W^T (A W) is
-formed the same way from the digits of A W, only on and above the
-diagonal, since B is symmetric because A is, and read back to integers.
-The floating-point step only proposes, and a poor W costs another round
-on B, never soundness.  The rounds on A go on for as long as it takes: they
-run only once A is proven nonsingular (see Deflation).
+by `products.congruent_copy`: A W from float64 products of the balanced
+16-bit digits of A and W, the error-free splitting of Ozaki, Ogita, Oishi
+and Rump, carried back to digits before a partial sum could pass 2**53,
+so that every float64 sum is an exact integer whatever the order of the
+additions; then W^T (A W) from those digits in the same way, on and above
+the diagonal only, since B is symmetric because A is.  The floating-point
+step only proposes, and a poor W costs another round on B, never
+soundness.  The rounds on A go on for as long as it takes: they run only
+once A is proven nonsingular (see Deflation).
 
 Truncation.  The rounds first run on the top k = 128 bits of D A D.  With
 e_i as above, |A_ij| < 2**(e_i + e_j); let S_ij be the floor of
@@ -108,6 +103,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CertificateFailed, NotSymmetric
+from .products import congruent_copy
 
 MatrixLike = Sequence[Sequence]
 
@@ -117,19 +113,6 @@ _PRECISION = 53
 #: The congruence first runs on the top _TRUNCATION bits of the equilibrated
 #: matrix, and doubles them while the dropped bits may decide the inertia.
 _TRUNCATION = 128
-
-#: Congruent copies are formed from digits of _DIGIT bits in float64.
-_DIGIT = 16
-_HALF = 1 << (_DIGIT - 1)
-_MASK = (1 << _DIGIT) - 1
-
-#: A float64 sum of integers is exact while every partial sum is at most
-#: 2**53 in absolute value, whatever the order of the additions.
-_EXACT = 2 ** 53
-
-#: The floats of one temporary array of a block of a congruent copy.  A
-#: copy runs by blocks of rows so that its temporaries stay small.
-_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -465,132 +448,6 @@ def _proposal(b: np.ndarray, exponents: list[int]) -> np.ndarray:
     return w << (max(exponents) - np.array(exponents))[:, None]
 
 
-def _digits(matrix: np.ndarray) -> tuple[np.ndarray, int]:
-    """The balanced 16-bit digits of an integer object matrix, least
-    significant first along a new first axis, and the most bits of an
-    entry: m = sum_s 2**(16 s) d_s with -2**15 <= d_s < 2**15, held as
-    d_s + 2**15 in uint16.  These are the unsigned digits of
-    m + sum_s 2**15 2**(16 s), which lies in [0, 2**(16 count)) because
-    |m| < 2**(16 count - 2).  The entries' bytes are joined a block at a
-    time."""
-    values = matrix.ravel().tolist()
-    bits = max(map(int.bit_length, values))
-    count = (bits + _DIGIT + 1) // _DIGIT
-    offset = _HALF * ((1 << _DIGIT * count) - 1) // _MASK
-    size = 2 * count
-    data = bytearray(len(values) * size)
-    step = max(1, _BLOCK // count)
-    for i in range(0, len(values), step):
-        data[i * size:(i + step) * size] = b"".join([(v + offset).to_bytes(size, "little")
-                                                     for v in values[i:i + step]])
-    return np.frombuffer(data, dtype="<u2").reshape(*matrix.shape, count).transpose(2, 0, 1), bits
-
-
-def _carry(planes: np.ndarray, bound: int) -> None:
-    """Carries float64 digit planes (the first axis) of integers at most
-    `bound` in absolute value, in place, until every plane but the top is
-    below 2**16 in absolute value.  A pass takes c = rint(x / 2**16) off
-    each plane but the top as c 2**16, which leaves x - c 2**16 in
-    [-2**15, 2**15], and adds c, at most (bound + 2**15) >> 16 in absolute
-    value, to the plane above.  No value changes, and every step is exact
-    on integers below 2**53."""
-    low = planes[:-1]
-    carry = np.empty(low.shape)
-    while bound > _MASK:
-        np.multiply(low, 1 / (_MASK + 1), out=carry)
-        np.rint(carry, out=carry)
-        planes[1:] += carry
-        carry *= _MASK + 1
-        low -= carry
-        bound = _HALF + ((bound + _HALF) >> _DIGIT)
-
-
-def _product(left: np.ndarray, weights: np.ndarray, planes: int, digit: int) -> np.ndarray:
-    """The carried digit planes of C W, for the digits of C in float64,
-    (digits, rows, n), each at most `digit` in absolute value, and
-    weights[t], digit t of W.  Digit q of C against digit t of W lands on
-    plane q + t: one float64 product per digit of W, taken a few digits
-    at a time.  A product of two digits is at most 2**15 digit, so a sum
-    of n of them is an integer of at most n 2**15 digit, and the planes
-    are carried before an addition could take a partial sum past _EXACT:
-    every float64 operation is then exact, whatever the order of the
-    additions.  That needs n < 2**21, so that two such sums stay below
-    2**53."""
-    count, rows, n = left.shape
-    width = weights.shape[2]
-    flat = left.reshape(count * rows, n)
-    acc = np.zeros((planes, rows, width))
-    chunk = max(1, _BLOCK // (count * rows * width))
-    step = n * _HALF * digit
-    bound = 0
-    for first in range(0, len(weights), chunk):
-        terms = np.matmul(flat, weights[first:first + chunk])
-        for t, term in enumerate(terms, first):
-            if bound + step > _EXACT:
-                _carry(acc, bound)
-                # the top plane only takes carries: its bound is read off it
-                bound = max(_MASK, int(np.abs(acc[-1]).max()))
-            acc[t:t + count] += term.reshape(count, rows, width)
-            bound += step
-    _carry(acc, bound)
-    return acc
-
-
-def _integers(digits: np.ndarray) -> list[int]:
-    """The integers sum_p 2**(16 p) d_p for the columns d of carried digit
-    planes, each below 2**16 in absolute value: the positive digits less
-    the negative ones, each read as one unsigned integer."""
-    size = 2 * len(digits)
-    positive = np.maximum(digits, 0)
-    high = positive.T.astype("<u2", order="C").tobytes()
-    low = (positive - digits).T.astype("<u2", order="C").tobytes()
-    read = int.from_bytes
-    return [read(high[i:i + size], "little") - read(low[i:i + size], "little")
-            for i in range(0, len(high), size)]
-
-
-def _row_blocks(n: int, per_row: int) -> list[slice]:
-    """Blocks of rows, each of about _BLOCK floats at per_row a row."""
-    height = max(1, _BLOCK // per_row)
-    return [slice(k, min(k + height, n)) for k in range(0, n, height)]
-
-
-def _congruent_copy(b: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """W^T B W for a symmetric object matrix B and an integer matrix W,
-    exactly, from float64 products of their 16-bit digits.
-
-    B W, which is X^T for X = W^T B, is formed first, by blocks of rows,
-    and carried to digits below 2**16; then the copy X W, on and above the
-    diagonal only, by blocks of rows, which is mirrored below it.  The
-    planes cover the value bounds |X| < n 2**(bits B + bits W) and its
-    like for the copy with a plane to spare, so that the top plane, which
-    only takes carries, ends at most 1 in absolute value."""
-    n = len(b)
-    digits_w, bits_w = _digits(w)
-    weights = np.subtract(digits_w, _HALF, dtype=float, order="C")
-    digits_b, bits_b = _digits(b)
-    bits_x = bits_b + bits_w + n.bit_length()
-    bits_copy = bits_x + bits_w + n.bit_length()
-    planes_x = max(bits_x // _DIGIT + 2, len(digits_b) + len(weights) - 1)
-    planes_copy = max(bits_copy // _DIGIT + 2, planes_x + len(weights) - 1)
-    # x[p, k, j]: digit p of X[k, j], which is (B W)[j, k]; carried digits
-    # are exact in float32
-    x = np.empty((planes_x, n, n), dtype=np.float32)
-    for block in _row_blocks(n, n * planes_x):
-        left = np.subtract(digits_b[:, block], _HALF, dtype=float, order="C")
-        x[:, :, block] = _product(left, weights, planes_x, _HALF).transpose(0, 2, 1)
-    del digits_w, digits_b, left
-    copy = np.empty((n, n), dtype=object)
-    for block in _row_blocks(n, n * planes_copy):
-        start, stop = block.start, block.stop
-        planes = _product(x[:, block].astype(float), weights[:, :, start:], planes_copy, _MASK)
-        upper = np.arange(start, n) >= np.arange(start, stop)[:, None]
-        entries = np.array(_integers(planes[:, upper]), dtype=object)
-        copy[block, start:][upper] = entries
-        copy[start:, block].T[upper] = entries
-    return copy
-
-
 def _truncated(a: np.ndarray, exponents: list[int], k: int) -> tuple[np.ndarray, np.ndarray]:
     """S and the first bound g of the truncation at k bits: S_ij is
     floor(2**(k - e_i - e_j) a_ij), formed by exact shifts, and g = 1; once
@@ -632,7 +489,7 @@ def _congruence_inertia(matrix: MatrixLike, nonsingular: bool = False) -> tuple[
             if truncated and (dominant or rounds and (bound * bound >= size.diagonal()).any()):
                 break  # the dropped bits may decide: take more of them
             w = _proposal(b, exponents)
-            b = _congruent_copy(b, w)
+            b = congruent_copy(b, w)
             if truncated:  # else g stays 0
                 bound = np.abs(w).T @ bound
         k *= 2

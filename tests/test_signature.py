@@ -17,11 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspcount import signature
+from cuspcount import products, signature
 from cuspcount.errors import CertificateFailed, NotSymmetric
 from cuspcount.exprio import parse_problem
 from cuspcount.pipeline import census
-from cuspcount.signature import (SignatureResult, _congruent_copy, _crt, _dominance,
+from cuspcount.products import congruent_copy
+from cuspcount.signature import (SignatureResult, _crt, _dominance,
                                  _echelon_mod, _exponents, _hadamard_bits, _kernel_lifts,
                                  _pivot_columns, _proposal, _residues, _scaled_integer_matrix,
                                  prime_cap, primes, rank, rank_mod, signature_of)
@@ -353,7 +354,7 @@ def six_cusp_rounds():
     """Per form of the six-cusp census, in the census' order, every
     congruence round as (B, W): the round forms the copy W^T B W."""
     forms = []
-    congruence, copy = signature._congruence_inertia, _congruent_copy
+    congruence, copy = signature._congruence_inertia, congruent_copy
 
     def each_form(*args):
         forms.append([])
@@ -365,7 +366,7 @@ def six_cusp_rounds():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(signature, "_congruence_inertia", each_form)
-        patch.setattr(signature, "_congruent_copy", each_round)
+        patch.setattr(signature, "congruent_copy", each_round)
         census(parse_problem(SIX_CUSP_TEXT))
     return forms
 
@@ -413,7 +414,7 @@ def assert_proposal(b):
 
 def assert_congruent_copy(b, w):
     b, w = np.array(b, dtype=object), np.array(w, dtype=object)
-    assert _congruent_copy(b, w).tolist() == (w.T @ b @ w).tolist()
+    assert congruent_copy(b, w).tolist() == (w.T @ b @ w).tolist()
 
 
 class TestCongruence:
@@ -443,13 +444,14 @@ class TestCongruence:
 
     def test_copy_stays_within_its_memory_budget(self, six_cusp_rounds):
         # the second round of the orientation form, B of 235 bits and W of
-        # 81: the float temporaries are formed by blocks of rows, which
-        # keeps the peak within 1 MiB; in one block it is 5.4 MiB
+        # 81: the float temporaries are formed by blocks of rows and the
+        # digits of B W are held in int16, which keeps the peak, the
+        # copy's own integers included, within 1 MiB
         b, w = six_cusp_rounds[1][1]
         assert max(abs(v).bit_length() for v in b.ravel()) == 235
         tracemalloc.start()
         try:
-            _congruent_copy(b, w)
+            congruent_copy(b, w)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -459,21 +461,36 @@ class TestCongruence:
         # with the limit at 2**35, a sum takes a few digits of W before a
         # partial sum could pass it: the planes are carried first, and the
         # copy stays exact
-        monkeypatch.setattr(signature, "_EXACT", 2 ** 35)
+        monkeypatch.setattr(products, "_EXACT", 2 ** 35)
         bounds = []
-        carry = signature._carry
-        monkeypatch.setattr(signature, "_carry",
+        carry = products._carry
+        monkeypatch.setattr(products, "_carry",
                             lambda planes, bound: bounds.append(bound) or carry(planes, bound))
         rng = random.Random(25001)
         for n in (1, 2, 4):
             b = integer_symmetric(n, lambda: rng.randint(-2 ** 400, 2 ** 400))
             w = [[rng.randint(-2 ** 300, 2 ** 300) for _ in range(n)] for _ in range(n)]
             assert_congruent_copy(b, w)
-        # W has 19 digits; a sum of n digit products is at most n 2**30
-        # against B and n 2**31 against B W, so the two products of dimension
-        # n carry mid-sum every 32 / n and 16 / n digits: 1 + 1 + 2 + 2 + 4
-        # times in all, besides the carry that ends each of the six
-        assert len(bounds) == 6 + 10 and max(bounds) <= 2 ** 35
+        # W has 19 digits; a sum of n digit products is at most n 2**30,
+        # against B and against B W, whose digits are kept in int16, so both
+        # products of dimension n carry mid-sum every 32 / n digits:
+        # 1 + 1 + 2 + 2 times in all, besides the carry that ends each of the six
+        assert len(bounds) == 6 + 6 and max(bounds) <= 2 ** 35
+
+    def test_carries_end_with_digits_in_int16(self):
+        # a unit carried out of 2**15 carries on through a digit that it
+        # takes to 2**15; the values stay, and every digit but the top ends
+        # in [-2**15, 2**15)
+        planes = np.array([[2 ** 15, -2 ** 15 - 1, 5], [2 ** 15 - 1, 0, -2 ** 15], [0, 0, 0]],
+                          dtype=float)
+
+        def values():
+            return [sum(int(d) << 16 * k for k, d in enumerate(column)) for column in planes.T]
+
+        before = values()
+        products._carry(planes, 2 ** 15 + 1)
+        assert values() == before
+        assert planes.tolist() == [[-2 ** 15, 2 ** 15 - 1, 5], [-2 ** 15, -1, -2 ** 15], [1, 0, 0]]
 
     def test_copies_run_on_truncated_entries(self, six_cusp_rounds):
         # the six-cusp forms have entries of 650 to 1240 bits; every copy
