@@ -22,7 +22,7 @@ import time
 from .errors import (CertificateFailed, DegreeGuardExceeded, GenericityNotCertified,
                      OracleOverflow, ParseError)
 from .exprio import ProblemInput, format_monomial, format_polynomial, parse_problem
-from .groebner import DEFAULT_DEGREE_GUARD
+from .groebner import DEFAULT_DEGREE_GUARD, MAX_DEGREE_GUARD
 from .oracle import (DEFAULT_ORACLE_RADIUS, CertifiedPoint, isolate_cusps,
                      region_membership)
 from .pipeline import CuspCensus, census, derive_system
@@ -63,7 +63,8 @@ _PARSER.add_argument("--radius", type=float, default=DEFAULT_ORACLE_RADIUS,
                      metavar="R", help="half-width of the oracle search box "
                                        "(default %(default)s)")
 _PARSER.add_argument("--degree-guard", type=int, default=DEFAULT_DEGREE_GUARD,
-                     metavar="N", help="abort if intermediate degrees exceed N "
+                     metavar="N", help="abort if intermediate degrees exceed N, "
+                                       f"at most {MAX_DEGREE_GUARD} "
                                        "(default %(default)s)")
 _PARSER.add_argument("--basis", action="store_true",
                      help="list the quotient-algebra basis in the text report")
@@ -77,6 +78,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTERNAL
     if args.degree_guard <= 0:
         print("cuspcount: --degree-guard must be positive", file=sys.stderr)
+        return EXIT_INTERNAL
+    if args.degree_guard > MAX_DEGREE_GUARD:
+        print(f"cuspcount: --degree-guard must be at most {MAX_DEGREE_GUARD}", file=sys.stderr)
         return EXIT_INTERNAL
     try:
         text = _read_input(args.problem)

@@ -60,6 +60,11 @@ class DegreeGuardExceeded(CuspCountError):
         super().__init__(f"degree {degree} exceeds guard {guard}{where}")
 
 
+class DegreeFieldExceeded(DegreeGuardExceeded, ValueError):
+    """A product's total degree would reach 2**16, past the exponent field of
+    the packed monomial keys (see `poly`); a hard guard under every other."""
+
+
 class NotZeroDimensional(CuspCountError):
     """The ideal has infinitely many solutions; the quotient is not finite-dimensional."""
 

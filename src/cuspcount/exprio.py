@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegreeGuardExceeded, DuplicateKeyError, MissingKeyError, ParseError
-from .groebner import DEFAULT_DEGREE_GUARD, _grevlex_key
-from .poly import Monomial, Polynomial
+from .groebner import DEFAULT_DEGREE_GUARD
+from .poly import Monomial, Polynomial, _canonical, unpack
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ def _check_power_size(base: Polynomial, exponent: int, position: int) -> None:
     numerators over D, every coefficient of the power has a numerator of at
     most N^exponent and a denominator dividing D^exponent.
     """
-    norm = sum(map(abs, base.numerators.values()))
+    norm = sum(map(abs, base._nums.values()))
     if exponent * math.log10(max(norm, base.denominator)) >= _MAX_DIGITS:
         raise ParseError(f"^{exponent} could give coefficients of more "
                          f"than {_MAX_DIGITS} digits", position=position)
@@ -160,15 +160,15 @@ class _Parser:
         tok = self.next()
         kind, value, pos = tok
         if kind == "int":
-            numerator = _natural(tok)
+            numerator, denominator = _natural(tok), 1
             if self.peek() == "/":
                 self.next()
                 dtok = self.expect("int")
                 denominator = _natural(dtok)
                 if denominator == 0:
                     raise ParseError("zero denominator in rational literal", position=dtok[2])
-                return Polynomial.constant(Fraction(numerator, denominator))
-            return Polynomial.constant(numerator)
+            # the integer constructor divides out the common factor
+            return _canonical({0: numerator} if numerator else {}, denominator)
         if kind == "x" or kind == "y":
             return Polynomial.variable(kind)
         if kind == "(":
@@ -193,9 +193,13 @@ def parse_polynomial(text: str, degree_guard: int = DEFAULT_DEGREE_GUARD) -> Pol
                          expected=("+", "-", "*", "^", "end of input"))
     if result.degree != float("-inf") and result.degree > degree_guard:
         raise DegreeGuardExceeded(result.degree, degree_guard, context="parsing")
-    for coeff in result.terms.values():
-        if abs(coeff.numerator) >= _COEFFICIENT_LIMIT or coeff.denominator >= _COEFFICIENT_LIMIT:
-            raise ParseError(f"a coefficient has more than {_MAX_DIGITS} digits")
+    den = result.denominator
+    for num in result._nums.values():
+        # a coefficient num/den in lowest terms has both parts at most these
+        if abs(num) >= _COEFFICIENT_LIMIT or den >= _COEFFICIENT_LIMIT:
+            common = math.gcd(num, den)
+            if abs(num) // common >= _COEFFICIENT_LIMIT or den // common >= _COEFFICIENT_LIMIT:
+                raise ParseError(f"a coefficient has more than {_MAX_DIGITS} digits")
     return result
 
 
@@ -249,16 +253,15 @@ def format_polynomial(p: Polynomial) -> str:
     if p.is_zero():
         return "0"
     pieces = []
-    for mono, coeff in sorted(p.terms.items(), key=lambda item: _grevlex_key(item[0]),
-                              reverse=True):
-        sign = "-" if coeff < 0 else "+"
-        magnitude = -coeff if coeff < 0 else coeff
-        if mono == Monomial(0, 0):
+    for mono, num in sorted(p._nums.items(), reverse=True):
+        sign = "-" if num < 0 else "+"
+        magnitude = Fraction(abs(num), p.denominator)
+        if mono == 0:
             body = str(magnitude)
         elif magnitude == 1:
-            body = format_monomial(mono)
+            body = str(unpack(mono))
         else:
-            body = f"{magnitude}*{format_monomial(mono)}"
+            body = f"{magnitude}*{unpack(mono)}"
         pieces.append((sign, body))
     first_sign, first_body = pieces[0]
     out = [first_body if first_sign == "+" else f"-{first_body}"]

@@ -1,7 +1,13 @@
 """Buchberger's algorithm, multivariate reduction, and ideal certificates.
 
 Every computation uses one term order: graded reverse lexicographic with
-x > y.  One ideal test is decided here: whether an ideal is
+x > y, which on the packed monomial keys of `poly` is integer comparison.
+Every internal term dict is keyed by those ints: a reduction step shifts a
+reducer's terms by one integer difference, the heap of pending monomials
+holds negated keys, an S-pair's lcm is read off the two fields, and two
+leads are coprime when their lcm is their product, the sum of the keys.
+`Monomial` appears only in the public `leading_monomial` and
+`standard_monomials`.  One ideal test is decided here: whether an ideal is
 zero-dimensional (finitely many standard monomials), which the cusp
 pipeline needs.  One-genericity is decided on the quotient algebra (see
 `quotient.generates_algebra`).
@@ -13,7 +19,9 @@ factor by which it scaled its input.  It reads a polynomial's integer
 numerators as they are stored, with no per-entry conversion: Buchberger's
 S-pair reductions call it directly, and `normal_form` puts the remainder
 over the input's denominator times that factor.  The published basis is
-monic, its numerators over the leading coefficient.
+monic, its numerators over the leading coefficient.  Under a degree guard
+of at most MAX_DEGREE_GUARD no S-pair lcm passes twice the guard, so every
+exponent the kernel meets stays inside the packed field.
 
 A basis is certified once, where it is consumed, in
 `quotient.build_algebra`: (1) the multiplication matrices by x and y on the
@@ -33,19 +41,17 @@ from functools import cached_property
 from math import gcd
 
 from .errors import DegreeGuardExceeded, NotZeroDimensional
-from .poly import Monomial, Polynomial, _canonical
+from .poly import _MASK, FIELD, Monomial, Polynomial, _canonical, divides, lcm_key, pack, unpack
 
 DEFAULT_DEGREE_GUARD = 64
+#: The largest degree guard: S-pair lcms reach twice the guard, and every
+#: exponent stays inside the packed field while that is at most FIELD.
+MAX_DEGREE_GUARD = FIELD >> 1
 
-# Integer term dict used internally: Monomial -> nonzero int.
+# Integer term dict used internally: packed monomial -> nonzero int.
 _IntPoly = dict
 
 _ONE = Fraction(1)
-
-
-def _grevlex_key(m: Monomial) -> tuple[int, int]:
-    """Sort key of the term order: larger key means larger monomial."""
-    return (m[0] + m[1], m[0])
 
 
 @dataclass(frozen=True)
@@ -61,14 +67,14 @@ class GroebnerBasis:
     @cached_property
     def _reducers(self):
         """The generators as primitive integer entries for `_reduce_full`."""
-        return tuple(_entry(g.numerators) for g in self.generators)
+        return tuple(_entry(g._nums) for g in self.generators)
 
 
 def leading_monomial(p: Polynomial) -> Monomial:
     """Largest monomial of a nonzero polynomial under the term order."""
     if p.is_zero():
         raise ValueError("the zero polynomial has no leading monomial")
-    return max(p.numerators, key=_grevlex_key)
+    return unpack(max(p._nums))
 
 
 # -- internal integer-coefficient machinery ---------------------------------
@@ -83,10 +89,6 @@ def _content(terms: _IntPoly) -> int:
     return content
 
 
-def _degree(terms: _IntPoly) -> int:
-    return max(m[0] + m[1] for m in terms)
-
-
 def _reduce_full(p: _IntPoly, reducers) -> tuple[_IntPoly, Fraction]:
     """Full multivariate division, fraction-free over the integers.
 
@@ -95,27 +97,26 @@ def _reduce_full(p: _IntPoly, reducers) -> tuple[_IntPoly, Fraction]:
     and r is s times the remainder of dividing p over the rationals, where
     s > 0 is the product of the fraction-free scalings divided by the
     contents removed on the way.  r is not content-normalized; callers do
-    that as needed.
+    that as needed.  The heap holds negated packed monomials, so it pops
+    the largest first.
     """
     p = dict(p)
-    heap = [((-k[0], -k[1]), m) for m in p for k in (_grevlex_key(m),)]
+    heap = [-m for m in p]
     heapq.heapify(heap)
-    done: set[Monomial] = set()
+    done: set[int] = set()
     scale = _ONE
     steps = 0
     while heap:
-        _, mono = heapq.heappop(heap)
+        mono = -heapq.heappop(heap)
         if mono in done or mono not in p:
             continue
-        hit = None
         for lead, lead_coeff, terms in reducers:
-            if lead.ex <= mono.ex and lead.ey <= mono.ey:
-                hit = (lead, lead_coeff, terms)
+            shift = mono - lead
+            if (shift & _MASK) <= (shift >> 16):  # `divides(lead, mono)`, inlined
                 break
-        if hit is None:
+        else:
             done.add(mono)
             continue
-        lead, lead_coeff, terms = hit
         coeff = p[mono]
         common = gcd(coeff, lead_coeff)
         scale_p = lead_coeff // common
@@ -124,15 +125,12 @@ def _reduce_full(p: _IntPoly, reducers) -> tuple[_IntPoly, Fraction]:
             for k in p:
                 p[k] *= scale_p
             scale *= scale_p
-        shift_x = mono.ex - lead.ex
-        shift_y = mono.ey - lead.ey
         for mg, cg in terms.items():
-            target = Monomial(mg.ex + shift_x, mg.ey + shift_y)
+            target = mg + shift
             new = p.get(target, 0) - scale_g * cg
             if new:
                 if target not in p and target not in done:
-                    k = _grevlex_key(target)
-                    heapq.heappush(heap, ((-k[0], -k[1]), target))
+                    heapq.heappush(heap, -target)
                 p[target] = new
             else:
                 p.pop(target, None)
@@ -150,17 +148,14 @@ def _reduce_full(p: _IntPoly, reducers) -> tuple[_IntPoly, Fraction]:
 def _spoly(f, g) -> _IntPoly:
     """S-polynomial of two primitive entries (lead, lead_coeff, terms)."""
     (lmf, lcf, tf), (lmg, lcg, tg) = f, g
-    lcm_mono = lmf.lcm(lmg)
+    lcm_mono = lcm_key(lmf, lmg)
     common = gcd(lcf, lcg)
     mult_f = lcg // common
     mult_g = lcf // common
-    fx, fy = lcm_mono.ex - lmf.ex, lcm_mono.ey - lmf.ey
-    gx, gy = lcm_mono.ex - lmg.ex, lcm_mono.ey - lmg.ey
-    out: _IntPoly = {}
-    for m, c in tf.items():
-        out[Monomial(m.ex + fx, m.ey + fy)] = c * mult_f
+    shift_f, shift_g = lcm_mono - lmf, lcm_mono - lmg
+    out: _IntPoly = {m + shift_f: c * mult_f for m, c in tf.items()}
     for m, c in tg.items():
-        target = Monomial(m.ex + gx, m.ey + gy)
+        target = m + shift_g
         new = out.get(target, 0) - c * mult_g
         if new:
             out[target] = new
@@ -171,7 +166,7 @@ def _spoly(f, g) -> _IntPoly:
 
 def _entry(terms: _IntPoly):
     """Package integer terms as (lead, lead_coeff > 0, primitive terms)."""
-    lead = max(terms, key=_grevlex_key)
+    lead = max(terms)
     content = _content(terms)
     if terms[lead] < 0:
         content = -content
@@ -181,7 +176,7 @@ def _entry(terms: _IntPoly):
 
 
 def _is_constant(terms: _IntPoly) -> bool:
-    return len(terms) == 1 and Monomial(0, 0) in terms
+    return len(terms) == 1 and 0 in terms
 
 
 def buchberger(gens, degree_guard: int = DEFAULT_DEGREE_GUARD) -> GroebnerBasis:
@@ -190,11 +185,13 @@ def buchberger(gens, degree_guard: int = DEFAULT_DEGREE_GUARD) -> GroebnerBasis:
     gens must be a non-empty sequence of Polynomial; zero polynomials are
     ignored.  The result records gens as its inputs.  Raises
     DegreeGuardExceeded if any generator or intermediate reduction result
-    exceeds degree_guard.
+    exceeds degree_guard, and ValueError for a guard above MAX_DEGREE_GUARD.
     """
     gens = tuple(gens)
     if not gens:
         raise ValueError("buchberger requires at least one generator")
+    if degree_guard > MAX_DEGREE_GUARD:
+        raise ValueError(f"degree guard {degree_guard} exceeds {MAX_DEGREE_GUARD}")
     unit = GroebnerBasis((Polynomial.constant(1),), gens)
     basis = []
     for g in gens:
@@ -202,21 +199,20 @@ def buchberger(gens, degree_guard: int = DEFAULT_DEGREE_GUARD) -> GroebnerBasis:
             continue
         if g.degree > degree_guard:
             raise DegreeGuardExceeded(g.degree, degree_guard, context="buchberger input")
-        if _is_constant(g.numerators):
+        if _is_constant(g._nums):
             return unit
-        basis.append(_entry(g.numerators))
+        basis.append(_entry(g._nums))
     if not basis:
         return GroebnerBasis((), gens)
 
     pairs: set[tuple[int, int]] = {(i, j) for j in range(len(basis)) for i in range(j)}
-    pair_lcm = {(i, j): basis[i][0].lcm(basis[j][0]) for (i, j) in pairs}
+    pair_lcm = {(i, j): lcm_key(basis[i][0], basis[j][0]) for (i, j) in pairs}
 
-    def chain_redundant(i: int, j: int, lcm_mono: Monomial) -> bool:
+    def chain_redundant(i: int, j: int, lcm_mono: int) -> bool:
         for k in range(len(basis)):
             if k == i or k == j:
                 continue
-            lead_k = basis[k][0]
-            if lead_k.divides(lcm_mono):
+            if divides(basis[k][0], lcm_mono):
                 a = (min(i, k), max(i, k))
                 b = (min(j, k), max(j, k))
                 if a not in pairs and b not in pairs:
@@ -224,20 +220,19 @@ def buchberger(gens, degree_guard: int = DEFAULT_DEGREE_GUARD) -> GroebnerBasis:
         return False
 
     while pairs:
-        i, j = min(pairs, key=lambda ij: (_grevlex_key(pair_lcm[ij]), ij))
+        i, j = min(pairs, key=lambda ij: (pair_lcm[ij], ij))
         pairs.discard((i, j))
         lcm_mono = pair_lcm.pop((i, j))
-        lead_i, lead_j = basis[i][0], basis[j][0]
-        if lead_i.is_coprime(lead_j):
-            continue
+        if lcm_mono == basis[i][0] + basis[j][0]:
+            continue  # coprime leads: their lcm is their product
         if chain_redundant(i, j, lcm_mono):
             continue
         remainder, _ = _reduce_full(_spoly(basis[i], basis[j]), basis)
         if not remainder:
             continue
-        if _degree(remainder) > degree_guard:
-            raise DegreeGuardExceeded(_degree(remainder), degree_guard,
-                                      context="buchberger reduction")
+        degree = max(remainder) >> 16
+        if degree > degree_guard:
+            raise DegreeGuardExceeded(degree, degree_guard, context="buchberger reduction")
         if _is_constant(remainder):
             return unit
         entry = _entry(remainder)
@@ -245,7 +240,7 @@ def buchberger(gens, degree_guard: int = DEFAULT_DEGREE_GUARD) -> GroebnerBasis:
         basis.append(entry)
         for k in range(new_index):
             pairs.add((k, new_index))
-            pair_lcm[(k, new_index)] = basis[k][0].lcm(entry[0])
+            pair_lcm[(k, new_index)] = lcm_key(basis[k][0], entry[0])
 
     return GroebnerBasis(tuple(_to_monic_polynomial(t) for t in _interreduce(basis)),
                          gens)
@@ -254,8 +249,8 @@ def buchberger(gens, degree_guard: int = DEFAULT_DEGREE_GUARD) -> GroebnerBasis:
 def _interreduce(basis):
     """Minimalize (drop entries with redundant leads) and fully reduce tails."""
     minimal = []
-    for entry in sorted(basis, key=lambda e: _grevlex_key(e[0])):
-        if not any(kept[0].divides(entry[0]) for kept in minimal):
+    for entry in sorted(basis, key=lambda e: e[0]):
+        if not any(divides(kept[0], entry[0]) for kept in minimal):
             minimal.append(entry)
     reduced = []
     for idx, entry in enumerate(minimal):
@@ -267,7 +262,7 @@ def _interreduce(basis):
 def _to_monic_polynomial(terms: _IntPoly) -> Polynomial:
     # the lead is positive: `_entry` makes it so, and reduction only scales
     # by positive factors
-    return _canonical(dict(terms), terms[max(terms, key=_grevlex_key)])
+    return _canonical(dict(terms), terms[max(terms)])
 
 
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
@@ -277,10 +272,14 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     and p minus the result lies in the ideal.  Idempotent and linear over
     the rationals.
     """
-    remainder, scale = _reduce_full(p.numerators, gb._reducers)
+    remainder, scale = _reduce_full(p._nums, gb._reducers)
     # remainder = scale * (the remainder of p's numerators), scale > 0
     return _canonical({m: c * scale.denominator for m, c in remainder.items()},
                       scale.numerator * p.denominator)
+
+
+def _leads(gb: GroebnerBasis) -> list[int]:
+    return [max(g._nums) for g in gb.generators]
 
 
 def is_zero_dimensional(gb: GroebnerBasis) -> bool:
@@ -289,15 +288,10 @@ def is_zero_dimensional(gb: GroebnerBasis) -> bool:
     Criterion: for each variable some pure power of it (possibly the
     constant 1) appears among the leading monomials.
     """
-    has_x_power = False
-    has_y_power = False
-    for g in gb.generators:
-        lead = leading_monomial(g)
-        if lead.ey == 0:
-            has_x_power = True
-        if lead.ex == 0:
-            has_y_power = True
-    return has_x_power and has_y_power
+    leads = _leads(gb)
+    # a pure power of x has its degree as its x exponent, one of y has x exponent 0
+    return (any(lead >> 16 == lead & _MASK for lead in leads)
+            and any(not lead & _MASK for lead in leads))
 
 
 def standard_monomials(gb: GroebnerBasis) -> tuple[Monomial, ...]:
@@ -306,18 +300,17 @@ def standard_monomials(gb: GroebnerBasis) -> tuple[Monomial, ...]:
     These form a vector-space basis of the quotient algebra; the length of
     the result is its dimension.  Raises NotZeroDimensional when infinite.
     """
+    return tuple(map(unpack, _standard_keys(gb)))
+
+
+def _standard_keys(gb: GroebnerBasis) -> list[int]:
+    """`standard_monomials` as packed keys, ascending."""
     if not is_zero_dimensional(gb):
         raise NotZeroDimensional(
             "the ideal is not zero-dimensional: no pure power of each "
             "variable occurs among the leading monomials")
-    leads = [leading_monomial(g) for g in gb.generators]
-    bound_x = min(lm.ex for lm in leads if lm.ey == 0)
-    bound_y = min(lm.ey for lm in leads if lm.ex == 0)
-    out = [
-        Monomial(a, b)
-        for a in range(bound_x)
-        for b in range(bound_y)
-        if not any(lm.divides(Monomial(a, b)) for lm in leads)
-    ]
-    out.sort(key=_grevlex_key)
-    return tuple(out)
+    leads = _leads(gb)
+    bound_x = min(lead & _MASK for lead in leads if lead >> 16 == lead & _MASK)
+    bound_y = min(lead >> 16 for lead in leads if not lead & _MASK)
+    grid = (pack(a, b) for a in range(bound_x) for b in range(bound_y))
+    return sorted(m for m in grid if not any(divides(lead, m) for lead in leads))

@@ -1,11 +1,24 @@
 """Exact sparse polynomial arithmetic over the rationals in the plane variables x, y.
 
-A polynomial is a finite map from monomials (pairs of exponents) to nonzero
-rational coefficients, held as integer `numerators` over one positive
-`denominator`, the least common denominator of the coefficients: no prime
-divides it and every numerator, so equality and hashing are term-wise.  The
-ring operations and derivatives run on the integers and end in one gcd
-normalisation; `terms`, the reduced Fraction coefficients, is built on
+A polynomial is a finite map from monomials to nonzero rational
+coefficients, held as integer numerators over one positive denominator, the
+least common denominator of the coefficients: no prime divides it and every
+numerator, so equality and hashing are term-wise.  The ring operations and
+derivatives run on the integers and end in one gcd normalisation.
+
+Inside the package a monomial x^a y^b is the packed int
+`((a + b) << 16) | a`, its total degree in the top field and its x exponent
+in the low 16 bits (Monagan and Pearce's packed exponent vectors).  A
+product of monomials is one integer addition, and integer comparison is the
+package's one term order, graded reverse lexicographic with x > y (degree,
+then the larger x exponent).  l divides m exactly when
+deg m - deg l >= a_m - a_l >= 0, which `divides` reads off the one
+difference m - l.  The fields are exact while every exponent stays below
+2**16: the constructor rejects a term of total degree 2**16 or more, and a
+product that would reach it raises `DegreeFieldExceeded`.
+
+`Monomial`, a pair of exponents, is the boundary type: `terms` (the reduced
+Fraction coefficients) and `numerators` are views keyed by it, built on
 request.  Everything is exact: no floats enter, so results downstream
 (Groebner bases, trace-form signatures) are certificates rather than
 estimates.  Values are immutable after construction and all operations are
@@ -19,10 +32,19 @@ from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Union
 
+from .errors import DegreeFieldExceeded
+
 Scalar = Union[int, Fraction]
 
 #: Degree of the zero polynomial.
 NEG_INFINITY = float("-inf")
+
+#: Every exponent, and every total degree, of a stored term is below this.
+FIELD = 1 << 16
+_MASK = FIELD - 1
+#: The packed keys of x and y: adding one multiplies by that variable.
+X_KEY = FIELD | 1
+Y_KEY = FIELD
 
 
 class Monomial(NamedTuple):
@@ -35,24 +57,6 @@ class Monomial(NamedTuple):
     def degree(self) -> int:
         return self.ex + self.ey
 
-    def __mul__(self, other: "Monomial") -> "Monomial":  # type: ignore[override]
-        return Monomial(self.ex + other.ex, self.ey + other.ey)
-
-    def divides(self, other: "Monomial") -> bool:
-        return self.ex <= other.ex and self.ey <= other.ey
-
-    def quotient(self, other: "Monomial") -> "Monomial":
-        """Return self / other; caller must ensure other divides self."""
-        if not other.divides(self):
-            raise ValueError(f"{other} does not divide {self}")
-        return Monomial(self.ex - other.ex, self.ey - other.ey)
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        return Monomial(max(self.ex, other.ex), max(self.ey, other.ey))
-
-    def is_coprime(self, other: "Monomial") -> bool:
-        return min(self.ex, other.ex) == 0 and min(self.ey, other.ey) == 0
-
     def __str__(self) -> str:
         parts = []
         if self.ex:
@@ -62,7 +66,30 @@ class Monomial(NamedTuple):
         return "*".join(parts) if parts else "1"
 
 
-UNIT_MONOMIAL = Monomial(0, 0)
+def pack(ex: int, ey: int) -> int:
+    """The packed key of x^ex * y^ey, for exponents below FIELD."""
+    return ((ex + ey) << 16) | ex
+
+
+def unpack(key: int) -> Monomial:
+    ex = key & _MASK
+    return Monomial(ex, (key >> 16) - ex)
+
+
+def divides(lead: int, key: int) -> bool:
+    """Whether the monomial `lead` divides `key`: the difference of the keys
+    is then itself a monomial, its x exponent at most its degree.  When
+    a_key < a_lead the difference borrows from the degree field and its low
+    field exceeds what is left above it, so the test fails, for any y
+    exponents below FIELD + 1."""
+    q = key - lead
+    return (q & _MASK) <= (q >> 16)
+
+
+def lcm_key(m: int, n: int) -> int:
+    """The least common multiple of two monomials."""
+    a = max(m & _MASK, n & _MASK)
+    return pack(a, max((m >> 16) - (m & _MASK), (n >> 16) - (n & _MASK)))
 
 
 class Polynomial:
@@ -74,19 +101,22 @@ class Polynomial:
     __slots__ = ("_nums", "_den")
 
     def __init__(self, terms: Mapping[tuple, Scalar] | Iterable[tuple] | None = None):
-        clean: dict[Monomial, Fraction] = {}
+        clean: dict[int, Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else (terms or ())
         for mono, coeff in items:
             coeff = Fraction(coeff)
             if coeff:
-                mono = Monomial(*mono)
-                if mono.ex < 0 or mono.ey < 0:
+                ex, ey = mono = Monomial(*mono)
+                if ex < 0 or ey < 0:
                     raise ValueError(f"negative exponent in {mono}")
-                new = clean.get(mono, _ZERO_FRAC) + coeff
+                if ex + ey >= FIELD:
+                    raise ValueError(f"degree of {mono} exceeds the limit {FIELD - 1}")
+                key = pack(ex, ey)
+                new = clean.get(key, _ZERO_FRAC) + coeff
                 if new:
-                    clean[mono] = new
+                    clean[key] = new
                 else:
-                    clean.pop(mono, None)
+                    clean.pop(key, None)
         den = lcm(*(c.denominator for c in clean.values()))
         self._nums = {m: c.numerator * (den // c.denominator) for m, c in clean.items()}
         self._den = den
@@ -97,14 +127,17 @@ class Polynomial:
 
     @classmethod
     def constant(cls, value: Scalar) -> "Polynomial":
-        return cls({UNIT_MONOMIAL: value})
+        if type(value) is not int:
+            value = Fraction(value)
+            return _canonical({0: value.numerator} if value else {}, value.denominator)
+        return _canonical({0: value} if value else {}, 1)
 
     @classmethod
     def variable(cls, name: str) -> "Polynomial":
         if name == "x":
-            return cls({Monomial(1, 0): 1})
+            return _canonical({X_KEY: 1}, 1)
         if name == "y":
-            return cls({Monomial(0, 1): 1})
+            return _canonical({Y_KEY: 1}, 1)
         raise ValueError(f"unknown variable {name!r}; only x and y exist")
 
     @classmethod
@@ -113,11 +146,12 @@ class Polynomial:
 
     @property
     def terms(self) -> Mapping[Monomial, Fraction]:
-        return MappingProxyType({m: Fraction(c, self._den) for m, c in self._nums.items()})
+        return MappingProxyType({unpack(m): Fraction(c, self._den)
+                                 for m, c in self._nums.items()})
 
     @property
     def numerators(self) -> Mapping[Monomial, int]:
-        return MappingProxyType(self._nums)
+        return MappingProxyType({unpack(m): c for m, c in self._nums.items()})
 
     @property
     def denominator(self) -> int:
@@ -131,10 +165,13 @@ class Polynomial:
         """Total degree, or -inf for the zero polynomial."""
         if not self._nums:
             return NEG_INFINITY
-        return max(m.degree for m in self._nums)
+        return max(self._nums) >> 16
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        return Fraction(self._nums.get(Monomial(*mono), 0), self._den)
+        ex, ey = mono
+        if ex < 0 or ey < 0 or ex + ey >= FIELD:  # no term there; its key could alias one
+            return Fraction(0)
+        return Fraction(self._nums.get(pack(ex, ey), 0), self._den)
 
     # -- ring operations -------------------------------------------------
 
@@ -171,10 +208,16 @@ class Polynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[Monomial, int] = {}
-        for m1, c1 in self._nums.items():
-            for m2, c2 in other._nums.items():
-                mono = Monomial(m1.ex + m2.ex, m1.ey + m2.ey)
+        nums, others = self._nums, other._nums
+        if nums and others:
+            # the top keys hold the degrees; below FIELD no x exponent carries
+            degree = (max(nums) >> 16) + (max(others) >> 16)
+            if degree >= FIELD:
+                raise DegreeFieldExceeded(degree, FIELD - 1, context="a product")
+        out: dict[int, int] = {}
+        for m1, c1 in nums.items():
+            for m2, c2 in others.items():
+                mono = m1 + m2
                 new = out.get(mono, 0) + c1 * c2
                 if new:
                     out[mono] = new
@@ -206,8 +249,8 @@ class Polynomial:
 
     def __hash__(self) -> int:
         # a constant equals its int or Fraction value, so it hashes as that value
-        if self._nums.keys() <= {UNIT_MONOMIAL}:
-            return hash(Fraction(self._nums.get(UNIT_MONOMIAL, 0), self._den))
+        if self._nums.keys() <= {0}:
+            return hash(Fraction(self._nums.get(0, 0), self._den))
         return hash((self._den, frozenset(self._nums.items())))
 
     def __bool__(self) -> bool:
@@ -220,9 +263,10 @@ class Polynomial:
         if var not in ("x", "y"):
             raise ValueError(f"unknown variable {var!r}; only x and y exist")
         if var == "x":
-            out = {Monomial(m.ex - 1, m.ey): c * m.ex for m, c in self._nums.items() if m.ex}
+            out = {m - X_KEY: c * e for m, c in self._nums.items() if (e := m & _MASK)}
         else:
-            out = {Monomial(m.ex, m.ey - 1): c * m.ey for m, c in self._nums.items() if m.ey}
+            out = {m - Y_KEY: c * e for m, c in self._nums.items()
+                   if (e := (m >> 16) - (m & _MASK))}
         return _canonical(out, self._den)
 
     def evaluate(self, point: tuple[Scalar, Scalar]) -> Fraction:
@@ -232,7 +276,8 @@ class Polynomial:
         xpow: dict[int, Fraction] = {0: Fraction(1)}
         ypow: dict[int, Fraction] = {0: Fraction(1)}
         for mono, coeff in self._nums.items():
-            total += coeff * _power(px, mono.ex, xpow) * _power(py, mono.ey, ypow)
+            ex = mono & _MASK
+            total += coeff * _power(px, ex, xpow) * _power(py, (mono >> 16) - ex, ypow)
         return total / self._den
 
     def __repr__(self) -> str:
@@ -241,8 +286,9 @@ class Polynomial:
         return f"Polynomial({format_polynomial(self)!r})"
 
 
-def _canonical(nums: dict[Monomial, int], den: int) -> Polynomial:
-    """nums/den for zero-free nums and den > 0, their common factor divided out."""
+def _canonical(nums: dict[int, int], den: int) -> Polynomial:
+    """nums/den for zero-free nums keyed by packed monomials and den > 0,
+    their common factor divided out: the integer constructor."""
     common = gcd(den, *nums.values()) if den != 1 else 1
     if common != 1:
         nums, den = {m: c // common for m, c in nums.items()}, den // common

@@ -44,11 +44,12 @@ denominator.  A form reduces delta to sum_m c_m*b_m, forms its weights
 w_k = T(delta*b_k) = sum_m c_m*T(b_m*b_k) by position in the trace table,
 contracts them with every product vector, one integer dot product each,
 all over one denominator, and fills its rows by position too.
-Polynomials are read as their integer numerators over their one
-denominator (`Polynomial.numerators`, `Polynomial.denominator`): a normal
-form is a coordinate vector as it stands, and multiplication matrices,
-traces and residues modulo a prime scale by that denominator once per
-polynomial.
+Polynomials are read as their stored integer numerators, keyed by packed
+monomials (see `poly`), over their one denominator: a normal form is a
+coordinate vector as it stands, and multiplication matrices, traces and
+residues modulo a prime scale by that denominator once per polynomial.
+The border, product and pair tables key on the packed ints too: x*b is
+b + X_KEY, b_i*b_j is b_i + b_j, and their sorted order is the term order.
 The Fraction matrix of the public interface, `SymmetricForm.matrix`, is
 built from the integers on request.
 """
@@ -64,9 +65,8 @@ from operator import mul
 import numpy as np
 
 from .errors import CertificateFailed
-from .groebner import (GroebnerBasis, _grevlex_key, leading_monomial, normal_form,
-                       standard_monomials)
-from .poly import Monomial, Polynomial
+from .groebner import GroebnerBasis, _leads, _standard_keys, normal_form
+from .poly import _MASK, X_KEY, Y_KEY, Monomial, Polynomial, _canonical, divides, unpack
 from .signature import prime_cap, primes, rank, rank_mod
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -97,13 +97,15 @@ class SymmetricForm:
 class QuotientAlgebra:
     """Basis, multiplication matrices, product table and trace table of Q[x,y]/I.
 
-    `mx` and `my` are the multiplication matrices by x and y as integer
-    rows over one positive denominator each.  `products` maps every distinct
-    product of two basis monomials to its coordinates, reduced integers over
-    one positive denominator, the basis monomials first and the others in
-    increasing degree order; `pairs[i][j]` is the position of b_i*b_j among
-    those products; `traces` holds the trace of each product, keyed in the
-    same order, as integers over one positive denominator.  `build_algebra`
+    `basis` holds the standard monomials as `Monomial`s; the tables key on
+    their packed ints (see `poly`).  `mx` and `my` are the multiplication
+    matrices by x and y as integer rows over one positive denominator each.
+    `products` maps every distinct product of two basis monomials to its
+    coordinates, reduced integers over one positive denominator, the basis
+    monomials first and the others in increasing degree order; `pairs[i][j]`
+    is the position of b_i*b_j among those products; `traces` holds the
+    trace of each product, keyed in the same order, as integers over one
+    positive denominator.  `build_algebra`
     computes all of them once; instances never change and may be shared
     freely between threads and the form builders below.
     """
@@ -112,9 +114,9 @@ class QuotientAlgebra:
     basis: tuple[Monomial, ...]
     mx: ScaledMatrix
     my: ScaledMatrix
-    products: dict[Monomial, Scaled]
+    products: dict[int, Scaled]
     pairs: tuple[tuple[int, ...], ...]
-    traces: tuple[dict[Monomial, int], int]
+    traces: tuple[dict[int, int], int]
 
     @property
     def dim(self) -> int:
@@ -133,19 +135,19 @@ def build_algebra(gb: GroebnerBasis) -> QuotientAlgebra:
     monomials, and CertificateFailed naming the failed condition when any of
     the three certificate conditions in the module docstring fails.
     """
-    basis = standard_monomials(gb)
+    basis = _standard_keys(gb)
     _require_reduced(gb)
     dim = len(basis)
     units = {b: (tuple(int(j == i) for j in range(dim)), 1) for i, b in enumerate(basis)}
-    border: dict[Monomial, Scaled] = {}
+    border: dict[int, Scaled] = {}
     index = {m: i for i, m in enumerate(basis)}
 
-    def column(product: Monomial) -> Scaled:
+    def column(product: int) -> Scaled:
         vec = units.get(product) or border.get(product)
         if vec is None:
-            residue = normal_form(Polynomial.monomial(product), gb)
+            residue = normal_form(_canonical({product: 1}, 1), gb)
             coords = [0] * dim
-            for mono, num in residue.numerators.items():
+            for mono, num in residue._nums.items():
                 coords[index[mono]] = num
             vec = tuple(coords), residue.denominator
             border[product] = vec
@@ -159,8 +161,8 @@ def build_algebra(gb: GroebnerBasis) -> QuotientAlgebra:
         nonzeros = [tuple((r, v) for r, v in enumerate(col) if v) for col in scaled]
         return (tuple(zip(*scaled)), den), nonzeros
 
-    mx, x_cols = matrix([column(Monomial(b.ex + 1, b.ey)) for b in basis])
-    my, y_cols = matrix([column(Monomial(b.ex, b.ey + 1)) for b in basis])
+    mx, x_cols = matrix([column(b + X_KEY) for b in basis])
+    my, y_cols = matrix([column(b + Y_KEY) for b in basis])
     if not _commute(x_cols, y_cols, dim):
         raise CertificateFailed("multiplication matrices fail to commute; "
                                 "the basis is not a Groebner basis of its ideal")
@@ -172,20 +174,18 @@ def build_algebra(gb: GroebnerBasis) -> QuotientAlgebra:
     # the product one degree below a product of two basis monomials is again
     # one, because the basis is closed under division
     products = dict(units)
-    for m in sorted({bi * bj for bi in basis for bj in basis} - units.keys(),
-                    key=_grevlex_key):
+    for m in sorted({bi + bj for bi in basis for bj in basis} - units.keys()):
         # M*(v/d) = (M's numerators * v)/(dm*d)
-        (_, dm), cols = (mx, x_cols) if m.ex else (my, y_cols)
-        nums, den = products[Monomial(m.ex - 1, m.ey) if m.ex else Monomial(m.ex, m.ey - 1)]
+        (_, dm), cols, previous = ((mx, x_cols, m - X_KEY) if m & _MASK
+                                   else (my, y_cols, m - Y_KEY))
+        nums, den = products[previous]
         product = _apply(cols, [(k, v) for k, v in enumerate(nums) if v], dim)
         den *= dm
         g = gcd(den, *product)
         products[m] = tuple(v // g for v in product), den // g
-    # pairs[i][j] is the position of b_i*b_j, looked up by its exponents
-    position = {(m.ex, m.ey): k for k, m in enumerate(products)}
-    exponents = [(b.ex, b.ey) for b in basis]
-    pairs = tuple(tuple(position[ei + ej, fi + fj] for ej, fj in exponents)
-                  for ei, fi in exponents)
+    # pairs[i][j] is the position of b_i*b_j
+    position = {m: k for k, m in enumerate(products)}
+    pairs = tuple(tuple(position[bi + bj] for bj in basis) for bi in basis)
 
     # T(b_k) is the sum over j of coordinate j of b_k*b_j, here tau_k / den
     vectors = tuple(products.values())
@@ -193,7 +193,7 @@ def build_algebra(gb: GroebnerBasis) -> QuotientAlgebra:
     scales = [den // d for _, d in vectors]
     tau = [sum(vectors[p][0][j] * scales[p] for j, p in enumerate(row)) for row in pairs]
     entries, trace_den = _contract(tau, den, vectors)
-    return QuotientAlgebra(gb, basis, mx, my, products, pairs,
+    return QuotientAlgebra(gb, tuple(map(unpack, basis)), mx, my, products, pairs,
                            (dict(zip(products, entries)), trace_den))
 
 
@@ -229,15 +229,15 @@ def _contract(weights: list[int], weight_den: int,
 
 def _require_reduced(gb: GroebnerBasis) -> None:
     """Certificate condition (2): G is monic and every tail monomial is standard."""
-    leads = [leading_monomial(g) for g in gb.generators]
+    leads = _leads(gb)
     for i, (g, lead) in enumerate(zip(gb.generators, leads)):
-        if g.numerators[lead] != g.denominator:
+        if g._nums[lead] != g.denominator:
             raise CertificateFailed(f"basis element {i} is not monic")
-        for mono in g.numerators:
-            if any(other.divides(mono) for j, other in enumerate(leads)
+        for mono in g._nums:
+            if any(divides(other, mono) for j, other in enumerate(leads)
                    if j != i or mono != lead):
                 raise CertificateFailed(
-                    f"basis element {i} is not reduced: its term {mono} is "
+                    f"basis element {i} is not reduced: its term {unpack(mono)} is "
                     "divisible by another leading monomial")
 
 
@@ -260,12 +260,18 @@ def _mult_columns(algebra: QuotientAlgebra, residue: Polynomial) -> list[Scaled]
     return columns
 
 
+def _basis_index(algebra: QuotientAlgebra) -> dict[int, int]:
+    """Position of each basis monomial by its packed key: the basis heads
+    the product table."""
+    return dict(zip(algebra.products, range(algebra.dim)))
+
+
 def _pair_rows(algebra: QuotientAlgebra,
                residue: Polynomial) -> list[tuple[tuple[int, ...], int]]:
     """(pairs[m], c_m) for every term c_m * b_m of a polynomial in normal
     form: row m of the pair table locates b_m * b_k for every k."""
-    index = {b: i for i, b in enumerate(algebra.basis)}
-    return [(algebra.pairs[index[mono]], c) for mono, c in residue.numerators.items()]
+    index = _basis_index(algebra)
+    return [(algebra.pairs[index[mono]], c) for mono, c in residue._nums.items()]
 
 
 def generates_algebra(algebra: QuotientAlgebra, hs) -> bool:
@@ -307,19 +313,17 @@ def _block_mod(algebra: QuotientAlgebra, reduced, p: int) -> np.ndarray:
     p <= prime_cap(n) serves, and keeps each product in int64.
     """
     n = algebra.dim
-    index = {m: i for i, m in enumerate(algebra.basis)}
+    index = _basis_index(algebra)
     mx, my = (np.array([[v % p for v in row] for row in rows], dtype=np.int64)
               for rows, _ in (algebra.mx, algebra.my))
     columns = np.zeros((n, n, len(reduced)), dtype=np.int64)
     for k, h in enumerate(reduced):
-        for mono, num in h.numerators.items():
+        for mono, num in h._nums.items():
             columns[0, index[mono], k] = num % p
-    for j, b in enumerate(algebra.basis[1:], start=1):
-        if b.ex:
-            previous, matrix = Monomial(b.ex - 1, b.ey), mx
-        else:
-            previous, matrix = Monomial(b.ex, b.ey - 1), my
-        columns[j] = matrix @ columns[index[previous]] % p
+    for b, j in index.items():
+        if j:
+            previous, matrix = (b - X_KEY, mx) if b & _MASK else (b - Y_KEY, my)
+            columns[j] = matrix @ columns[index[previous]] % p
     return columns.transpose(1, 2, 0).reshape(n, -1)
 
 

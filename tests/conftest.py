@@ -93,6 +93,32 @@ def random_polynomial(rng, max_degree: int, lo: int = -6, hi: int = 6,
     return Polynomial(terms)
 
 
+# Monomial arithmetic for the tests; the package itself multiplies, divides
+# and orders monomials as packed ints.
+
+def mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    return Monomial(a.ex + b.ex, a.ey + b.ey)
+
+
+def mono_divides(a: Monomial, b: Monomial) -> bool:
+    return a.ex <= b.ex and a.ey <= b.ey
+
+
+def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
+    return Monomial(max(a.ex, b.ex), max(a.ey, b.ey))
+
+
+def mono_quotient(a: Monomial, b: Monomial) -> Monomial:
+    """a / b, for b dividing a."""
+    assert mono_divides(b, a)
+    return Monomial(a.ex - b.ex, a.ey - b.ey)
+
+
+def grevlex_key(m: Monomial) -> tuple[int, int]:
+    """Sort key of the term order: degree, then the larger x exponent."""
+    return (m.ex + m.ey, m.ex)
+
+
 def substitute(p: Polynomial, sx: Polynomial, sy: Polynomial) -> Polynomial:
     """p(sx, sy), expanded exactly; used to compose maps with translations."""
     result = Polynomial.zero()

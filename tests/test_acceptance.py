@@ -19,8 +19,8 @@ from cuspcount.pipeline import census, certify_genericity, derive_system
 from cuspcount.poly import Monomial, Polynomial, X, Y
 from cuspcount.quotient import build_algebra, form_matrix
 from cuspcount.signature import signature_of
-from conftest import (FOLD_ONLY_TEXT, IDENTITY_TEXT, NON_GENERIC_TEXT,
-                      random_polynomial, substitute)
+from conftest import (FOLD_ONLY_TEXT, IDENTITY_TEXT, NON_GENERIC_TEXT, mono_lcm,
+                      mono_quotient, random_polynomial, substitute)
 from elimination import signature_by_elimination
 
 
@@ -283,9 +283,9 @@ class TestCriterion6PropertySuites:
                     gi, gj = gb.generators[i], gb.generators[j]
                     li = leading_monomial(gi)
                     lj = leading_monomial(gj)
-                    lcm = li.lcm(lj)
-                    spoly = (Polynomial.monomial(lcm.quotient(li)) * gi
-                             - Polynomial.monomial(lcm.quotient(lj)) * gj)
+                    lcm = mono_lcm(li, lj)
+                    spoly = (Polynomial.monomial(mono_quotient(lcm, li)) * gi
+                             - Polynomial.monomial(mono_quotient(lcm, lj)) * gj)
                     assert normal_form(spoly, gb).is_zero()
         report(6, "groebner: all S-polynomials of 500 random bases reduce to 0")
 

@@ -145,6 +145,37 @@ class TestExitCodes:
         assert err == ("cuspcount: degree guard: degree 8 exceeds guard 5 "
                        "during buchberger input\n")
 
+    @pytest.mark.parametrize("guard", ["0", "-3", str(2 ** 15 + 1), str(10 ** 6)])
+    def test_degree_guard_out_of_range(self, tmp_path, capsys, guard):
+        # above 2**15, S-pair lcms could pass the 16-bit exponent field
+        code, out, err = run_cli(capsys, [write_problem(tmp_path, TWO_CUSP_TEXT),
+                                          f"--degree-guard={guard}"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("cuspcount: --degree-guard must be ") and err.count("\n") == 1
+
+    def test_largest_degree_guard_changes_nothing(self, tmp_path, capsys):
+        path = write_problem(tmp_path, TWO_CUSP_TEXT)
+        reports = []
+        for flags in ([], ["--degree-guard", str(2 ** 15)]):
+            code, out, err = run_cli(capsys, [path, "--json", *flags])
+            assert code == 0 and err == ""
+            report = json.loads(out)
+            report.pop("timings_ms")
+            reports.append(report)
+        assert reports[0] == reports[1]
+
+    def test_product_past_the_exponent_field(self, tmp_path, capsys):
+        # every line parses under the largest guard, but the velocity's
+        # functional determinant would have degree 119990
+        text = "f1 = x^20000 + y^2\nf2 = y^20000 + x^2\n"
+        code, out, err = run_cli(capsys, [write_problem(tmp_path, text),
+                                          "--degree-guard", str(2 ** 15)])
+        assert code == 6
+        assert out == ""
+        assert err == ("cuspcount: degree guard: degree 119990 exceeds guard 65535 "
+                       "during a product\n")
+
     def test_oracle_overflow(self, tmp_path, capsys):
         huge = "1" + "0" * 320  # 10^320, beyond the largest double
         text = TWO_CUSP_TEXT.replace("x*y^2", f"{huge}*x*y^2", 1)

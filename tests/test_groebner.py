@@ -7,12 +7,12 @@ import pytest
 
 from cuspcount.errors import DegreeGuardExceeded, NotZeroDimensional
 from cuspcount.exprio import parse_polynomial, parse_problem
-from cuspcount.groebner import (buchberger, is_zero_dimensional, leading_monomial,
-                                normal_form, standard_monomials)
+from cuspcount.groebner import (MAX_DEGREE_GUARD, buchberger, is_zero_dimensional,
+                                leading_monomial, normal_form, standard_monomials)
 from cuspcount.pipeline import certify_genericity, derive_system
 from cuspcount.poly import Monomial, Polynomial, X, Y
 from cuspcount.quotient import build_algebra
-from conftest import (EIGHT_CUSP_TEXT, SIX_CUSP_TEXT, TWO_CUSP_TEXT,
+from conftest import (EIGHT_CUSP_TEXT, SIX_CUSP_TEXT, TWO_CUSP_TEXT, mono_divides,
                       random_polynomial)
 
 ONE = Polynomial.constant(1)
@@ -67,6 +67,17 @@ class TestBuchberger:
         with pytest.raises(DegreeGuardExceeded):
             buchberger(two_cusp_ideal(), degree_guard=2)
 
+    def test_degree_guard_keeps_lcms_inside_the_exponent_field(self):
+        # leads of degree 2**15 whose S-pair lcm x^32768*y^32767 has degree 2**16 - 1
+        top = MAX_DEGREE_GUARD
+        gens = [X ** top + Y, X * Y ** (top - 1) + 1]
+        gb = buchberger(gens, degree_guard=top)
+        assert gb.generators == (Y ** top - X ** (top - 1), X * Y ** (top - 1) + 1, X ** top + Y)
+        with pytest.raises(DegreeGuardExceeded):
+            buchberger(gens, degree_guard=top - 1)
+        with pytest.raises(ValueError, match="exceeds 32768"):
+            buchberger([X, Y], degree_guard=top + 1)
+
     def test_output_is_monic_and_interreduced(self):
         gb = buchberger(two_cusp_ideal())
         leads = [leading_monomial(g) for g in gb.generators]
@@ -74,7 +85,7 @@ class TestBuchberger:
             assert g.terms[leads[i]] == 1
             for j, lead in enumerate(leads):
                 if i != j:
-                    assert not any(lead.divides(m) for m in g.terms)
+                    assert not any(mono_divides(lead, m) for m in g.terms)
 
 
 class TestNormalForm:

@@ -66,6 +66,31 @@ class TestDeriveSystem:
             assert d.minor1 == func_det(d.jac, d.vel1)
             assert d.minor2 == func_det(d.jac, d.vel2)
 
+    def test_term_order_of_the_six_cusp_system(self):
+        # the oracle folds a polynomial's terms in the order they are stored,
+        # so the order each operation inserts terms in is part of its float
+        # results; these are the orders of the Monomial-keyed implementation
+        problem = parse_problem(SIX_CUSP_TEXT)
+        d = derive_system(problem.f1, problem.f2)
+        assert [tuple(m) for m in d.jac.terms] == [
+            (5, 3), (1, 6), (2, 3), (1, 3), (5, 2), (1, 5), (2, 2), (1, 2), (4, 3), (0, 6),
+            (0, 3), (5, 1), (1, 4), (2, 1), (1, 1), (4, 2), (0, 5), (0, 2), (4, 1), (0, 4),
+            (0, 1), (3, 2), (3, 1), (5, 0), (3, 0), (4, 0), (2, 0)]
+        assert [tuple(m) for m in d.vel1.terms] == [
+            (6, 5), (6, 4), (5, 5), (6, 3), (5, 4), (5, 3), (2, 8), (2, 7), (1, 8), (2, 6),
+            (1, 7), (1, 6), (3, 4), (2, 5), (3, 3), (2, 4), (2, 3), (1, 5), (1, 4), (1, 3),
+            (6, 2), (5, 2), (3, 2), (2, 2), (1, 2), (4, 5), (4, 4), (4, 3), (6, 1), (5, 1),
+            (3, 1), (2, 1), (1, 1), (4, 2), (4, 1), (6, 0), (5, 0), (4, 0), (3, 0), (2, 0),
+            (0, 8), (0, 7), (0, 6), (0, 5), (0, 4), (0, 3), (0, 2), (0, 1)]
+        assert [tuple(m) for m in d.vel2.terms] == [
+            (8, 3), (4, 6), (5, 3), (4, 3), (0, 9), (0, 6), (2, 3), (1, 3), (0, 3), (8, 2),
+            (4, 5), (5, 2), (4, 2), (0, 8), (1, 5), (2, 2), (1, 2), (7, 3), (3, 6), (3, 3),
+            (8, 1), (4, 4), (5, 1), (4, 1), (0, 7), (1, 4), (0, 4), (2, 1), (1, 1), (0, 1),
+            (7, 2), (3, 5), (3, 2), (7, 1), (3, 4), (3, 1), (6, 2), (2, 5), (6, 1), (2, 4),
+            (8, 0), (5, 0), (4, 0), (6, 0), (3, 0), (2, 0), (7, 0), (1, 0), (1, 6)]
+        for p in (d.jac, d.vel1, d.vel2):
+            assert list(p.numerators) == list(p.terms)
+
 
 class TestGenericityCertificate:
     def test_two_cusp_map_certified(self):

@@ -5,9 +5,13 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cuspcount.poly import NEG_INFINITY, Monomial, Polynomial, X, Y, func_det
-from conftest import random_polynomial
+from cuspcount.errors import DegreeGuardExceeded
+from cuspcount.poly import (FIELD, NEG_INFINITY, Monomial, Polynomial, X, Y, divides,
+                            func_det, lcm_key, pack, unpack)
+from conftest import grevlex_key, mono_divides, mono_lcm, random_polynomial
 
 ONE = Polynomial.constant(1)
 
@@ -257,3 +261,74 @@ class TestRepresentation:
             for left, right in (((p + q) + r, p + (q + r)), ((p * q) * r, p * (q * r)),
                                 (p * (q + r), p * q + p * r), (p * q, q * p)):
                 assert left == right and hash(left) == hash(right)
+
+
+# -- the packed monomial keys ----------------------------------------------
+
+# small exponents and ones at the top of the field meet near-misses often
+exponents = st.one_of(st.integers(0, 3), st.integers(FIELD - 3, FIELD - 1),
+                      st.integers(0, FIELD - 1))
+monomials = st.builds(Monomial, exponents, exponents)
+
+
+class TestPackedMonomials:
+    """The packed int ((a + b) << 16) | a stands for x^a y^b: its order,
+    divisibility and lcm are those of the exponent pairs, for every exponent
+    below the field limit."""
+
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    @given(monomials, monomials)
+    def test_order_divisibility_and_lcm_match_the_exponents(self, m, n):
+        assert unpack(pack(*m)) == m and type(unpack(pack(*m))) is Monomial
+        assert (pack(*m) < pack(*n)) == (grevlex_key(m) < grevlex_key(n))
+        assert (pack(*m) == pack(*n)) == (m == n)
+        assert divides(pack(*m), pack(*n)) == mono_divides(m, n)
+        assert unpack(lcm_key(pack(*m), pack(*n))) == mono_lcm(m, n)
+
+    def test_divisibility_at_the_field_edges(self):
+        top = FIELD - 1
+        for lead, key, expected in [((top, 0), (top, top), True), ((0, top), (top, top), True),
+                                    ((1, 0), (0, top), False), ((0, 1), (top, 0), False),
+                                    ((top, 0), (top - 1, top), False), ((0, 0), (0, 0), True)]:
+            assert divides(pack(*lead), pack(*key)) is expected
+
+    def test_product_of_keys_is_their_sum(self):
+        assert pack(3, 4) + pack(5, 6) == pack(8, 10)
+        assert (X ** 3 * Y ** 4) * (X ** 5 * Y ** 6) == Polynomial({(8, 10): 1})
+
+
+class TestExponentField:
+    """No exponent at or beyond 2**16 reaches a packed key: the constructor
+    and products refuse it instead of corrupting a key."""
+
+    @pytest.mark.parametrize("mono", [(FIELD, 0), (0, FIELD), (FIELD - 1, 1), (1, FIELD - 1)])
+    def test_constructor_rejects_the_field_limit(self, mono):
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            Polynomial({mono: 1})
+
+    def test_constructor_accepts_just_below_the_limit(self):
+        for mono in ((FIELD - 1, 0), (0, FIELD - 1), (FIELD // 2, FIELD // 2 - 1)):
+            p = Polynomial({mono: 3})
+            assert list(p.terms) == [Monomial(*mono)] and p.degree == FIELD - 1
+            assert p.coefficient(mono) == 3
+
+    def test_coefficient_beyond_the_field_is_zero(self):
+        p = Polynomial({(FIELD - 1, 0): 1, (0, 0): 2})
+        for mono in ((FIELD, 0), (0, FIELD), (FIELD, FIELD), (-1, 1)):
+            assert p.coefficient(mono) == 0
+
+    @pytest.mark.parametrize("make", [lambda: X ** FIELD, lambda: X ** (FIELD - 1) * Y,
+                                      lambda: (X + 1) ** 3 * (X * Y) ** (FIELD // 2 - 1),
+                                      lambda: Y * X ** (FIELD - 1)])
+    def test_products_reaching_the_limit_raise(self, make):
+        with pytest.raises(ValueError, match="exceeds guard 65535") as raised:
+            make()
+        # a product past the field is also a degree guard, exit 6 at the command line
+        assert isinstance(raised.value, DegreeGuardExceeded)
+
+    def test_products_just_below_the_limit(self):
+        p = X ** (FIELD - 1)
+        assert p.degree == FIELD - 1 and p.coefficient((FIELD - 1, 0)) == 1
+        q = (X + Y + 1) ** 3 * Y ** (FIELD - 4)
+        assert q.degree == FIELD - 1 and len(q.terms) == 10
+        assert (Polynomial.zero() * p).is_zero() and (p * 0).is_zero()

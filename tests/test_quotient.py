@@ -10,15 +10,15 @@ import pytest
 
 from cuspcount.errors import NotZeroDimensional
 from cuspcount.exprio import parse_polynomial, parse_problem
-from cuspcount.groebner import (GroebnerBasis, _grevlex_key, buchberger, normal_form,
-                                standard_monomials)
+from cuspcount.groebner import GroebnerBasis, buchberger, normal_form, standard_monomials
 from cuspcount.pipeline import derive_system
-from cuspcount.poly import Monomial, Polynomial, X, Y
+from cuspcount.poly import Monomial, Polynomial, X, Y, unpack
 from cuspcount import quotient
 from cuspcount.quotient import (_block_mod, _commute, _mult_columns, build_algebra,
                                 form_matrix, generates_algebra)
 from cuspcount.signature import prime_cap, primes
-from conftest import EIGHT_CUSP_TEXT, SIX_CUSP_TEXT, TWO_CUSP_TEXT, random_polynomial
+from conftest import (EIGHT_CUSP_TEXT, SIX_CUSP_TEXT, TWO_CUSP_TEXT, grevlex_key, mono_mul,
+                      random_polynomial)
 
 ONE = Polynomial.constant(1)
 
@@ -194,7 +194,7 @@ class TestIntegerRepresentation:
                 continue
             dims.add(algebra.dim)
             basis = algebra.basis
-            monomials = {bi * bj for bi in basis for bj in basis}
+            monomials = {mono_mul(bi, bj) for bi in basis for bj in basis}
             monomials |= {Monomial(a, d - a) for d in range(9) for a in range(d + 1)}
             cache = {}
             for mono in sorted(monomials):
@@ -202,9 +202,9 @@ class TestIntegerRepresentation:
                 assert tuple(residue.coefficient(b) for b in basis) == \
                     coordinates_by_fractions(algebra, mono, cache)
             # every table vector is the recursion's, reduced, over a positive denominator
-            for mono, (nums, den) in algebra.products.items():
+            for key, (nums, den) in algebra.products.items():
                 assert tuple(Fraction(v, den) for v in nums) == \
-                    coordinates_by_fractions(algebra, mono, cache)
+                    coordinates_by_fractions(algebra, unpack(key), cache)
                 assert den > 0 and gcd(den, *nums) == 1
             for rows, den in (algebra.mx, algebra.my):
                 assert den > 0 and gcd(den, *(v for row in rows for v in row)) == 1
@@ -286,9 +286,10 @@ class TestProductTable:
         assert {a.dim for a in algebras} >= {0, 16, 56}
         for algebra in algebras:
             basis = algebra.basis
-            assert algebra.products.keys() == {bi * bj for bi in basis for bj in basis}
-            for mono, (nums, den) in algebra.products.items():
-                residue = normal_form(Polynomial.monomial(mono), algebra.gb)
+            assert set(map(unpack, algebra.products)) == \
+                {mono_mul(bi, bj) for bi in basis for bj in basis}
+            for key, (nums, den) in algebra.products.items():
+                residue = normal_form(Polynomial.monomial(unpack(key)), algebra.gb)
                 assert tuple(Fraction(v, den) for v in nums) == \
                     tuple(residue.coefficient(b) for b in basis)
 
@@ -331,8 +332,8 @@ def reference_algebra(gb):
     commute = dense_product(mx[0], my[0]) == dense_product(my[0], mx[0])
     units = {b: (tuple(int(j == i) for j in range(n)), 1) for i, b in enumerate(basis)}
     products = dict(units)
-    for m in sorted({bi * bj for bi in basis for bj in basis} - units.keys(),
-                    key=_grevlex_key):
+    for m in sorted({mono_mul(bi, bj) for bi in basis for bj in basis} - units.keys(),
+                    key=grevlex_key):
         rows, dm = mx if m.ex else my
         nums, den = products[Monomial(m.ex - 1, m.ey) if m.ex else Monomial(m.ex, m.ey - 1)]
         product = [sum(map(mul, row, nums)) for row in rows]
@@ -340,8 +341,14 @@ def reference_algebra(gb):
         products[m] = tuple(v // g for v in product), den * dm // g
     den = lcm(*(d for _, d in products.values()))
     tau = [sum(nums[j] * (den // d) for j, (nums, d) in
-               enumerate(products[b * other] for other in basis)) for b in basis]
+               enumerate(products[mono_mul(b, other)] for other in basis)) for b in basis]
     return commute, mx, my, products, reference_contract(tau, den, products)
+
+
+def unpacked(table):
+    """A table of the algebra, keyed by the packed ints of its monomials,
+    keyed by the `Monomial`s instead, in the same order."""
+    return {unpack(key): value for key, value in table.items()}
 
 
 def reference_contract(weights, weight_den, products):
@@ -360,21 +367,22 @@ def reference_form(algebra, delta):
     the trace table by the key mono*b of every term of delta and every basis
     monomial b, and entry (i, j) by the key b_i*b_j."""
     basis = algebra.basis
-    traces, trace_den = algebra.traces
+    traces, trace_den = unpacked(algebra.traces[0]), algebra.traces[1]
     residue = normal_form(delta, algebra.gb)
-    weights = [sum(c * traces[mono * b] for mono, c in residue.numerators.items())
+    weights = [sum(c * traces[mono_mul(mono, b)] for mono, c in residue.numerators.items())
                for b in basis]
     entries, den = reference_contract(weights, trace_den * residue.denominator,
-                                      algebra.products)
-    return tuple(tuple(entries[bi * bj] for bj in basis) for bi in basis), den
+                                      unpacked(algebra.products))
+    return tuple(tuple(entries[mono_mul(bi, bj)] for bj in basis) for bi in basis), den
 
 
 def reference_mult_columns(algebra, residue):
     """Columns of M_h for h in normal form, summing the products keyed by
     mono*b for every term of h and every basis monomial b."""
     columns = []
+    products = unpacked(algebra.products)
     for b in algebra.basis:
-        parts = [(c, algebra.products[mono * b]) for mono, c in residue.numerators.items()]
+        parts = [(c, products[mono_mul(mono, b)]) for mono, c in residue.numerators.items()]
         den = lcm(*(d for _, (_, d) in parts))
         col = [0] * algebra.dim
         for c, (nums, d) in parts:
@@ -387,13 +395,13 @@ def assert_equals_reference(algebra, deltas):
     commute, mx, my, products, (traces, trace_den) = reference_algebra(algebra.gb)
     assert commute
     assert algebra.mx == mx and algebra.my == my
-    assert algebra.products == products
-    assert algebra.traces == (traces, trace_den)
+    assert unpacked(algebra.products) == products
+    assert (unpacked(algebra.traces[0]), algebra.traces[1]) == (traces, trace_den)
     # one order for both tables, and the pair table locates every product in it
-    keys = tuple(algebra.products)
-    assert tuple(algebra.traces[0]) == keys
+    keys = tuple(map(unpack, algebra.products))
+    assert tuple(map(unpack, algebra.traces[0])) == keys
     assert keys[:algebra.dim] == algebra.basis
-    assert algebra.pairs == tuple(tuple(keys.index(bi * bj) for bj in algebra.basis)
+    assert algebra.pairs == tuple(tuple(keys.index(mono_mul(bi, bj)) for bj in algebra.basis)
                                   for bi in algebra.basis)
     for delta in deltas:
         form = form_matrix(algebra, delta)
@@ -567,10 +575,10 @@ class TestFormMatrix:
             dims.add(algebra.dim)
             for delta in (random_polynomial(rng, 4, lo=-9, hi=9),
                           normal_form(random_polynomial(rng, 4), algebra.gb)):
-                products = {bi * bj for bi in algebra.basis for bj in algebra.basis}
+                products = {mono_mul(bi, bj) for bi in algebra.basis for bj in algebra.basis}
                 traces = {m: trace_functional(algebra, delta * Polynomial.monomial(m))
                           for m in products}
-                expected = tuple(tuple(traces[bi * bj] for bj in algebra.basis)
+                expected = tuple(tuple(traces[mono_mul(bi, bj)] for bj in algebra.basis)
                                  for bi in algebra.basis)
                 form = form_matrix(algebra, delta)
                 assert form.matrix == expected
