@@ -19,8 +19,8 @@ import os
 import sys
 import time
 
-from .errors import (CertificateFailed, DegreeGuardExceeded, GenericityNotCertified,
-                     OracleOverflow, ParseError)
+from .errors import (CertificateFailed, DegreeFieldExceeded, DegreeGuardExceeded,
+                     GenericityNotCertified, OracleOverflow, ParseError)
 from .exprio import ProblemInput, format_monomial, format_polynomial, parse_problem
 from .groebner import DEFAULT_DEGREE_GUARD, MAX_DEGREE_GUARD
 from .oracle import (DEFAULT_ORACLE_RADIUS, CertifiedPoint, isolate_cusps,
@@ -37,6 +37,7 @@ EXIT_GUARD = 6
 # exit status and stderr prefix of each fatal error, looked up along its class hierarchy
 _FAILURES = {
     ParseError: (EXIT_PARSE, "parse error: "),
+    DegreeFieldExceeded: (EXIT_GUARD, ""),
     DegreeGuardExceeded: (EXIT_GUARD, "degree guard: "),
     GenericityNotCertified: (EXIT_NOT_CERTIFIED, ""),
     CertificateFailed: (EXIT_INTERNAL, "certificate failed: "),

@@ -64,6 +64,12 @@ class DegreeFieldExceeded(DegreeGuardExceeded, ValueError):
     """A product's total degree would reach 2**16, past the exponent field of
     the packed monomial keys (see `poly`); a hard guard under every other."""
 
+    def __init__(self, degree: int, limit: int):
+        CuspCountError.__init__(
+            self, f"degree {degree} of a product exceeds the exponent field limit {limit}")
+        self.degree = degree
+        self.guard = limit
+
 
 class NotZeroDimensional(CuspCountError):
     """The ideal has infinitely many solutions; the quotient is not finite-dimensional."""

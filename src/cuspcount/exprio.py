@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .errors import DegreeGuardExceeded, DuplicateKeyError, MissingKeyError, ParseError
 from .groebner import DEFAULT_DEGREE_GUARD
-from .poly import Monomial, Polynomial, _canonical, unpack
+from .poly import FIELD, Monomial, Polynomial, _canonical, unpack
 
 
 @dataclass(frozen=True)
@@ -138,8 +138,17 @@ class _Parser:
         result = self.parse_factor()
         while self.peek() == "*":
             self.next()
-            result = result * self.parse_factor()
+            factor = self.parse_factor()
+            if result and factor:
+                self._check_field(result.degree + factor.degree)
+            result = result * factor
         return result
+
+    def _check_field(self, degree: int) -> None:
+        """Refuse a power or product whose degree the exponent field cannot
+        hold, as a degree above the guard: every guard is below the field."""
+        if degree >= FIELD:
+            raise DegreeGuardExceeded(degree, self.guard, context="parsing")
 
     def parse_factor(self) -> Polynomial:
         if self.peek() == "-":
@@ -153,6 +162,8 @@ class _Parser:
             if exponent > self.guard:
                 raise DegreeGuardExceeded(exponent, self.guard, context="parsing")
             _check_power_size(base, exponent, tok[2])
+            if base:
+                self._check_field(base.degree * exponent)
             return base ** exponent
         return base
 

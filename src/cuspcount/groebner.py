@@ -41,7 +41,8 @@ from functools import cached_property
 from math import gcd
 
 from .errors import DegreeGuardExceeded, NotZeroDimensional
-from .poly import _MASK, FIELD, Monomial, Polynomial, _canonical, divides, lcm_key, pack, unpack
+from .poly import (_MASK, FIELD, Monomial, Polynomial, _canonical, divides, key_degree, lcm_key,
+                   pack, unpack, x_exponent)
 
 DEFAULT_DEGREE_GUARD = 64
 #: The largest degree guard: S-pair lcms reach twice the guard, and every
@@ -112,7 +113,8 @@ def _reduce_full(p: _IntPoly, reducers) -> tuple[_IntPoly, Fraction]:
             continue
         for lead, lead_coeff, terms in reducers:
             shift = mono - lead
-            if (shift & _MASK) <= (shift >> 16):  # `divides(lead, mono)`, inlined
+            # `poly.divides(lead, mono)`, inlined; 16 is `poly.SHIFT`
+            if (shift & _MASK) <= (shift >> 16):
                 break
         else:
             done.add(mono)
@@ -230,7 +232,7 @@ def buchberger(gens, degree_guard: int = DEFAULT_DEGREE_GUARD) -> GroebnerBasis:
         remainder, _ = _reduce_full(_spoly(basis[i], basis[j]), basis)
         if not remainder:
             continue
-        degree = max(remainder) >> 16
+        degree = key_degree(max(remainder))
         if degree > degree_guard:
             raise DegreeGuardExceeded(degree, degree_guard, context="buchberger reduction")
         if _is_constant(remainder):
@@ -290,8 +292,8 @@ def is_zero_dimensional(gb: GroebnerBasis) -> bool:
     """
     leads = _leads(gb)
     # a pure power of x has its degree as its x exponent, one of y has x exponent 0
-    return (any(lead >> 16 == lead & _MASK for lead in leads)
-            and any(not lead & _MASK for lead in leads))
+    return (any(key_degree(lead) == x_exponent(lead) for lead in leads)
+            and any(not x_exponent(lead) for lead in leads))
 
 
 def standard_monomials(gb: GroebnerBasis) -> tuple[Monomial, ...]:
@@ -310,7 +312,7 @@ def _standard_keys(gb: GroebnerBasis) -> list[int]:
             "the ideal is not zero-dimensional: no pure power of each "
             "variable occurs among the leading monomials")
     leads = _leads(gb)
-    bound_x = min(lead & _MASK for lead in leads if lead >> 16 == lead & _MASK)
-    bound_y = min(lead >> 16 for lead in leads if not lead & _MASK)
+    bound_x = min(x_exponent(lead) for lead in leads if key_degree(lead) == x_exponent(lead))
+    bound_y = min(key_degree(lead) for lead in leads if not x_exponent(lead))
     grid = (pack(a, b) for a in range(bound_x) for b in range(bound_y))
     return sorted(m for m in grid if not any(divides(lead, m) for lead in leads))

@@ -15,7 +15,10 @@ then the larger x exponent).  l divides m exactly when
 deg m - deg l >= a_m - a_l >= 0, which `divides` reads off the one
 difference m - l.  The fields are exact while every exponent stays below
 2**16: the constructor rejects a term of total degree 2**16 or more, and a
-product that would reach it raises `DegreeFieldExceeded`.
+product that would reach it raises `DegreeFieldExceeded`.  The layout is
+known only here: other modules read keys through `key_degree`,
+`x_exponent`, `divides` and `lcm_key`, save one inlined `divides` in the
+Groebner reduction loop.
 
 `Monomial`, a pair of exponents, is the boundary type: `terms` (the reduced
 Fraction coefficients) and `numerators` are views keyed by it, built on
@@ -39,8 +42,10 @@ Scalar = Union[int, Fraction]
 #: Degree of the zero polynomial.
 NEG_INFINITY = float("-inf")
 
+#: Width of the low field, the x exponent; the total degree sits above it.
+SHIFT = 16
 #: Every exponent, and every total degree, of a stored term is below this.
-FIELD = 1 << 16
+FIELD = 1 << SHIFT
 _MASK = FIELD - 1
 #: The packed keys of x and y: adding one multiplies by that variable.
 X_KEY = FIELD | 1
@@ -68,12 +73,22 @@ class Monomial(NamedTuple):
 
 def pack(ex: int, ey: int) -> int:
     """The packed key of x^ex * y^ey, for exponents below FIELD."""
-    return ((ex + ey) << 16) | ex
+    return ((ex + ey) << SHIFT) | ex
 
 
 def unpack(key: int) -> Monomial:
     ex = key & _MASK
-    return Monomial(ex, (key >> 16) - ex)
+    return Monomial(ex, (key >> SHIFT) - ex)
+
+
+def key_degree(key: int) -> int:
+    """The total degree of the packed monomial `key`."""
+    return key >> SHIFT
+
+
+def x_exponent(key: int) -> int:
+    """The exponent of x in the packed monomial `key`."""
+    return key & _MASK
 
 
 def divides(lead: int, key: int) -> bool:
@@ -83,13 +98,13 @@ def divides(lead: int, key: int) -> bool:
     field exceeds what is left above it, so the test fails, for any y
     exponents below FIELD + 1."""
     q = key - lead
-    return (q & _MASK) <= (q >> 16)
+    return (q & _MASK) <= (q >> SHIFT)
 
 
 def lcm_key(m: int, n: int) -> int:
     """The least common multiple of two monomials."""
     a = max(m & _MASK, n & _MASK)
-    return pack(a, max((m >> 16) - (m & _MASK), (n >> 16) - (n & _MASK)))
+    return pack(a, max((m >> SHIFT) - (m & _MASK), (n >> SHIFT) - (n & _MASK)))
 
 
 class Polynomial:
@@ -165,7 +180,7 @@ class Polynomial:
         """Total degree, or -inf for the zero polynomial."""
         if not self._nums:
             return NEG_INFINITY
-        return max(self._nums) >> 16
+        return max(self._nums) >> SHIFT
 
     def coefficient(self, mono: Monomial) -> Fraction:
         ex, ey = mono
@@ -211,9 +226,9 @@ class Polynomial:
         nums, others = self._nums, other._nums
         if nums and others:
             # the top keys hold the degrees; below FIELD no x exponent carries
-            degree = (max(nums) >> 16) + (max(others) >> 16)
+            degree = (max(nums) >> SHIFT) + (max(others) >> SHIFT)
             if degree >= FIELD:
-                raise DegreeFieldExceeded(degree, FIELD - 1, context="a product")
+                raise DegreeFieldExceeded(degree, FIELD - 1)
         out: dict[int, int] = {}
         for m1, c1 in nums.items():
             for m2, c2 in others.items():
@@ -266,7 +281,7 @@ class Polynomial:
             out = {m - X_KEY: c * e for m, c in self._nums.items() if (e := m & _MASK)}
         else:
             out = {m - Y_KEY: c * e for m, c in self._nums.items()
-                   if (e := (m >> 16) - (m & _MASK))}
+                   if (e := (m >> SHIFT) - (m & _MASK))}
         return _canonical(out, self._den)
 
     def evaluate(self, point: tuple[Scalar, Scalar]) -> Fraction:
@@ -277,7 +292,7 @@ class Polynomial:
         ypow: dict[int, Fraction] = {0: Fraction(1)}
         for mono, coeff in self._nums.items():
             ex = mono & _MASK
-            total += coeff * _power(px, ex, xpow) * _power(py, (mono >> 16) - ex, ypow)
+            total += coeff * _power(px, ex, xpow) * _power(py, (mono >> SHIFT) - ex, ypow)
         return total / self._den
 
     def __repr__(self) -> str:

@@ -66,7 +66,7 @@ import numpy as np
 
 from .errors import CertificateFailed
 from .groebner import GroebnerBasis, _leads, _standard_keys, normal_form
-from .poly import _MASK, X_KEY, Y_KEY, Monomial, Polynomial, _canonical, divides, unpack
+from .poly import X_KEY, Y_KEY, Monomial, Polynomial, _canonical, divides, unpack, x_exponent
 from .signature import prime_cap, primes, rank, rank_mod
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -176,7 +176,7 @@ def build_algebra(gb: GroebnerBasis) -> QuotientAlgebra:
     products = dict(units)
     for m in sorted({bi + bj for bi in basis for bj in basis} - units.keys()):
         # M*(v/d) = (M's numerators * v)/(dm*d)
-        (_, dm), cols, previous = ((mx, x_cols, m - X_KEY) if m & _MASK
+        (_, dm), cols, previous = ((mx, x_cols, m - X_KEY) if x_exponent(m)
                                    else (my, y_cols, m - Y_KEY))
         nums, den = products[previous]
         product = _apply(cols, [(k, v) for k, v in enumerate(nums) if v], dim)
@@ -322,7 +322,7 @@ def _block_mod(algebra: QuotientAlgebra, reduced, p: int) -> np.ndarray:
             columns[0, index[mono], k] = num % p
     for b, j in index.items():
         if j:
-            previous, matrix = (b - X_KEY, mx) if b & _MASK else (b - Y_KEY, my)
+            previous, matrix = (b - X_KEY, mx) if x_exponent(b) else (b - Y_KEY, my)
             columns[j] = matrix @ columns[index[previous]] % p
     return columns.transpose(1, 2, 0).reshape(n, -1)
 

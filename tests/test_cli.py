@@ -173,8 +173,16 @@ class TestExitCodes:
                                           "--degree-guard", str(2 ** 15)])
         assert code == 6
         assert out == ""
-        assert err == ("cuspcount: degree guard: degree 119990 exceeds guard 65535 "
-                       "during a product\n")
+        assert err == ("cuspcount: degree 119990 of a product exceeds the exponent "
+                       "field limit 65535\n")
+
+    def test_parsing_past_the_exponent_field(self, tmp_path, capsys):
+        # a power the field cannot hold is a degree above the guard, as the
+        # whole line's degree is
+        text = "f1 = ((x^64)^64)^64*y + x\nf2 = y\n"
+        code, out, err = run_cli(capsys, [write_problem(tmp_path, text)])
+        assert (code, out) == (6, "")
+        assert err == "cuspcount: degree guard: degree 262144 exceeds guard 64 during parsing\n"
 
     def test_oracle_overflow(self, tmp_path, capsys):
         huge = "1" + "0" * 320  # 10^320, beyond the largest double

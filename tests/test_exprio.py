@@ -62,6 +62,18 @@ class TestParsePolynomial:
         with pytest.raises(DegreeGuardExceeded):
             parse_polynomial("x^3", degree_guard=2)
 
+    @pytest.mark.parametrize("text, degree", [("((x^64)^64)^64", 262144),
+                                              ("*".join(["(x^64)^64"] * 17), 65536),
+                                              ("((x^64)^64)^64*0", 262144)])
+    def test_degree_past_the_exponent_field_is_above_the_guard(self, text, degree):
+        # the power or product that would pass the field is refused before it
+        # is formed, in the guard's words, never as a product error
+        with pytest.raises(DegreeGuardExceeded) as info:
+            parse_polynomial(text)
+        assert type(info.value) is DegreeGuardExceeded
+        assert (info.value.degree, info.value.guard) == (degree, 64)
+        assert str(info.value).endswith("during parsing")
+
 
 class TestParseProblem:
     def test_two_cusp_problem(self):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from cuspcount.errors import DegreeGuardExceeded
 from cuspcount.poly import (FIELD, NEG_INFINITY, Monomial, Polynomial, X, Y, divides,
-                            func_det, lcm_key, pack, unpack)
+                            func_det, key_degree, lcm_key, pack, unpack, x_exponent)
 from conftest import grevlex_key, mono_divides, mono_lcm, random_polynomial
 
 ONE = Polynomial.constant(1)
@@ -280,6 +280,7 @@ class TestPackedMonomials:
     @given(monomials, monomials)
     def test_order_divisibility_and_lcm_match_the_exponents(self, m, n):
         assert unpack(pack(*m)) == m and type(unpack(pack(*m))) is Monomial
+        assert (key_degree(pack(*m)), x_exponent(pack(*m))) == (m.degree, m.ex)
         assert (pack(*m) < pack(*n)) == (grevlex_key(m) < grevlex_key(n))
         assert (pack(*m) == pack(*n)) == (m == n)
         assert divides(pack(*m), pack(*n)) == mono_divides(m, n)
@@ -321,7 +322,7 @@ class TestExponentField:
                                       lambda: (X + 1) ** 3 * (X * Y) ** (FIELD // 2 - 1),
                                       lambda: Y * X ** (FIELD - 1)])
     def test_products_reaching_the_limit_raise(self, make):
-        with pytest.raises(ValueError, match="exceeds guard 65535") as raised:
+        with pytest.raises(ValueError, match="exceeds the exponent field limit 65535") as raised:
             make()
         # a product past the field is also a degree guard, exit 6 at the command line
         assert isinstance(raised.value, DegreeGuardExceeded)
