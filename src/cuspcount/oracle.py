@@ -3,14 +3,18 @@
 Subdivision over a square domain discards boxes that one exclusion test,
 `_excluded`, proves hold no cusp not yet certified.  It tries three things
 in order.  The first is the natural range of each equation, the fold below.
-The second is containment in a cusp box already certified.  On a box that
-both keep and whose width is at most ``_MEAN_VALUE_WIDTH``, the third bounds
-each equation by its centred mean-value form
-``p(c) + dp/dx(B) * (B_x - c_x) + dp/dy(B) * (B_y - c_y)``, with c the
-box's midpoint.  On small boxes that hold no zero it is much tighter than
-the natural range, which alone would keep such boxes until they are tiny;
-on wide boxes the gradient ranges are too wide for it to pay, so it is not
-tried there.  Surviving boxes are polished by floating-point Newton
+The second is containment in the uniqueness region of a cusp box already
+certified: the widest square around the box, grown by doubling, over which
+the interval Jacobian determinant of the pair that certified the box
+excludes zero.  That pair then has one zero in the region, the one in the
+box, and every cusp is a zero of it, so the rest of the region holds no
+cusp.  On a box that both keep and whose width is at most
+``_MEAN_VALUE_WIDTH``, the third bounds each equation by its centred
+mean-value form ``p(c) + dp/dx(B) * (B_x - c_x) + dp/dy(B) * (B_y - c_y)``,
+with c the box's midpoint.  On small boxes that hold no zero it is much
+tighter than the natural range, which alone would keep such boxes until
+they are tiny; on wide boxes the gradient ranges are too wide for it to
+pay, so it is not tried there.  Surviving boxes are polished by floating-point Newton
 iteration on the best-conditioned pair of equations and then certified by
 interval-Newton contraction, which proves existence and uniqueness of a
 zero of the pair in a tiny isolating box.  That box is kept only if the
@@ -304,18 +308,21 @@ def _mean_value_forms(system: _System, box: Box, xp: list, yp: list):
         yield p.fold(cxp, cyp) + gx.fold(xp, yp) * dx + gy.fold(xp, yp) * dy
 
 
-def _excluded(system: _System, box: Box, certified: Sequence[Box] = ()) -> bool:
-    """Whether the box can hold no cusp outside the boxes in `certified`.
+def _excluded(system: _System, box: Box, regions: Sequence[Box] = ()) -> bool:
+    """Whether the box can hold no cusp outside the certified boxes whose
+    uniqueness regions (`_uniqueness_region`) are `regions`.
 
     The tests run cheapest first: the natural range of an equation excludes
-    zero; the box lies inside a certified box; on a box of width at most
-    `_MEAN_VALUE_WIDTH`, the mean-value form of an equation excludes zero.
+    zero; the box lies inside a uniqueness region, where the one zero of the
+    certifying pair is the one in the certified box, and every cusp is a
+    zero of that pair; on a box of width at most `_MEAN_VALUE_WIDTH`, the
+    mean-value form of an equation excludes zero.
     """
     xp, yp = system.tables(*box)
     if any(p.fold(xp, yp).excludes_zero() for p in system.eqs):
         return True
-    if any(c[0].contains_interval(box[0]) and c[1].contains_interval(box[1])
-           for c in certified):
+    if any(r[0].contains_interval(box[0]) and r[1].contains_interval(box[1])
+           for r in regions):
         return True
     return max(box[0].width, box[1].width) <= _MEAN_VALUE_WIDTH and any(
         value.excludes_zero() for value in _mean_value_forms(system, box, xp, yp))
@@ -358,6 +365,17 @@ def _polish(system: _System, pair: tuple[int, int],
     return None
 
 
+def _jacobian(system: _System, pair: tuple[int, int], box: Box):
+    """The pair's interval Jacobian entries over the box, and its determinant."""
+    i, j = pair
+    xp, yp = system.tables(*box)
+    j11 = system.grads[i][0].fold(xp, yp)
+    j12 = system.grads[i][1].fold(xp, yp)
+    j21 = system.grads[j][0].fold(xp, yp)
+    j22 = system.grads[j][1].fold(xp, yp)
+    return j11, j12, j21, j22, j11 * j22 - j12 * j21
+
+
 def _interval_newton(system: _System, pair: tuple[int, int],
                      px: float, py: float, box: Box) -> bool:
     """Whether the pair has exactly one zero in the box, which holds (px, py).
@@ -367,12 +385,7 @@ def _interval_newton(system: _System, pair: tuple[int, int],
     """
     box_x, box_y = box
     i, j = pair
-    xp, yp = system.tables(box_x, box_y)
-    j11 = system.grads[i][0].fold(xp, yp)
-    j12 = system.grads[i][1].fold(xp, yp)
-    j21 = system.grads[j][0].fold(xp, yp)
-    j22 = system.grads[j][1].fold(xp, yp)
-    det = j11 * j22 - j12 * j21
+    j11, j12, j21, j22, det = _jacobian(system, pair, box)
     if not det.excludes_zero():
         return False
     centre_x = Interval.point(px)
@@ -386,14 +399,14 @@ def _interval_newton(system: _System, pair: tuple[int, int],
 
 
 def _try_certify(system: _System, px: float, py: float,
-                 certified: Sequence[Box] = ()) -> Box | None:
+                 certified: Sequence[Box] = ()) -> tuple[Box, tuple[int, int]] | None:
     """Polish (px, py) and certify a cusp box around the polished point q.
 
     Tries the box centred on q of each half-width in `_CERTIFY_RADII`.  A
     box that meets one in `certified` ends the search before interval
     Newton, since every wider box meets it too.  Returns the first box where
-    interval Newton proves a unique zero of the pair, or None when there is
-    none or `_excluded` removes it.
+    interval Newton proves a unique zero of the pair, with that pair, or
+    None when there is none or `_excluded` removes it.
     """
     pair = _best_pair(system, px, py)
     polished = _polish(system, pair, px, py)
@@ -405,8 +418,39 @@ def _try_certify(system: _System, px: float, py: float,
         if any(box[0].intersects(c[0]) and box[1].intersects(c[1]) for c in certified):
             return None
         if _interval_newton(system, pair, qx, qy, box):
-            return None if _excluded(system, box) else box
+            return None if _excluded(system, box) else (box, pair)
     return None
+
+
+def _uniqueness_region(system: _System, pair: tuple[int, int], box: Box,
+                       radius: float) -> Box:
+    """The widest box found around a certified box in which the pair that
+    certified it has no zero but the one in that box.
+
+    The box is widened on every side, rounding outward, so that its
+    half-width doubles, up to `radius`, while the pair's interval Jacobian
+    determinant over the widened box excludes zero.  Every Jacobian matrix
+    over that convex box is then nonsingular, so by the mean-value theorem
+    the pair has at most one zero in it: the one in the certified box.
+    Every cusp is a zero of the pair, so the region holds no cusp outside
+    the certified box, even when that box's own zero is not a cusp.  A
+    region grown from another pair has no such guarantee.
+    """
+    half = grown = 0.5 * max(box[0].width, box[1].width)
+    region = box
+    while grown < radius:
+        grown = min(2.0 * grown, radius)
+        margin = grown - half
+        wider = (Interval(_down(box[0].lo - margin), _up(box[0].hi + margin)),
+                 Interval(_down(box[1].lo - margin), _up(box[1].hi + margin)))
+        try:
+            det = _jacobian(system, pair, wider)[4]
+        except OracleOverflow:  # a range past the doubles decides nothing
+            break
+        if not det.excludes_zero():
+            break
+        region = wider
+    return region
 
 
 def isolate_cusps(derived: DerivedSystem,
@@ -428,6 +472,7 @@ def isolate_cusps(derived: DerivedSystem,
     full = (Interval(-box_radius, box_radius), Interval(-box_radius, box_radius))
     stack = [full]
     certified: list[Box] = []
+    regions: list[Box] = []  # the uniqueness region of each certified box
     unresolved: list[Box] = []
     processed = 0
     while stack:
@@ -436,15 +481,19 @@ def isolate_cusps(derived: DerivedSystem,
         if processed > _MAX_BOXES:
             unresolved.append(box)
             continue
-        if _excluded(system, box, certified):
+        if _excluded(system, box, regions):
             continue
         width = max(box[0].width, box[1].width)
         if width <= _POLISH_TRIGGER:
-            result = _try_certify(system, box[0].mid, box[1].mid, certified)
-            if result is not None and max(abs(result[0].mid), abs(result[1].mid)) <= limit:
-                certified.append(result)
-                if (result[0].contains_interval(box[0])
-                        and result[1].contains_interval(box[1])):
+            cusp_box, pair = _try_certify(system, box[0].mid, box[1].mid,
+                                          certified) or (None, None)
+            if cusp_box is not None and max(abs(cusp_box[0].mid),
+                                            abs(cusp_box[1].mid)) <= limit:
+                region = _uniqueness_region(system, pair, cusp_box, box_radius)
+                certified.append(cusp_box)
+                regions.append(region)
+                if (region[0].contains_interval(box[0])
+                        and region[1].contains_interval(box[1])):
                     continue
         if width <= MIN_BOX_WIDTH:
             unresolved.append(box)

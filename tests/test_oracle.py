@@ -13,11 +13,11 @@ import cuspcount.oracle as oracle
 from cuspcount.oracle import (_CERTIFY_RADII, CertifiedPoint, Interval, _best_pair,
                               _interval_newton, _IntervalPoly, _mean_value_forms, _merge,
                               _MEAN_VALUE_WIDTH, _power_bounds, _System, _try_certify,
-                              isolate_cusps, region_membership)
+                              _uniqueness_region, isolate_cusps, region_membership)
 from cuspcount.pipeline import DerivedSystem, census, derive_system
 from cuspcount.poly import Monomial, Polynomial, X, Y
 from classification import Unclassifiable, classify_critical_point
-from conftest import TWO_CUSP_TEXT, WHITNEY_TEXT, random_polynomial
+from conftest import EIGHT_CUSP_TEXT, TWO_CUSP_TEXT, WHITNEY_TEXT, random_polynomial
 
 
 def reference_point_pow(base: float, n: int) -> Interval:
@@ -257,17 +257,22 @@ class TestIsolateCusps:
         px, py = float(shift), 0.0
         r = _CERTIFY_RADII[0]
         first = (Interval(px - r, px + r), Interval(py - r, py + r))
-        assert not _interval_newton(system, _best_pair(system, px, py), px, py, first)
-        box = _try_certify(system, px, py)
-        assert box is not None and box[0].contains(px)
+        pair = _best_pair(system, px, py)
+        assert not _interval_newton(system, pair, px, py, first)
+        box, certifying_pair = _try_certify(system, px, py)
+        assert box[0].contains(px) and certifying_pair == pair
         assert box[1] == Interval(-_CERTIFY_RADII[1], _CERTIFY_RADII[1])
+
+
+def derived_of(p1: Polynomial, p2: Polynomial, p3: Polynomial) -> DerivedSystem:
+    """A cusp system whose three equations are p1, p2, p3."""
+    zero = Polynomial.zero()
+    return DerivedSystem(jac=p1, vel1=p2, vel2=p3, vel_jac=zero, minor1=zero, minor2=zero)
 
 
 def system_of(p1: Polynomial, p2: Polynomial, p3: Polynomial) -> _System:
     """The compiled system whose three equations are p1, p2, p3."""
-    zero = Polynomial.zero()
-    return _System(DerivedSystem(jac=p1, vel1=p2, vel2=p3, vel_jac=zero,
-                                 minor1=zero, minor2=zero))
+    return _System(derived_of(p1, p2, p3))
 
 
 def mean_value_forms(system: _System, box) -> list[Interval]:
@@ -338,31 +343,29 @@ class TestMeanValueForm:
         assert widths and max(widths) <= _MEAN_VALUE_WIDTH
 
     def test_never_sees_a_box_inside_an_earlier_cusp_box(self, monkeypatch):
-        # containment in a certified box is tested before the costlier mean-value
-        # form; the certified box itself goes through the form before it is kept
+        # containment in the uniqueness region of a certified box, which holds
+        # that box, is tested before the costlier mean-value form; the
+        # certified box itself goes through the form before it is kept
         problem = parse_problem(TWO_CUSP_TEXT)
         derived = derive_system(problem.f1, problem.f2)
-        try_certify = oracle._try_certify
-        returned: list = []
+        regions: list = []
         seen = {"forms": 0, "inside": 0}
 
-        def certify_spy(system, px, py, certified=()):
-            box = try_certify(system, px, py, certified)
-            if box is not None:
-                returned.append(box)
-            return box
+        def region_spy(system, pair, box, radius):
+            regions.append(_uniqueness_region(system, pair, box, radius))
+            return regions[-1]
 
         def forms_spy(system, box, xp, yp):
             seen["forms"] += 1
-            seen["inside"] += any(c[0].contains_interval(box[0])
-                                  and c[1].contains_interval(box[1]) for c in returned)
+            seen["inside"] += any(r[0].contains_interval(box[0])
+                                  and r[1].contains_interval(box[1]) for r in regions)
             return _mean_value_forms(system, box, xp, yp)
 
-        monkeypatch.setattr(oracle, "_try_certify", certify_spy)
+        monkeypatch.setattr(oracle, "_uniqueness_region", region_spy)
         monkeypatch.setattr(oracle, "_mean_value_forms", forms_spy)
         points = isolate_cusps(derived, box_radius=16.0)
-        assert [p.kind for p in points] == ["cusp", "cusp"] and len(returned) == 2
-        assert seen["forms"] > 100 and seen["inside"] == 0
+        assert [p.kind for p in points] == ["cusp", "cusp"] and len(regions) == 2
+        assert seen["forms"] > 0 and seen["inside"] == 0
 
 
 class TestThirdEquation:
@@ -382,13 +385,13 @@ class TestThirdEquation:
         # x + 1/10**12 has no common zero with x and y, but it vanishes on
         # x = -1/10**12, inside the box: the check is necessary, not sufficient
         r = _CERTIFY_RADII[0]
-        box = _try_certify(system_of(X, Y, third), 1e-3, -2e-3)
-        assert box == (Interval(-r, r), Interval(-r, r))
+        certified = _try_certify(system_of(X, Y, third), 1e-3, -2e-3)
+        assert certified == ((Interval(-r, r), Interval(-r, r)), (0, 1))
 
 
 class TestSkipKnownCusps:
     """No interval Newton runs on a box, of any radius, that meets a cusp box
-    already certified."""
+    already certified, and the uniqueness regions leave one polish per cusp."""
 
     @pytest.mark.parametrize("text, radius", [
         (TWO_CUSP_TEXT, 16.0),
@@ -421,9 +424,94 @@ class TestSkipKnownCusps:
         monkeypatch.setattr(oracle, "_polish", polish_spy)
         monkeypatch.setattr(oracle, "_interval_newton", newton_spy)
         points = isolate_cusps(derived, box_radius=radius)
-        assert any(p.kind == "cusp" for p in points)
-        # most polished points land on a known cusp and skip interval Newton
-        assert 0 < calls["newton"] < calls["polished"] // 2
+        cusps = [p for p in points if p.kind == "cusp"]
+        assert cusps and calls["newton"] > 0
+        # no box left near a certified cusp is polished onto it again
+        assert calls["polished"] == len(cusps)
+
+
+# x = y**2 + y = -x + (1 + y)/10**12 = 0 meet only at (0, -1); at (0, 0) the
+# third equation is 10**-12, inside its range over a certified box there
+PLANTED = derived_of(X, Y ** 2 + Y, -X + Fraction(1, 10 ** 12) * (1 + Y))
+
+
+def cusp_centres(points) -> list[tuple[float, float]]:
+    return [(round(p.box[0].mid, 6), round(p.box[1].mid, 6))
+            for p in points if p.kind == "cusp"]
+
+
+class TestCertifyingPair:
+    """A uniqueness region is grown from the pair that certified its box.
+
+    On the planted system the box at (0, 0) is certified by the pair
+    (x, y**2 + y), whose Jacobian determinant 2y + 1 vanishes at y = -1/2,
+    so its region stops short of the cusp at (0, -1).  The pair
+    (x, -x + (1 + y)/10**12) has the constant determinant 10**-12; a region
+    grown from it covers the whole search box."""
+
+    def test_reports_the_false_positive_and_the_true_cusp(self):
+        points = isolate_cusps(PLANTED, box_radius=2.0)
+        assert cusp_centres(points) == [(0.0, -1.0), (0.0, 0.0)]
+        assert all(p.kind == "cusp" for p in points)
+
+    def test_a_region_from_another_pair_loses_the_true_cusp(self, monkeypatch):
+        def other_pair(system, pair, box, radius):
+            return _uniqueness_region(system, (0, 2), box, radius)
+
+        monkeypatch.setattr(oracle, "_uniqueness_region", other_pair)
+        assert cusp_centres(isolate_cusps(PLANTED, box_radius=2.0)) == [(0.0, 0.0)]
+
+
+class TestUniquenessRegion:
+    @pytest.mark.parametrize("text", [TWO_CUSP_TEXT, WHITNEY_TEXT, EIGHT_CUSP_TEXT],
+                             ids=["two_cusp", "whitney", "eight_cusp"])
+    def test_regions_are_sound(self, monkeypatch, text):
+        problem = parse_problem(text)
+        grown = []
+
+        def region_spy(system, pair, box, radius):
+            region = _uniqueness_region(system, pair, box, radius)
+            grown.append((system, pair, box, region))
+            return region
+
+        monkeypatch.setattr(oracle, "_uniqueness_region", region_spy)
+        points = isolate_cusps(derive_system(problem.f1, problem.f2), box_radius=16.0)
+        boxes = [p.box for p in points if p.kind == "cusp"]
+        assert len(grown) == len(boxes) and {box for _, _, box, _ in grown} == set(boxes)
+        for system, (i, j), box, region in grown:
+            assert region[0].contains_interval(box[0]) and region[1].contains_interval(box[1])
+            assert region[0].width > 2 * box[0].width
+            assert not any(region[0].contains(other[0].mid) and region[1].contains(other[1].mid)
+                           for other in boxes if other != box)
+            (gix, giy), (gjx, gjy) = system.grads[i], system.grads[j]
+            det = (reference_range(gix, *region) * reference_range(gjy, *region)
+                   - reference_range(giy, *region) * reference_range(gjx, *region))
+            assert det.excludes_zero(), (box, region)
+
+    def test_growth_stops_where_the_jacobian_overflows(self):
+        # the region around (0, 9/10) reaches y = 1.74 before the radius, where
+        # 20 * 10**303 * x * y**19 passes the doubles; the search box never does
+        derived = derived_of(X * (1 + 10 ** 303 * Y ** 20), Y - Fraction(9, 10),
+                             X + Y - Fraction(9, 10))
+        points = isolate_cusps(derived, box_radius=1.0)
+        assert cusp_centres(points) == [(0.0, 0.9)]
+
+    @pytest.mark.parametrize("text, ceiling", [(TWO_CUSP_TEXT, 300), (WHITNEY_TEXT, 100)],
+                             ids=["two_cusp", "whitney"])
+    def test_boxes_tested_at_radius_16(self, monkeypatch, text, ceiling):
+        # a deterministic count of the work the regions save: without them
+        # every cusp is subdivided down to its certified box (891 and 454)
+        problem = parse_problem(text)
+        excluded = oracle._excluded
+        calls = []
+
+        def excluded_spy(*args):
+            calls.append(None)
+            return excluded(*args)
+
+        monkeypatch.setattr(oracle, "_excluded", excluded_spy)
+        isolate_cusps(derive_system(problem.f1, problem.f2), box_radius=16.0)
+        assert len(calls) <= ceiling
 
 
 class TestMerge:
