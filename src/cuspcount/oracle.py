@@ -45,7 +45,7 @@ from fractions import Fraction
 
 from .errors import OracleOverflow
 from .pipeline import DerivedSystem
-from .poly import Polynomial
+from .poly import Polynomial, unpack
 
 _INF = math.inf
 
@@ -207,15 +207,15 @@ class _IntervalPoly:
         self.terms = []
         self.max_ex = 0
         self.max_ey = 0
-        for mono, coeff in p.terms.items():
-            approx = _to_float(coeff)
-            if Fraction(approx) == coeff:
-                c_lo = c_hi = approx
-            else:
-                c_lo, c_hi = _down(approx), _up(approx)
-            self.terms.append((mono.ex, mono.ey, approx, c_lo, c_hi))
-            self.max_ex = max(self.max_ex, mono.ex)
-            self.max_ey = max(self.max_ey, mono.ey)
+        den = p._den
+        for key, num in p._nums.items():
+            approx = _to_float(num, den)
+            a, b = approx.as_integer_ratio()
+            c_lo, c_hi = (approx, approx) if a * den == num * b else (_down(approx), _up(approx))
+            ex, ey = unpack(key)
+            self.terms.append((ex, ey, approx, c_lo, c_hi))
+            self.max_ex = max(self.max_ex, ex)
+            self.max_ey = max(self.max_ey, ey)
 
     def range(self, x: Interval, y: Interval) -> Interval:
         return self.fold(_power_bounds(x.lo, x.hi, self.max_ex),
@@ -252,10 +252,12 @@ class _IntervalPoly:
         return sum(c * px ** ex * py ** ey for ex, ey, c, _, _ in self.terms)
 
 
-def _to_float(coeff: Fraction) -> float:
+def _to_float(num: int, den: int) -> float:
+    """The double nearest num/den: int true division is correctly rounded."""
     try:
-        return float(coeff)
+        return num / den
     except OverflowError:
+        coeff = Fraction(num, den)
         bits = abs(coeff.numerator).bit_length() - coeff.denominator.bit_length()
         raise OracleOverflow(f"a coefficient of about 2^{bits} in the cusp system "
                              "exceeds the range of hardware doubles") from None

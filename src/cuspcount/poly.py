@@ -119,6 +119,8 @@ class Polynomial:
         clean: dict[int, Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else (terms or ())
         for mono, coeff in items:
+            if isinstance(coeff, float):
+                raise TypeError(f"coefficient {coeff!r} is a float; give an int or a Fraction")
             coeff = Fraction(coeff)
             if coeff:
                 ex, ey = mono = Monomial(*mono)
@@ -143,8 +145,7 @@ class Polynomial:
     @classmethod
     def constant(cls, value: Scalar) -> "Polynomial":
         if type(value) is not int:
-            value = Fraction(value)
-            return _canonical({0: value.numerator} if value else {}, value.denominator)
+            return cls({(0, 0): value})
         return _canonical({0: value} if value else {}, 1)
 
     @classmethod

@@ -20,8 +20,10 @@ A is the quotient by the ideal of the inputs.
 an ideal, by the rank of their multiplication matrices side by side, each
 column scaled by a positive integer that clears its denominators: modulo
 the first word-size prime of `signature.primes`, and by the exact rank
-certificate of `signature.rank` when that falls short.  The census uses it
-for the one-genericity certificate.
+certificate of `signature.rank` when that falls short.  Both ranks read one
+block, climbed from M_x and M_y alone (`_block`), so the product, pair and
+trace tables below are read by `form_matrix` alone.  The census uses it for
+the one-genericity certificate.
 
 The exact arithmetic runs on integers: M_x and M_y are held as integer
 matrices over one positive denominator each, X/dx and Y/dy, and every
@@ -66,7 +68,8 @@ import numpy as np
 
 from .errors import CertificateFailed
 from .groebner import GroebnerBasis, _leads, _standard_keys, normal_form
-from .poly import X_KEY, Y_KEY, Monomial, Polynomial, _canonical, divides, unpack, x_exponent
+from .poly import (X_KEY, Y_KEY, Monomial, Polynomial, _canonical, divides, pack, unpack,
+                   x_exponent)
 from .signature import prime_cap, primes, rank, rank_mod
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -105,9 +108,10 @@ class QuotientAlgebra:
     monomials first and the others in increasing degree order; `pairs[i][j]`
     is the position of b_i*b_j among those products; `traces` holds the
     trace of each product, keyed in the same order, as integers over one
-    positive denominator.  `build_algebra`
-    computes all of them once; instances never change and may be shared
-    freely between threads and the form builders below.
+    positive denominator.  Only `form_matrix` reads `products`, `pairs` and
+    `traces`; `generates_algebra` needs `gb`, `basis`, `mx` and `my`.
+    `build_algebra` computes all of them once; instances never change and
+    may be shared freely between threads and the form builders below.
     """
 
     gb: GroebnerBasis
@@ -241,37 +245,9 @@ def _require_reduced(gb: GroebnerBasis) -> None:
                     "divisible by another leading monomial")
 
 
-def _mult_columns(algebra: QuotientAlgebra, residue: Polynomial) -> list[Scaled]:
-    """Columns of M_h for h in normal form, as integers over one denominator
-    each: every term of h times a basis monomial b is a product in the table,
-    so the column of b_k sums the coordinates of those products, found at
-    their positions in the pair table."""
-    vectors = tuple(algebra.products.values())
-    terms = _pair_rows(algebra, residue)
-    columns = []
-    for k in range(algebra.dim):
-        parts = [(c, vectors[row[k]]) for row, c in terms]
-        den = lcm(*(d for _, (_, d) in parts))
-        col = [0] * algebra.dim
-        for c, (nums, d) in parts:
-            scale = c * (den // d)
-            col = [a + scale * v for a, v in zip(col, nums)]
-        columns.append((tuple(col), den * residue.denominator))
-    return columns
-
-
 def _basis_index(algebra: QuotientAlgebra) -> dict[int, int]:
-    """Position of each basis monomial by its packed key: the basis heads
-    the product table."""
-    return dict(zip(algebra.products, range(algebra.dim)))
-
-
-def _pair_rows(algebra: QuotientAlgebra,
-               residue: Polynomial) -> list[tuple[tuple[int, ...], int]]:
-    """(pairs[m], c_m) for every term c_m * b_m of a polynomial in normal
-    form: row m of the pair table locates b_m * b_k for every k."""
-    index = _basis_index(algebra)
-    return [(algebra.pairs[index[mono]], c) for mono, c in residue._nums.items()]
+    """Position of each basis monomial by its packed key."""
+    return {pack(*b): i for i, b in enumerate(algebra.basis)}
 
 
 def generates_algebra(algebra: QuotientAlgebra, hs) -> bool:
@@ -281,27 +257,27 @@ def generates_algebra(algebra: QuotientAlgebra, hs) -> bool:
     [M_h1 | ... | M_hk] of their multiplication matrices, so the answer is
     whether that block has rank n = dim A; the zero algebra is generated by
     anything.  Scaling a column by a positive integer changes no rank, so
-    both tests run on integer columns.  `_block_mod` reduces columns scaled
-    by products of the stored denominators; full rank of that block modulo
-    any prime proves full rank over Q, because reduction modulo a prime is
-    a ring map and cannot raise a rank.  The first prime of the descending
-    stream is tried; when the rank falls short modulo it, as it may when
-    the prime divides a denominator, the exact rank decides on the columns'
-    integer numerators, so a false verdict is exact too.
+    both tests run on the integer columns of `_block`.  Full rank of the
+    block modulo any prime proves full rank over Q, because reduction
+    modulo a prime is a ring map and cannot raise a rank.  The first prime
+    of the descending stream is tried; when the rank falls short modulo it,
+    as it may when the prime divides a denominator, the exact rank of the
+    same block decides, so a false verdict is exact too.
     """
     n = algebra.dim
     if n == 0:
         return True
     reduced = [normal_form(h, algebra.gb) for h in hs]
     p = next(primes(prime_cap(n)))
-    if rank_mod(_block_mod(algebra, reduced, p), p) == n:
+    if rank_mod(_block(algebra, reduced, p), p) == n:
         return True
-    return rank([col for h in reduced for col, _ in _mult_columns(algebra, h)]) == n
+    return rank(_block(algebra, reduced)) == n
 
 
-def _block_mod(algebra: QuotientAlgebra, reduced, p: int) -> np.ndarray:
-    """[M_h1 | ... | M_hk] modulo p for hs already in normal form, with
-    each column scaled by a positive integer.
+def _block(algebra: QuotientAlgebra, reduced, p: int | None = None) -> np.ndarray:
+    """[M_h1 | ... | M_hk] for hs already in normal form, with each column
+    scaled by a positive integer: exact, as Python ints in an object array,
+    or modulo a prime p in int64.
 
     The column of M_h for a basis monomial b holds the coordinates of h*b:
     those of h itself for b = 1, else M_x or M_y applied to the column of
@@ -314,16 +290,20 @@ def _block_mod(algebra: QuotientAlgebra, reduced, p: int) -> np.ndarray:
     """
     n = algebra.dim
     index = _basis_index(algebra)
-    mx, my = (np.array([[v % p for v in row] for row in rows], dtype=np.int64)
-              for rows, _ in (algebra.mx, algebra.my))
-    columns = np.zeros((n, n, len(reduced)), dtype=np.int64)
+    if p is None:
+        mx, my = (np.array(rows, dtype=object) for rows, _ in (algebra.mx, algebra.my))
+    else:
+        mx, my = (np.array([[v % p for v in row] for row in rows], dtype=np.int64)
+                  for rows, _ in (algebra.mx, algebra.my))
+    columns = np.zeros((n, n, len(reduced)), dtype=mx.dtype)
     for k, h in enumerate(reduced):
         for mono, num in h._nums.items():
-            columns[0, index[mono], k] = num % p
+            columns[0, index[mono], k] = num if p is None else num % p
     for b, j in index.items():
         if j:
             previous, matrix = (b - X_KEY, mx) if x_exponent(b) else (b - Y_KEY, my)
-            columns[j] = matrix @ columns[index[previous]] % p
+            column = matrix @ columns[index[previous]]
+            columns[j] = column if p is None else column % p
     return columns.transpose(1, 2, 0).reshape(n, -1)
 
 
@@ -342,9 +322,11 @@ def form_matrix(algebra: QuotientAlgebra, delta: Polynomial) -> SymmetricForm:
     traces, trace_den = algebra.traces
     values = tuple(traces.values())
     residue = normal_form(delta, algebra.gb)
+    index = _basis_index(algebra)
     weights = [0] * algebra.dim
-    for row, c in _pair_rows(algebra, residue):
-        weights = [w + c * values[p] for w, p in zip(weights, row)]
+    for mono, c in residue._nums.items():
+        # row m of the pair table locates b_m * b_k for every k
+        weights = [w + c * values[p] for w, p in zip(weights, algebra.pairs[index[mono]])]
     entries, den = _contract(weights, trace_den * residue.denominator,
                              algebra.products.values())
     rows = tuple(tuple(map(entries.__getitem__, row)) for row in algebra.pairs)

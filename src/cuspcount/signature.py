@@ -126,14 +126,6 @@ class SignatureResult:
     nondegenerate: bool
 
 
-def _dimension_of(matrix: MatrixLike) -> int:
-    n = len(matrix)
-    for row in matrix:
-        if len(row) != n:
-            raise ValueError("matrix must be square")
-    return n
-
-
 def _require_symmetric(matrix: MatrixLike, n: int) -> None:
     for i in range(n):
         for j in range(i + 1, n):
@@ -143,13 +135,28 @@ def _require_symmetric(matrix: MatrixLike, n: int) -> None:
                     f"{matrix[i][j]} vs {matrix[j][i]}")
 
 
-def _scaled_integer_matrix(matrix: MatrixLike) -> MatrixLike:
-    """s*M as integers, for s the least common multiple of the entries'
-    denominators; a matrix of ints is returned as it is."""
+def _integer_rows(matrix: MatrixLike) -> MatrixLike:
+    """s*M as rows of Python ints, for s the least common multiple of the
+    entries' denominators, from rows or a 2-d array of ints, numpy integers
+    and Fractions; rows of ints are returned as they are.  Raises
+    ValueError when the rows differ in length, and TypeError naming the
+    first entry of any other type: no count on a float is a certificate.
+    """
+    if isinstance(matrix, np.ndarray):
+        matrix = matrix.tolist()  # numpy integers become Python ints
+    width = len(matrix[0]) if matrix else 0
+    for i, row in enumerate(matrix):
+        if len(row) != width:
+            raise ValueError(f"row {i} has {len(row)} entries, row 0 has {width}")
     if {int} >= set(map(type, chain.from_iterable(matrix))):
         return matrix
+    for i, row in enumerate(matrix):
+        for j, v in enumerate(row):
+            if not isinstance(v, (int, Fraction, np.integer)):
+                raise TypeError(f"entry ({i}, {j}) is {v!r} of type {type(v).__name__}; "
+                                "a matrix holds ints and Fractions only")
     s = lcm(*(v.denominator for row in matrix for v in row))
-    return [[v.numerator * (s // v.denominator) for v in row] for row in matrix]
+    return [[int(v.numerator) * (s // v.denominator) for v in row] for row in matrix]
 
 
 # -- primes -------------------------------------------------------------------
@@ -211,20 +218,15 @@ def rank(matrix: MatrixLike) -> int:
     """Exact rank of a rational matrix of any shape, by the certificate of
     the module docstring.
 
-    Raises ValueError when the rows differ in length; a matrix without
-    entries has rank 0.
+    Raises what `_integer_rows` raises; a matrix without entries has rank 0.
     """
-    width = len(matrix[0]) if matrix else 0
-    for i, row in enumerate(matrix):
-        if len(row) != width:
-            raise ValueError(f"row {i} has {len(row)} entries, row 0 has {width}")
-    if not width:
-        return 0
     # a positive scaling and a transposition change no rank
-    scaled = _scaled_integer_matrix(matrix)
-    if width > len(scaled):
-        scaled = [list(column) for column in zip(*scaled)]
-    return len(_pivot_columns(scaled))
+    rows = _integer_rows(matrix)
+    if not rows or not rows[0]:
+        return 0
+    if len(rows[0]) > len(rows):
+        rows = [list(column) for column in zip(*rows)]
+    return len(_pivot_columns(rows))
 
 
 def _echelon_mod(a: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
@@ -498,15 +500,19 @@ def _congruence_inertia(matrix: MatrixLike, nonsingular: bool = False) -> tuple[
 def signature_of(matrix: MatrixLike) -> SignatureResult:
     """Exact inertia of a symmetric matrix by a certified congruence.
 
-    Raises NotSymmetric when the input is not exactly symmetric; the 0x0
+    Raises what `_integer_rows` raises, ValueError when the matrix is not
+    square, and NotSymmetric when it is not exactly symmetric; the 0x0
     matrix is legal and has signature 0.
     """
-    n = _dimension_of(matrix)
+    # positive rescaling preserves inertia, so count on the integer matrix
+    rows = _integer_rows(matrix)
+    n = len(rows)
+    if n and len(rows[0]) != n:
+        raise ValueError("matrix must be square")
     _require_symmetric(matrix, n)
     if n == 0:
         return SignatureResult(0, 0, 0, 0, True)
-    # positive rescaling preserves inertia, so count on the integer matrix
-    positive, negative, rank_of = _congruence_inertia(_scaled_integer_matrix(matrix))
+    positive, negative, rank_of = _congruence_inertia(rows)
     return SignatureResult(
         signature=positive - negative,
         rank=rank_of,

@@ -2,8 +2,7 @@
 
 from fractions import Fraction
 
-from cuspcount.signature import (MatrixLike, SignatureResult, _dimension_of,
-                                 _require_symmetric)
+from cuspcount.signature import MatrixLike, SignatureResult, _require_symmetric
 
 
 def signature_by_elimination(matrix: MatrixLike) -> SignatureResult:
@@ -14,7 +13,9 @@ def signature_by_elimination(matrix: MatrixLike) -> SignatureResult:
     contributing one positive and one negative eigenvalue.  Used as the
     cross-check oracle for signature_of.
     """
-    n = _dimension_of(matrix)
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix must be square")
     _require_symmetric(matrix, n)
     a = [[Fraction(v) for v in row] for row in matrix]
     active = list(range(n))

@@ -17,7 +17,8 @@ from cuspcount.oracle import (_CERTIFY_RADII, CertifiedPoint, Interval, _best_pa
 from cuspcount.pipeline import DerivedSystem, census, derive_system
 from cuspcount.poly import Monomial, Polynomial, X, Y
 from classification import Unclassifiable, classify_critical_point
-from conftest import EIGHT_CUSP_TEXT, TWO_CUSP_TEXT, WHITNEY_TEXT, random_polynomial
+from conftest import (EIGHT_CUSP_TEXT, SIX_CUSP_TEXT, TWO_CUSP_TEXT, WHITNEY_TEXT,
+                      random_polynomial)
 
 
 def reference_point_pow(base: float, n: int) -> Interval:
@@ -184,6 +185,40 @@ class TestInterval:
             assert outcome(compiled.range, x, y) == expected, (p, x, y)
             raised += not isinstance(expected, tuple)
         assert raised  # huge endpoints overflow and some fold meets 0 * inf
+
+    @pytest.mark.parametrize("text", [EIGHT_CUSP_TEXT, SIX_CUSP_TEXT],
+                             ids=["eight_cusp", "six_cusp"])
+    def test_compiled_terms_match_the_fraction_coefficients(self, text):
+        """Compiling from the integer numerators over one denominator gives,
+        term by term and in order, the nearest double to each reduced
+        Fraction coefficient, and a widened interval exactly when that
+        double is not the coefficient: on the system of the map, whose
+        coefficients are integers, and of the map scaled to (f1/3, 2*f2/7)."""
+        problem = parse_problem(text)
+        polys = []
+        for f1, f2 in ((problem.f1, problem.f2),
+                       (problem.f1 * Fraction(1, 3), problem.f2 * Fraction(2, 7))):
+            d = derive_system(f1, f2)
+            eqs = [d.jac, d.vel1, d.vel2]
+            polys += eqs + [d.vel_jac] + [p.partial(var) for p in eqs for var in ("x", "y")]
+        widened = 0
+        for p in polys:
+            expected = []
+            for mono, coeff in p.terms.items():
+                approx = float(coeff)
+                ends = ((approx, approx) if Fraction(approx) == coeff
+                        else (math.nextafter(approx, -math.inf), math.nextafter(approx, math.inf)))
+                expected.append((mono.ex, mono.ey, approx, *ends))
+            assert _IntervalPoly(p).terms == expected
+            widened += sum(lo < hi for _, _, _, lo, hi in expected)
+        assert widened
+
+    @pytest.mark.parametrize("coeff, bits", [
+        (Fraction(3 ** 700, 7), 1107), (Fraction(-2 ** 1100, 3 ** 40), 1037), (10 ** 400, 1328)])
+    def test_coefficient_past_the_doubles_is_overflow(self, coeff, bits):
+        p = Polynomial({Monomial(1, 0): Fraction(1, 3), Monomial(0, 2): coeff})
+        with pytest.raises(OracleOverflow, match=rf"^a coefficient of about 2\^{bits} in"):
+            _IntervalPoly(p)
 
     def test_nan_mid_fold_is_overflow(self):
         # x**3 has lower end -inf; times y**2 = [0, 1] that is -inf * 0 = NaN

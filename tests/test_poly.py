@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -261,6 +262,26 @@ class TestRepresentation:
             for left, right in (((p + q) + r, p + (q + r)), ((p * q) * r, p * (q * r)),
                                 (p * (q + r), p * q + p * r), (p * q, q * p)):
                 assert left == right and hash(left) == hash(right)
+
+    @pytest.mark.parametrize("build", [
+        lambda: Polynomial({(1, 0): 0.1}),
+        lambda: Polynomial([((0, 0), 1), ((0, 1), 2.0)]),
+        lambda: Polynomial({(1, 0): 0.0}),
+        lambda: Polynomial.constant(0.5),
+        lambda: Polynomial.constant(3.0),
+        lambda: Polynomial.monomial(Monomial(1, 1), 0.25),
+    ], ids=["tenth", "whole_float_term", "float_zero", "half", "whole_float_constant",
+            "monomial"])
+    def test_floats_are_refused(self, build):
+        """No float enters: 0.1 would be kept as 3602879701896397/2**55."""
+        with pytest.raises(TypeError, match="is a float"):
+            build()
+
+    def test_exact_scalars_are_kept(self):
+        assert Polynomial({(1, 0): Fraction(1, 10)}).terms[Monomial(1, 0)] == Fraction(1, 10)
+        assert Polynomial.constant(Fraction(1, 2)) == Fraction(1, 2)
+        assert Polynomial.constant(np.int64(3)) == 3
+        assert Polynomial({(0, 1): np.int32(-2)}) == -2 * Y
 
 
 # -- the packed monomial keys ----------------------------------------------

@@ -1,6 +1,7 @@
 """Quotient algebra: multiplication matrices, traces and trace forms."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -14,9 +15,8 @@ from cuspcount.groebner import GroebnerBasis, buchberger, normal_form, standard_
 from cuspcount.pipeline import derive_system
 from cuspcount.poly import Monomial, Polynomial, X, Y, unpack
 from cuspcount import quotient
-from cuspcount.quotient import (_block_mod, _commute, _mult_columns, build_algebra,
-                                form_matrix, generates_algebra)
-from cuspcount.signature import prime_cap, primes
+from cuspcount.quotient import _block, _commute, build_algebra, form_matrix, generates_algebra
+from cuspcount.signature import prime_cap, primes, rank
 from conftest import (EIGHT_CUSP_TEXT, SIX_CUSP_TEXT, TWO_CUSP_TEXT, grevlex_key, mono_mul,
                       random_polynomial)
 
@@ -29,7 +29,7 @@ def mult_matrix(algebra, h):
     Equals the evaluation of h at the pair of generator matrices; h is
     reduced first, so any member of the ideal yields the zero matrix.
     """
-    columns = _mult_columns(algebra, normal_form(h, algebra.gb))
+    columns = reference_mult_columns(algebra, normal_form(h, algebra.gb))
     return tuple(zip(*([Fraction(v, den) for v in col] for col, den in columns)))
 
 
@@ -406,8 +406,6 @@ def assert_equals_reference(algebra, deltas):
     for delta in deltas:
         form = form_matrix(algebra, delta)
         assert (form.rows, form.denominator) == reference_form(algebra, delta)
-        residue = normal_form(delta, algebra.gb)
-        assert _mult_columns(algebra, residue) == reference_mult_columns(algebra, residue)
 
 
 class TestDenseReference:
@@ -591,10 +589,11 @@ class TestFormMatrix:
 
 class TestGeneratesAlgebra:
     def test_modular_block_is_the_exact_block_mod_p(self):
-        """Column (h, b) of _block_mod, for b = x^i y^j, is column b of
-        mult_matrix(h) times h.denominator * dx**i * dy**j, reduced modulo p,
-        also for primes that divide those denominators: the eight-cusp
-        map's dx is divisible by 2, 3 and 23."""
+        """Column (h, b) of _block without a prime, for b = x^i y^j, is
+        column b of mult_matrix(h) times h.denominator * dx**i * dy**j, in
+        Python ints; with a prime p it is that column modulo p, also for
+        primes that divide those denominators: the eight-cusp map's dx is
+        divisible by 2, 3 and 23."""
         rng = random.Random(20330)
         d, eight = cusp_algebra_of(EIGHT_CUSP_TEXT)
         assert all(eight.mx[1] % p == 0 for p in (2, 3, 23))
@@ -620,8 +619,11 @@ class TestGeneratesAlgebra:
                     column = [row[j] * scale for row in exact]
                     assert all(v.denominator == 1 for v in column)
                     columns.append([int(v) for v in column])
+            exact = _block(algebra, hs)
+            assert exact.T.tolist() == columns
+            assert {type(v) for v in exact.flat} == {int}
             for p in (2, 3, 23, next(primes(prime_cap(algebra.dim)))):
-                assert _block_mod(algebra, hs, p).T.tolist() == \
+                assert _block(algebra, hs, p).T.tolist() == \
                     [[v % p for v in column] for column in columns]
 
     @pytest.mark.parametrize("h, verdict", [(ONE, True), (X, False)])
@@ -630,7 +632,8 @@ class TestGeneratesAlgebra:
         in the stream; generates_algebra reduces the block modulo it and keeps
         its verdict.  The numerators of 1/p are those of 1, so the block has
         full rank modulo p; x vanishes at the cusp (0, 0), so it generates
-        nothing, which the exact rank decides."""
+        nothing, which the exact rank of the same block, built without a
+        prime, decides."""
         _, gb, algebra = two_cusp
         bad = 1000003
         hs = [normal_form(h * Polynomial.constant(Fraction(1, bad)), gb)]
@@ -639,10 +642,49 @@ class TestGeneratesAlgebra:
         monkeypatch.setattr(quotient, "primes", lambda cap: chain([bad], primes(cap)))
         tried = []
 
-        def spy(algebra, reduced, p):
+        def spy(algebra, reduced, p=None):
             tried.append(p)
-            return _block_mod(algebra, reduced, p)
+            return _block(algebra, reduced, p)
 
-        monkeypatch.setattr(quotient, "_block_mod", spy)
+        monkeypatch.setattr(quotient, "_block", spy)
         assert generates_algebra(algebra, hs) is verdict
-        assert tried == [bad]
+        assert tried == ([bad] if verdict else [bad, None])
+
+    def test_needs_no_product_pair_or_trace_table(self, two_cusp, monkeypatch):
+        """Genericity reads only M_x and M_y: with the product, pair and
+        trace tables set to None, generates_algebra gives the verdict of the
+        exact rank of the reference columns, on the paper maps, on random
+        algebras, and when a first prime dividing denominators sends
+        full-rank cases to the exact rank.  Over the ideal (p*q, r), q
+        vanishes at the common zeros of q and r, so it seldom generates."""
+        rng = random.Random(20828)
+        cases = []
+        for text in (TWO_CUSP_TEXT, EIGHT_CUSP_TEXT, SIX_CUSP_TEXT):
+            d, algebra = cusp_algebra_of(text)
+            cases.append((algebra, (d.minor1, d.minor2)))
+        cases.append((two_cusp[2], (X,)))
+        while len(cases) < 40:
+            p, q, r = (random_polynomial(rng, rng.randint(1, 2), lo=-3, hi=3) for _ in range(3))
+            try:
+                algebra = build_algebra(buchberger([g for g in (p * q, r) if not g.is_zero()]
+                                                   or [X]))
+            except NotZeroDimensional:
+                continue
+            if algebra.dim:
+                cases.append((algebra, [q] if len(cases) % 2 else [p + q, p * r + 1]))
+        expected = []
+        for algebra, hs in cases:
+            columns = [col for h in hs
+                       for col, _ in reference_mult_columns(algebra, normal_form(h, algebra.gb))]
+            expected.append(rank(columns) == algebra.dim)
+        assert True in expected and False in expected
+        bare = [(replace(algebra, products=None, pairs=None, traces=None), hs)
+                for algebra, hs in cases]
+        assert [generates_algebra(algebra, hs) for algebra, hs in bare] == expected
+        # modulo 2, which divides many of the denominators, some full-rank
+        # blocks fall short, and the exact block decides them
+        monkeypatch.setattr(quotient, "primes", lambda cap: chain([2], primes(cap)))
+        exact = []
+        monkeypatch.setattr(quotient, "rank", lambda m: exact.append(m) or rank(m))
+        assert [generates_algebra(algebra, hs) for algebra, hs in bare] == expected
+        assert len(exact) > expected.count(False)

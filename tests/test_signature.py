@@ -7,6 +7,7 @@ underneath; the exact rank of matrices of any shape; Sylvester invariance."""
 
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from math import gcd
@@ -23,8 +24,8 @@ from cuspcount.exprio import parse_problem
 from cuspcount.pipeline import census
 from cuspcount.products import congruent_copy
 from cuspcount.signature import (SignatureResult, _crt, _dominance,
-                                 _echelon_mod, _exponents, _hadamard_bits, _kernel_lifts,
-                                 _pivot_columns, _proposal, _residues, _scaled_integer_matrix,
+                                 _echelon_mod, _exponents, _hadamard_bits, _integer_rows,
+                                 _kernel_lifts, _pivot_columns, _proposal, _residues,
                                  prime_cap, primes, rank, rank_mod, signature_of)
 from conftest import EIGHT_CUSP_TEXT, SIX_CUSP_TEXT
 from elimination import signature_by_elimination
@@ -132,7 +133,7 @@ class TestLeadingMinors:
 
     def test_rational_entries(self):
         m = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(1, 5)]]
-        assert _scaled_integer_matrix(m) == [[15, 10], [10, 6]]
+        assert _integer_rows(m) == [[15, 10], [10, 6]]
         assert jacobi([15, -10], 2) == SignatureResult(0, 2, 1, 1, True)
         assert signature_of(m) == signature_by_elimination(m) == SignatureResult(0, 2, 1, 1, True)
 
@@ -143,7 +144,7 @@ class TestLeadingMinors:
         applied = 0
         for _ in range(200):
             n = rng.randint(1, 5)
-            m = _scaled_integer_matrix(random_symmetric(rng, n, singular_bias=True))
+            m = _integer_rows(random_symmetric(rng, n, singular_bias=True))
             leading = [brute_force_det([row[:k] for row in m[:k]]) for k in range(1, n + 1)]
             result = signature_of(m)
             assert result.rank == Matrix(m).rank() == rank(m), m
@@ -1004,8 +1005,8 @@ def scaled_by_fractions(matrix):
 class TestScaledIntegerMatrix:
     def test_matches_fraction_products(self):
         # the content of the scaled matrix stays: no rank or inertia needs it gone
-        assert _scaled_integer_matrix([[Fraction(4, 3), Fraction(-8, 9)]]) == [[12, -8]]
-        assert _scaled_integer_matrix([[6, -4], [-4, 10]]) == [[6, -4], [-4, 10]]
+        assert _integer_rows([[Fraction(4, 3), Fraction(-8, 9)]]) == [[12, -8]]
+        assert _integer_rows([[6, -4], [-4, 10]]) == [[6, -4], [-4, 10]]
         rng = random.Random(20701)
         cases = [[[0, 0], [0, 0]], [[Fraction(0)]], [[5]], [[Fraction(-3, 7)]]]
         while len(cases) < 200:
@@ -1017,4 +1018,41 @@ class TestScaledIntegerMatrix:
                      for row in m]
             cases.append(m)
         for m in cases:
-            assert _scaled_integer_matrix(m) == scaled_by_fractions(m), m
+            assert _integer_rows(m) == scaled_by_fractions(m), m
+
+
+class TestExactInputs:
+    """signature_of and rank take ints, Fractions and numpy integers, in
+    lists or arrays, and refuse any other entry by name."""
+
+    @pytest.mark.parametrize("matrix", [
+        np.array([[2, 1], [1, 2]]),
+        [[np.int64(2), 1], [1, np.int64(2)]],
+        np.array([[2, 1], [1, 2]], dtype=object),
+        np.array([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(2)]], dtype=object),
+        [[Fraction(4, 1), np.int8(2)], [2, Fraction(8, 2)]],
+    ], ids=["int64_array", "int64_entries", "object_array", "fraction_array", "mixed"])
+    def test_matrices_of_exact_entries(self, matrix):
+        assert signature_of(matrix) == SignatureResult(2, 2, 2, 0, True)
+        assert rank(matrix) == 2
+        assert {type(v) for row in _integer_rows(matrix) for v in row} == {int}
+
+    @pytest.mark.parametrize("matrix, rank_of", [
+        (np.array([[1, 2], [2, 4]], dtype=object), 1),
+        (np.array([[1, 2, 3], [2, 4, 6]]), 1),
+        (np.zeros((0, 0), dtype=np.int64), 0),
+        ([[np.uint8(3)], [np.int16(-6)]], 1),
+    ], ids=["object_array", "wide_int64_array", "empty_array", "numpy_integer_column"])
+    def test_rank_of_arrays(self, matrix, rank_of):
+        assert rank(matrix) == rank_of
+
+    @pytest.mark.parametrize("matrix, entry, kind", [
+        ([[1.0, 0], [0, 1]], "(0, 0)", "float"),
+        ([[1, 0], [0, 0.5]], "(1, 1)", "float"),
+        (np.array([[2.0, 1.0], [1.0, 2.0]]), "(0, 0)", "float"),
+        ([[1, "2"], ["2", 1]], "(0, 1)", "str"),
+    ], ids=["float", "float_late", "float64_array", "str"])
+    def test_inexact_entries_are_refused(self, matrix, entry, kind):
+        for count in (signature_of, rank):
+            with pytest.raises(TypeError, match=rf"entry {re.escape(entry)} is .* of type {kind};"):
+                count(matrix)
