@@ -101,6 +101,7 @@ class OracleOverflow(CuspCountError):
     """The interval oracle left the range of hardware doubles.
 
     Either a coefficient of the cusp system lies beyond that range, so the
-    oracle cannot enclose it and does not run, or an interval endpoint
-    overflowed during subdivision and an enclosure became NaN.
+    oracle cannot approximate it and does not run, or a range that must be
+    rounded to doubles (over a certified box, or in an interval-Newton
+    step) lies beyond them.
     """

@@ -1,36 +1,37 @@
 """Independent numeric referee for the symbolic cusp census.
 
 Subdivision over a square domain discards boxes that one exclusion test,
-`_excluded`, proves hold no cusp not yet certified.  It tries three things
-in order.  The first is the natural range of each equation, the fold below.
-The second is containment in the uniqueness region of a cusp box already
-certified: the widest square around the box, grown by doubling, over which
-the interval Jacobian determinant of the pair that certified the box
-excludes zero.  That pair then has one zero in the region, the one in the
-box, and every cusp is a zero of it, so the rest of the region holds no
-cusp.  On a box that both keep and whose width is at most
-``_MEAN_VALUE_WIDTH``, the third bounds each equation by its centred
-mean-value form ``p(c) + dp/dx(B) * (B_x - c_x) + dp/dy(B) * (B_y - c_y)``,
-with c the box's midpoint.  On small boxes that hold no zero it is much
-tighter than the natural range, which alone would keep such boxes until
-they are tiny; on wide boxes the gradient ranges are too wide for it to
-pay, so it is not tried there.  Surviving boxes are polished by floating-point Newton
-iteration on the best-conditioned pair of equations and then certified by
-interval-Newton contraction, which proves existence and uniqueness of a
-zero of the pair in a tiny isolating box.  That box is kept only if the
+`_excluded`, proves hold no cusp not yet certified.  It first asks, without
+evaluating anything, whether the box lies in the uniqueness region of a cusp
+box already certified: the widest square around that box, grown by
+doubling, over which the interval Jacobian determinant of the pair that
+certified it excludes zero.  That pair then has one zero in the region, the
+one in the box, and every cusp is a zero of it, so the rest of the region
+holds no cusp.  Otherwise the box goes when the enclosure of one of the
+three equations over it excludes zero.  Surviving boxes are polished by
+floating-point Newton iteration on the best-conditioned pair of equations
+and then certified by interval-Newton contraction, which proves existence
+and uniqueness of a zero of the pair in a tiny isolating box.  An isolating
+box that would meet a cusp box already certified is dropped before interval
+Newton: it could only be a duplicate.  A certified box is kept only if the
 same exclusion test does not remove it, which checks the third equation
 over the box: a necessary condition for a cusp, not a proof of one.  The
 sign of the orientation polynomial over the box gives the local degree.
 
-Interval arithmetic is outward-rounded on hardware doubles: every computed
-range contains the true range.  The range of a polynomial over a box is one
-fold over its terms on float endpoints: it does the products, the
-``min``/``max``, the outward roundings and the additions of
-``coeff * x**ex * y**ey`` summed by ``Interval`` arithmetic, in the same
-order, and builds one ``Interval`` at the end.  The powers of x and y come
-from one table per box, shared by every polynomial evaluated on that box.
-An isolating box that would meet a cusp box already certified is dropped
-before interval Newton: it could only be a duplicate.
+Every range over a box is one enclosure: the centred form of Ratschek and
+Rokne, evaluated exactly.  Box ends are doubles, hence dyadic, so the maps
+x = (A + B*s) / 2**l and y = (C + D*t) / 2**m take [-1, 1]^2 exactly onto
+the box, and p times a positive integer scale is an integer polynomial
+G = sum of g_ab * s**a * t**b, expanded in Python ints from one table of
+powers per box (`_affine_powers`), shared by every polynomial evaluated on
+it.  Each term but g_00 ranges over [min(0, g_ab), max(0, g_ab)] when a and
+b are both even and over [-|g_ab|, |g_ab|] otherwise, so G lies within g_00
+plus their sum.  The exclusion test reads the sign of that enclosure on the
+integers.  Every other range (the Jacobian entries and values of interval
+Newton, the uniqueness regions, the orientation and region signs) is it
+divided by the scale and rounded outward to an `Interval` of doubles, whose
+arithmetic is outward-rounded too.  Nothing is rounded before that
+division, so a box far from the origin loses no bits.
 
 The oracle never overrules the exact pipeline; boxes it cannot decide are
 reported as unresolved, not dropped.
@@ -60,9 +61,6 @@ _CERTIFY_RADII = (1e-7, 4e-7)
 
 #: Box width below which Newton polishing is attempted.
 _POLISH_TRIGGER = 1.0 / 32
-
-#: Box width at or below which the mean-value exclusion test is tried.
-_MEAN_VALUE_WIDTH = 1.0
 
 #: Hard cap on processed boxes; the remainder is reported unresolved.
 _MAX_BOXES = 500_000
@@ -146,35 +144,6 @@ class Interval:
         return self.lo <= other.lo and other.hi <= self.hi
 
 
-def _power_bounds(lo: float, hi: float, k: int) -> list[tuple[float, float]]:
-    """Outward-rounded bounds (lo_n, hi_n) enclosing [lo, hi]**n for n = 0..k.
-
-    One running product per endpoint e does, once, the float operations that
-    multiplying [e, e] into [1, 1] n times repeats for every n; the ends of
-    [lo, hi]**n are chosen by the endpoints' signs and the parity of n.
-    Entry n does not depend on k, so one table serves every polynomial
-    evaluated on the same interval.
-    """
-    after = math.nextafter  # after(v, -_INF) is _down(v), after(v, _INF) is _up(v)
-    lo_lo = lo_hi = hi_lo = hi_hi = 1.0  # [lo_lo, lo_hi] encloses lo**n, [hi_lo, hi_hi] hi**n
-    table = [(1.0, 1.0)]
-    for n in range(1, k + 1):
-        a, b = lo_lo * lo, lo_hi * lo
-        lo_lo, lo_hi = after(min(a, b), -_INF), after(max(a, b), _INF)
-        a, b = hi_lo * hi, hi_hi * hi
-        hi_lo, hi_hi = after(min(a, b), -_INF), after(max(a, b), _INF)
-        if n % 2 or lo >= 0.0:
-            entry = (lo_lo, hi_hi)
-        elif hi <= 0.0:
-            entry = (hi_lo, lo_hi)
-        else:
-            entry = (0.0, lo_hi if -lo > hi else hi_hi)
-        if not entry[0] <= entry[1]:
-            Interval(*entry)  # raises as building the Interval would
-        table.append(entry)
-    return table
-
-
 Box = tuple[Interval, Interval]
 
 
@@ -195,61 +164,105 @@ class CertifiedPoint:
     in_region: bool | None = None
 
 
-class _IntervalPoly:
-    """A polynomial compiled for interval evaluation over boxes and for fast
-    approximate evaluation at points: each term keeps its exponents, the
-    nearest double to its coefficient, and the bounds of an interval
-    enclosing it."""
+def _affine_powers(lo: float, hi: float, k: int) -> tuple[list[list[int]], int]:
+    """The power table of [lo, hi] up to exponent k, and its shift l*k.
 
-    __slots__ = ("terms", "max_ex", "max_ey")
+    With lo = a/d and hi = b/d over one power of two d, the map
+    x = (A + B*s) / 2**l, for A = a + b, B = b - a and 2**l = 2*d, takes
+    [-1, 1] onto [lo, hi].  Row i holds the coefficients in s of
+    2**(l*(k - i)) * (A + B*s)**i, which is x**i times 2**(l*k).  A point
+    (B = 0) has rows of one entry.
+    """
+    try:
+        (a, m), (b, n) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    except OverflowError:
+        raise OracleOverflow("a box end lies beyond the range of hardware doubles") from None
+    d = max(m, n)  # m and n are powers of two
+    a, b = a * (d // m), b * (d // n)
+    l = d.bit_length()  # 2 * d = 2**l
+    ends, width = a + b, b - a  # A and B
+    rows = [[1]]
+    for _ in range(k):
+        row = [ends * c for c in rows[-1]]
+        if width:
+            row.append(0)
+            for t, c in enumerate(rows[-1]):
+                row[t + 1] += width * c
+        rows.append(row)
+    return [[c << l * (k - i) for c in row] for i, row in enumerate(rows)], l * k
+
+
+class _IntervalPoly:
+    """A polynomial compiled for the enclosure over boxes and for fast
+    approximate evaluation at points: its integer numerators over one
+    denominator, grouped by the exponent of x, and each term's exponents
+    with the nearest double to its coefficient."""
+
+    __slots__ = ("den", "columns", "terms", "max_ex", "max_ey")
 
     def __init__(self, p: Polynomial):
+        self.den = p._den
         self.terms = []
-        self.max_ex = 0
-        self.max_ey = 0
-        den = p._den
+        columns: dict[int, list[tuple[int, int]]] = {}
         for key, num in p._nums.items():
-            approx = _to_float(num, den)
-            a, b = approx.as_integer_ratio()
-            c_lo, c_hi = (approx, approx) if a * den == num * b else (_down(approx), _up(approx))
             ex, ey = unpack(key)
-            self.terms.append((ex, ey, approx, c_lo, c_hi))
-            self.max_ex = max(self.max_ex, ex)
-            self.max_ey = max(self.max_ey, ey)
+            self.terms.append((ex, ey, _to_float(num, self.den)))
+            columns.setdefault(ex, []).append((ey, num))
+        self.columns = sorted(columns.items())
+        self.max_ex = max((ex for ex, _, _ in self.terms), default=0)
+        self.max_ey = max((ey for _, ey, _ in self.terms), default=0)
+
+    def bounds(self, tables: tuple[list, list, int]) -> tuple[int, int]:
+        """The centred form [lo, hi] of G, the polynomial times
+        den * 2**shift, over the box of `tables`: with the table rows X_i(s)
+        and Y_j(t), G is the sum of num_ij * X_i(s) * Y_j(t)."""
+        xs, ys, _ = tables
+        size = len(ys[self.max_ey])
+        g = [[0] * size for _ in xs[self.max_ex]]
+        for ex, column in self.columns:
+            inner = [0] * size  # sum over j of num_ij * Y_j
+            for ey, num in column:
+                for b, c in enumerate(ys[ey]):
+                    inner[b] += num * c
+            for a, c in enumerate(xs[ex]):
+                row = g[a]
+                for b, v in enumerate(inner):
+                    row[b] += c * v
+        lo = hi = g[0][0]
+        g[0][0] = 0
+        for a, row in enumerate(g):
+            for b, v in enumerate(row):
+                if a % 2 or b % 2:
+                    lo, hi = lo - abs(v), hi + abs(v)
+                elif v < 0:
+                    lo += v
+                else:
+                    hi += v
+        return lo, hi
+
+    def enclose(self, tables: tuple[list, list, int]) -> Interval:
+        """`bounds` over the scale, each correctly rounded (int true
+        division) and then widened by one ulp."""
+        lo, hi = self.bounds(tables)
+        scale = self.den << tables[2]
+        try:
+            return Interval(_down(lo / scale), _up(hi / scale))
+        except OverflowError:
+            raise OracleOverflow("an enclosure exceeds the range of hardware doubles") from None
 
     def range(self, x: Interval, y: Interval) -> Interval:
-        return self.fold(_power_bounds(x.lo, x.hi, self.max_ex),
-                         _power_bounds(y.lo, y.hi, self.max_ey))
-
-    def fold(self, xp: list[tuple[float, float]],
-             yp: list[tuple[float, float]]) -> Interval:
-        """Range over the box whose power tables (`_power_bounds`) are xp, yp.
-
-        Each step does the float operations of `Interval.__mul__` and
-        `Interval.__add__` on the term `coeff * x**ex * y**ey` and the running
-        sum, in the same order, and keeps their `lo <= hi` check: a failed
-        check builds the Interval, which raises the same error.
-        """
-        after, down, up = math.nextafter, -_INF, _INF
-        lo = hi = 0.0
-        for ex, ey, _, c_lo, c_hi in self.terms:
-            x_lo, x_hi = xp[ex]
-            a, b, c, d = c_lo * x_lo, c_lo * x_hi, c_hi * x_lo, c_hi * x_hi
-            t_lo, t_hi = after(min(a, b, c, d), down), after(max(a, b, c, d), up)
-            if not t_lo <= t_hi:
-                Interval(t_lo, t_hi)
-            y_lo, y_hi = yp[ey]
-            a, b, c, d = t_lo * y_lo, t_lo * y_hi, t_hi * y_lo, t_hi * y_hi
-            t_lo, t_hi = after(min(a, b, c, d), down), after(max(a, b, c, d), up)
-            if not t_lo <= t_hi:
-                Interval(t_lo, t_hi)
-            lo, hi = after(lo + t_lo, down), after(hi + t_hi, up)
-            if not lo <= hi:
-                Interval(lo, hi)
-        return Interval(lo, hi)
+        return self.enclose(_tables(x, y, self.max_ex, self.max_ey))
 
     def approx(self, px: float, py: float) -> float:
-        return sum(c * px ** ex * py ** ey for ex, ey, c, _, _ in self.terms)
+        return sum(c * px ** ex * py ** ey for ex, ey, c in self.terms)
+
+
+def _tables(x: Interval, y: Interval, kx: int, ky: int) -> tuple[list, list, int]:
+    """The power tables of a box for polynomials of degree at most kx in x
+    and ky in y, and the total shift of their scale."""
+    xs, x_shift = _affine_powers(x.lo, x.hi, kx)
+    ys, y_shift = _affine_powers(y.lo, y.hi, ky)
+    return xs, ys, x_shift + y_shift
 
 
 def _to_float(num: int, den: int) -> float:
@@ -289,45 +302,21 @@ class _System:
         self.max_ex = max(p.max_ex for p in self.eqs)
         self.max_ey = max(p.max_ey for p in self.eqs)
 
-    def tables(self, x: Interval, y: Interval) -> tuple[list, list]:
+    def tables(self, x: Interval, y: Interval) -> tuple[list, list, int]:
         """The power tables of a box for every equation and gradient."""
-        return (_power_bounds(x.lo, x.hi, self.max_ex),
-                _power_bounds(y.lo, y.hi, self.max_ey))
-
-
-def _mean_value_forms(system: _System, box: Box, xp: list, yp: list):
-    """Yield, equation by equation, the centred mean-value enclosure of its
-    range over the box whose power tables are xp, yp.
-
-    With c the box's midpoint, p(B) lies in
-    p(c) + dp/dx(B) * (B_x - c_x) + dp/dy(B) * (B_y - c_y) by the mean-value
-    theorem, since B is convex and holds c; every step rounds outward.
-    """
-    centre_x, centre_y = Interval.point(box[0].mid), Interval.point(box[1].mid)
-    dx, dy = box[0] - centre_x, box[1] - centre_y
-    cxp, cyp = system.tables(centre_x, centre_y)
-    for p, (gx, gy) in zip(system.eqs, system.grads):
-        yield p.fold(cxp, cyp) + gx.fold(xp, yp) * dx + gy.fold(xp, yp) * dy
+        return _tables(x, y, self.max_ex, self.max_ey)
 
 
 def _excluded(system: _System, box: Box, regions: Sequence[Box] = ()) -> bool:
     """Whether the box can hold no cusp outside the certified boxes whose
-    uniqueness regions (`_uniqueness_region`) are `regions`.
-
-    The tests run cheapest first: the natural range of an equation excludes
-    zero; the box lies inside a uniqueness region, where the one zero of the
-    certifying pair is the one in the certified box, and every cusp is a
-    zero of that pair; on a box of width at most `_MEAN_VALUE_WIDTH`, the
-    mean-value form of an equation excludes zero.
+    uniqueness regions (`_uniqueness_region`) are `regions`: it lies in one
+    of them, or the enclosure of an equation over it excludes zero.
     """
-    xp, yp = system.tables(*box)
-    if any(p.fold(xp, yp).excludes_zero() for p in system.eqs):
-        return True
     if any(r[0].contains_interval(box[0]) and r[1].contains_interval(box[1])
            for r in regions):
         return True
-    return max(box[0].width, box[1].width) <= _MEAN_VALUE_WIDTH and any(
-        value.excludes_zero() for value in _mean_value_forms(system, box, xp, yp))
+    tables = system.tables(*box)
+    return any(lo > 0 or hi < 0 for lo, hi in (p.bounds(tables) for p in system.eqs))
 
 
 def _best_pair(system: _System, px: float, py: float) -> tuple[int, int]:
@@ -370,11 +359,9 @@ def _polish(system: _System, pair: tuple[int, int],
 def _jacobian(system: _System, pair: tuple[int, int], box: Box):
     """The pair's interval Jacobian entries over the box, and its determinant."""
     i, j = pair
-    xp, yp = system.tables(*box)
-    j11 = system.grads[i][0].fold(xp, yp)
-    j12 = system.grads[i][1].fold(xp, yp)
-    j21 = system.grads[j][0].fold(xp, yp)
-    j22 = system.grads[j][1].fold(xp, yp)
+    tables = system.tables(*box)
+    (j11, j12), (j21, j22) = ([gx.enclose(tables), gy.enclose(tables)]
+                              for gx, gy in (system.grads[i], system.grads[j]))
     return j11, j12, j21, j22, j11 * j22 - j12 * j21
 
 
@@ -390,11 +377,9 @@ def _interval_newton(system: _System, pair: tuple[int, int],
     j11, j12, j21, j22, det = _jacobian(system, pair, box)
     if not det.excludes_zero():
         return False
-    centre_x = Interval.point(px)
-    centre_y = Interval.point(py)
-    xp, yp = system.tables(centre_x, centre_y)
-    v1 = system.eqs[i].fold(xp, yp)
-    v2 = system.eqs[j].fold(xp, yp)
+    centre_x, centre_y = Interval.point(px), Interval.point(py)
+    tables = system.tables(centre_x, centre_y)
+    v1, v2 = system.eqs[i].enclose(tables), system.eqs[j].enclose(tables)
     newton_x = centre_x - (j22 * v1 - j12 * v2) / det
     newton_y = centre_y - (j11 * v2 - j21 * v1) / det
     return newton_x.strictly_inside(box_x) and newton_y.strictly_inside(box_y)

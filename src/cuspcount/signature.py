@@ -94,6 +94,7 @@ never for a matrix that the first truncated stage certifies.
 
 from __future__ import annotations
 
+from collections.abc import Sized
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count
@@ -139,11 +140,14 @@ def _integer_rows(matrix: MatrixLike) -> MatrixLike:
     """s*M as rows of Python ints, for s the least common multiple of the
     entries' denominators, from rows or a 2-d array of ints, numpy integers
     and Fractions; rows of ints are returned as they are.  Raises
-    ValueError when the rows differ in length, and TypeError naming the
-    first entry of any other type: no count on a float is a certificate.
+    ValueError when the matrix is not two-dimensional or its rows differ in
+    length, and TypeError naming the first entry of any other type: no
+    count on a float is a certificate.
     """
     if isinstance(matrix, np.ndarray):
         matrix = matrix.tolist()  # numpy integers become Python ints
+    if not isinstance(matrix, Sized) or not all(isinstance(row, Sized) for row in matrix):
+        raise ValueError("the matrix must be two-dimensional: a sequence of rows")
     width = len(matrix[0]) if matrix else 0
     for i, row in enumerate(matrix):
         if len(row) != width:

@@ -192,12 +192,21 @@ class TestExitCodes:
         assert err.startswith("cuspcount: oracle:") and err.count("\n") == 1
 
     def test_oracle_interval_overflow(self, tmp_path, capsys):
-        # the box endpoints overflow to infinity and a product 0 * inf is NaN
+        # box ends near the largest double: the ranges over the wide boxes
+        # pass the doubles, but the exclusion test reads them as integers
         path = write_problem(tmp_path, TWO_CUSP_TEXT)
         code, out, err = run_cli(capsys, [path, "--oracle", "--radius", "1e308"])
-        assert code == 6
-        assert out == ""
-        assert err.startswith("cuspcount: oracle:") and err.count("\n") == 1
+        assert (code, err) == (0, "")
+        assert "oracle: 2 certified point(s), 0 unresolved" in out
+
+    def test_oracle_at_a_huge_radius_ends_in_seconds(self, tmp_path, capsys):
+        # far from the cusps the exact enclosures exclude huge boxes whole
+        path = write_problem(tmp_path, TWO_CUSP_TEXT)
+        start = time.process_time()
+        code, out, err = run_cli(capsys, [path, "--oracle", "--radius", "1e200"])
+        assert time.process_time() - start < 10
+        assert (code, err) == (0, "")
+        assert "oracle: 2 certified point(s), 0 unresolved" in out
 
     @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
     @pytest.mark.parametrize("f1", [

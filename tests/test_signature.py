@@ -899,6 +899,13 @@ class TestRank:
         with pytest.raises(ValueError, match=f"row {row} has"):
             rank(matrix)
 
+    @pytest.mark.parametrize("route", [rank, signature_of], ids=["rank", "signature_of"])
+    @pytest.mark.parametrize("matrix", [[1, 2], np.array([1, 2]), np.array(3), [[1, 2], 3]],
+                             ids=["list", "1-d array", "0-d array", "row and entry"])
+    def test_rejects_a_matrix_that_is_not_two_dimensional(self, route, matrix):
+        with pytest.raises(ValueError, match="^the matrix must be two-dimensional"):
+            route(matrix)
+
     @pytest.mark.parametrize("shape", [(5, 9), (9, 5), (3, 12), (12, 3)],
                              ids=["wide", "tall", "very wide", "very tall"])
     def test_planted_kernels_lift_over_several_primes(self, monkeypatch, shape):
