@@ -3,15 +3,16 @@
 Subdivision over a square domain discards boxes that one exclusion test,
 `_excluded`, proves hold no cusp not yet certified.  It first asks, without
 evaluating anything, whether the box lies in the uniqueness region of a cusp
-box already certified: the widest square around that box, grown by
-doubling, over which the interval Jacobian determinant of the pair that
-certified it excludes zero.  That pair then has one zero in the region, the
-one in the box, and every cusp is a zero of it, so the rest of the region
-holds no cusp.  Otherwise the box goes when the enclosure of one of the
-three equations over it excludes zero.  Surviving boxes are polished by
-floating-point Newton iteration on the best-conditioned pair of equations
-and then certified by interval-Newton contraction, which proves existence
-and uniqueness of a zero of the pair in a tiny isolating box.  An isolating
+box already certified: the widest square found around that box, by
+bisection over its doubled half-widths, over which the interval Jacobian
+determinant of the pair that certified it excludes zero.  That pair then
+has one zero in the region, the one in the box, and every cusp is a zero
+of it, so the rest of the region holds no cusp.  Otherwise the box goes
+when the enclosure of one of the three equations over it excludes zero.
+Surviving boxes are polished by floating-point Newton iteration on the
+best-conditioned pair of equations and then certified by interval-Newton
+contraction, which proves existence and uniqueness of a zero of the pair
+in a tiny isolating box.  An isolating
 box that would meet a cusp box already certified is dropped before interval
 Newton: it could only be a duplicate.  A certified box is kept only if the
 same exclusion test does not remove it, which checks the third equation
@@ -23,15 +24,17 @@ Rokne, evaluated exactly.  Box ends are doubles, hence dyadic, so the maps
 x = (A + B*s) / 2**l and y = (C + D*t) / 2**m take [-1, 1]^2 exactly onto
 the box, and p times a positive integer scale is an integer polynomial
 G = sum of g_ab * s**a * t**b, expanded in Python ints from one table of
-powers per box (`_affine_powers`), shared by every polynomial evaluated on
-it.  Each term but g_00 ranges over [min(0, g_ab), max(0, g_ab)] when a and
-b are both even and over [-|g_ab|, |g_ab|] otherwise, so G lies within g_00
-plus their sum.  The exclusion test reads the sign of that enclosure on the
-integers.  Every other range (the Jacobian entries and values of interval
-Newton, the uniqueness regions, the orientation and region signs) is it
-divided by the scale and rounded outward to an `Interval` of doubles, whose
-arithmetic is outward-rounded too.  Nothing is rounded before that
-division, so a box far from the origin loses no bits.
+powers per side of the box (`_affine_powers`), shared by every polynomial
+evaluated on it and, within one `isolate_cusps` call, by every box with
+that side.  Each term but g_00 ranges over [min(0, g_ab), max(0, g_ab)]
+when a and b are both even and over [-|g_ab|, |g_ab|] otherwise, so G lies
+within g_00 plus their sum.  The exclusion test reads the sign of that
+enclosure on the integers.  Every other range (the Jacobian entries and
+values of interval Newton, the uniqueness regions, the orientation and
+region signs) is it divided by the scale and rounded outward to an
+`Interval` of doubles, whose arithmetic is outward-rounded too.  Nothing
+is rounded before that division, so a box far from the origin loses no
+bits.
 
 The oracle never overrules the exact pipeline; boxes it cannot decide are
 reported as unresolved, not dropped.
@@ -64,6 +67,9 @@ _POLISH_TRIGGER = 1.0 / 32
 
 #: Hard cap on processed boxes; the remainder is reported unresolved.
 _MAX_BOXES = 500_000
+
+#: Side power tables a `_System` keeps for reuse (`_System.tables`).
+_SIDE_TABLES = 64
 
 
 def _down(v: float) -> float:
@@ -164,7 +170,7 @@ class CertifiedPoint:
     in_region: bool | None = None
 
 
-def _affine_powers(lo: float, hi: float, k: int) -> tuple[list[list[int]], int]:
+def _affine_powers(lo: float, hi: float, k: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     """The power table of [lo, hi] up to exponent k, and its shift l*k.
 
     With lo = a/d and hi = b/d over one power of two d, the map
@@ -189,7 +195,7 @@ def _affine_powers(lo: float, hi: float, k: int) -> tuple[list[list[int]], int]:
             for t, c in enumerate(rows[-1]):
                 row[t + 1] += width * c
         rows.append(row)
-    return [[c << l * (k - i) for c in row] for i, row in enumerate(rows)], l * k
+    return tuple(tuple([c << l * (k - i) for c in row]) for i, row in enumerate(rows)), l * k
 
 
 class _IntervalPoly:
@@ -212,7 +218,7 @@ class _IntervalPoly:
         self.max_ex = max((ex for ex, _, _ in self.terms), default=0)
         self.max_ey = max((ey for _, ey, _ in self.terms), default=0)
 
-    def bounds(self, tables: tuple[list, list, int]) -> tuple[int, int]:
+    def bounds(self, tables: tuple[tuple, tuple, int]) -> tuple[int, int]:
         """The centred form [lo, hi] of G, the polynomial times
         den * 2**shift, over the box of `tables`: with the table rows X_i(s)
         and Y_j(t), G is the sum of num_ij * X_i(s) * Y_j(t)."""
@@ -240,7 +246,7 @@ class _IntervalPoly:
                     hi += v
         return lo, hi
 
-    def enclose(self, tables: tuple[list, list, int]) -> Interval:
+    def enclose(self, tables: tuple[tuple, tuple, int]) -> Interval:
         """`bounds` over the scale, each correctly rounded (int true
         division) and then widened by one ulp."""
         lo, hi = self.bounds(tables)
@@ -257,7 +263,7 @@ class _IntervalPoly:
         return sum(c * px ** ex * py ** ey for ex, ey, c in self.terms)
 
 
-def _tables(x: Interval, y: Interval, kx: int, ky: int) -> tuple[list, list, int]:
+def _tables(x: Interval, y: Interval, kx: int, ky: int) -> tuple[tuple, tuple, int]:
     """The power tables of a box for polynomials of degree at most kx in x
     and ky in y, and the total shift of their scale."""
     xs, x_shift = _affine_powers(x.lo, x.hi, kx)
@@ -301,10 +307,29 @@ class _System:
         # partial derivatives have no larger exponents than their equations
         self.max_ex = max(p.max_ex for p in self.eqs)
         self.max_ey = max(p.max_ey for p in self.eqs)
+        self._sides: dict[tuple[float, float, int], tuple[tuple, int]] = {}
 
-    def tables(self, x: Interval, y: Interval) -> tuple[list, list, int]:
-        """The power tables of a box for every equation and gradient."""
-        return _tables(x, y, self.max_ex, self.max_ey)
+    def tables(self, x: Interval, y: Interval) -> tuple[tuple, tuple, int]:
+        """The power tables of a box for every equation and gradient.
+
+        Tables are reused within one `isolate_cusps` call: each side's table
+        is built once and kept while this system lives, among the
+        `_SIDE_TABLES` built last, so the four children of a split share
+        their two x-sides and two y-sides, and interval Newton's box and the
+        exclusion of the box it certifies share one pair of tables.
+        """
+        xs, x_shift = self._side(x.lo, x.hi, self.max_ex)
+        ys, y_shift = self._side(y.lo, y.hi, self.max_ey)
+        return xs, ys, x_shift + y_shift
+
+    def _side(self, lo: float, hi: float, k: int) -> tuple[tuple, int]:
+        key = (lo, hi, k)  # -0.0 and 0.0 share a key and a table
+        table = self._sides.get(key)
+        if table is None:
+            if len(self._sides) >= _SIDE_TABLES:
+                del self._sides[next(iter(self._sides))]  # the oldest
+            table = self._sides[key] = _affine_powers(lo, hi, k)
+        return table
 
 
 def _excluded(system: _System, box: Box, regions: Sequence[Box] = ()) -> bool:
@@ -414,29 +439,42 @@ def _uniqueness_region(system: _System, pair: tuple[int, int], box: Box,
     """The widest box found around a certified box in which the pair that
     certified it has no zero but the one in that box.
 
-    The box is widened on every side, rounding outward, so that its
-    half-width doubles, up to `radius`, while the pair's interval Jacobian
-    determinant over the widened box excludes zero.  Every Jacobian matrix
-    over that convex box is then nonsingular, so by the mean-value theorem
-    the pair has at most one zero in it: the one in the certified box.
-    Every cusp is a zero of the pair, so the region holds no cusp outside
-    the certified box, even when that box's own zero is not a cusp.  A
-    region grown from another pair has no such guarantee.
+    Widening j is the box widened on every side, rounding outward, to the
+    half-width min(half * 2**j, radius), half being the box's own, and J is
+    the least j that reaches `radius`.  A widening passes when the pair's
+    interval Jacobian determinant over it excludes zero (and does not
+    overflow).  The search tests J first; while the widest widening that
+    passed (at first j = 0, the box itself, which is never evaluated) and
+    the narrowest that failed are not adjacent, it tests the j midway
+    between them.  It returns the widest that passed.  Where passing at j
+    implies passing below j, that is the widening before the first failure,
+    which doubling the half-width finds.  Every Jacobian matrix over the
+    returned convex box is nonsingular, so by the mean-value theorem the pair has at most one zero
+    in it: the one in the certified box.  Every cusp is a zero of the pair,
+    so the region holds no cusp outside the certified box, even when that
+    box's own zero is not a cusp.  A region grown from another pair has no
+    such guarantee.
     """
     half = grown = 0.5 * max(box[0].width, box[1].width)
-    region = box
+    margins = [0.0]  # widening j's margin on every side
     while grown < radius:
         grown = min(2.0 * grown, radius)
-        margin = grown - half
+        margins.append(grown - half)
+    good, bad, region = 0, len(margins), box
+    j = len(margins) - 1
+    while j > good:
+        margin = margins[j]
         wider = (Interval(_down(box[0].lo - margin), _up(box[0].hi + margin)),
                  Interval(_down(box[1].lo - margin), _up(box[1].hi + margin)))
         try:
-            det = _jacobian(system, pair, wider)[4]
+            nonsingular = _jacobian(system, pair, wider)[4].excludes_zero()
         except OracleOverflow:  # a range past the doubles decides nothing
-            break
-        if not det.excludes_zero():
-            break
-        region = wider
+            nonsingular = False
+        if nonsingular:
+            good, region = j, wider
+        else:
+            bad = j
+        j = (good + bad) // 2
     return region
 
 
@@ -450,6 +488,14 @@ def isolate_cusps(derived: DerivedSystem,
     certified before reaching the minimum width.  Results are sorted by box
     corner, so the output is deterministic.  Raises OracleOverflow when a
     coefficient of the system exceeds the range of doubles.
+
+    On a map that `census` rejects as not generic, boxes near its
+    degenerate zeros may be neither excluded nor certified: on
+    `quadratic-4` of the `oracle` workload at seed 1
+    (f1 = -2*x^2 + 4*x*y + 3*y^2 - 2*x - 3*y + 4,
+    f2 = -2*x^2 - 4*x*y - 2*y^2 + 2), at radius 1, the search runs to the
+    `_MAX_BOXES` cap, takes about a minute of CPU, and returns one
+    unresolved box [-1, 0.5] x [-1, 1].
     """
     if not 0 < box_radius < _INF:
         raise ValueError("box_radius must be a positive finite number")

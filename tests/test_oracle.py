@@ -2,8 +2,12 @@
 agreement with the symbolic census on random maps."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -57,6 +61,43 @@ def rounded_outward(lo: Fraction, hi: Fraction) -> Interval:
         return Interval(math.nextafter(float(lo), -math.inf), math.nextafter(float(hi), math.inf))
     except OverflowError:
         raise OracleOverflow("past the doubles") from None
+
+
+def doubling_region(system: _System, pair: tuple[int, int], box, radius: float):
+    """The uniqueness region grown by doubling: the box widened, rounding
+    outward, to the half-widths min(half * 2**j, radius) for j = 1, 2, ...
+    while the pair's Jacobian determinant excludes zero, stopping at the
+    first widening where it does not (or overflows)."""
+    half = grown = 0.5 * max(box[0].width, box[1].width)
+    region = box
+    while grown < radius:
+        grown = min(2.0 * grown, radius)
+        margin = grown - half
+        wider = (Interval(math.nextafter(box[0].lo - margin, -math.inf),
+                          math.nextafter(box[0].hi + margin, math.inf)),
+                 Interval(math.nextafter(box[1].lo - margin, -math.inf),
+                          math.nextafter(box[1].hi + margin, math.inf)))
+        try:
+            det = oracle._jacobian(system, pair, wider)[4]
+        except OracleOverflow:
+            break
+        if not det.excludes_zero():
+            break
+        region = wider
+    return region
+
+
+def count_calls(monkeypatch, name: str) -> list:
+    """Replace the oracle's function `name` by a spy; the returned list gets
+    one entry per call."""
+    function, calls = getattr(oracle, name), []
+
+    def spy(*args):
+        calls.append(None)
+        return function(*args)
+
+    monkeypatch.setattr(oracle, name, spy)
+    return calls
 
 
 def reference_merge(boxes):
@@ -577,6 +618,109 @@ class TestUniquenessRegion:
         monkeypatch.setattr(oracle, "_excluded", excluded_spy)
         isolate_cusps(derive_system(problem.f1, problem.f2), box_radius=16.0)
         assert len(calls) <= ceiling
+
+    @pytest.mark.parametrize("text, radius", [
+        (TWO_CUSP_TEXT, 16.0), (WHITNEY_TEXT, 16.0), (SIX_CUSP_TEXT, 16.0),
+        (EIGHT_CUSP_TEXT, 16.0), (TWO_CUSP_TEXT, 1e200),
+    ], ids=["two_cusp", "whitney", "six_cusp", "eight_cusp", "two_cusp_1e200"])
+    def test_bisection_finds_the_doubling_region(self, monkeypatch, text, radius):
+        problem = parse_problem(text)
+        grown = []
+
+        def region_spy(system, pair, box, radius):
+            region = _uniqueness_region(system, pair, box, radius)
+            grown.append((system, pair, box, radius, region))
+            return region
+
+        monkeypatch.setattr(oracle, "_uniqueness_region", region_spy)
+        isolate_cusps(derive_system(problem.f1, problem.f2), box_radius=radius)
+        assert grown
+        for system, pair, box, radius, region in grown:
+            assert region == doubling_region(system, pair, box, radius), box
+
+    @pytest.mark.parametrize("failing", [
+        lambda last: {last // 2},
+        lambda last: {last // 2, last},
+        lambda last: set(range(last // 2, last + 1)) - {last - 1},
+    ], ids=["middle", "middle_and_last", "all_but_one_above_middle"])
+    def test_a_nonmonotone_test_still_gives_a_tested_region(self, monkeypatch, failing):
+        # the determinant is made to straddle zero at chosen exponents j of
+        # the widening (half-width 1e-7 * 2**j, j = 28 reaches the radius 16)
+        box = (Interval(-1e-7, 1e-7), Interval(-1e-7, 1e-7))
+        last = math.ceil(math.log2(16.0 / 1e-7))
+        bad = failing(last)
+        tested = []
+
+        def jacobian_spy(system, pair, wider):
+            j = round(math.log2(wider[0].width / box[0].width))
+            assert 0 < j <= last
+            det = Interval(-1.0, 1.0) if j in bad else Interval(1.0, 2.0)
+            tested.append((wider, det.excludes_zero()))
+            return None, None, None, None, det
+
+        monkeypatch.setattr(oracle, "_jacobian", jacobian_spy)
+        region = _uniqueness_region(system_of(X, Y, X + Y), (0, 1), box, 16.0)
+        assert (region, True) in tested
+        assert len(tested) <= 1 + math.ceil(math.log2(last))
+
+    @pytest.mark.parametrize("text, ceiling", [
+        (WHITNEY_TEXT, 3), (SIX_CUSP_TEXT, 60), (EIGHT_CUSP_TEXT, 80),
+    ], ids=["whitney", "six_cusp", "eight_cusp"])
+    def test_jacobians_at_radius_16(self, monkeypatch, text, ceiling):
+        # interval Newton's and the regions' Jacobians together: 2, 42 and
+        # 56; growing each region by doubling took 29, 125 and 160
+        problem = parse_problem(text)
+        calls = count_calls(monkeypatch, "_jacobian")
+        isolate_cusps(derive_system(problem.f1, problem.f2), box_radius=16.0)
+        assert len(calls) <= ceiling
+
+    def test_region_below_the_certify_radius_is_the_certified_box(self, monkeypatch):
+        # the certified box of half-width 1e-7 already holds the search box
+        # [-1e-8, 1e-8]^2: nothing is left to widen
+        problem = parse_problem(WHITNEY_TEXT)
+        calls = count_calls(monkeypatch, "_jacobian")
+        grown = []
+
+        def region_spy(system, pair, box, radius):
+            before = len(calls)
+            region = _uniqueness_region(system, pair, box, radius)
+            grown.append((box, region, len(calls) - before))
+            return region
+
+        monkeypatch.setattr(oracle, "_uniqueness_region", region_spy)
+        points = isolate_cusps(derive_system(problem.f1, problem.f2), box_radius=1e-8)
+        r = _CERTIFY_RADII[0]
+        certified = (Interval(-r, r), Interval(-r, r))
+        assert points == (CertifiedPoint(box=certified, kind="cusp", degree_sign=1),)
+        assert grown == [(certified, certified, 0)]
+
+
+class TestSideTables:
+    """Each side's power table is built once per `isolate_cusps` call."""
+
+    def test_tables_built_for_the_six_cusp_map(self, monkeypatch):
+        # 1 624 tables; building both of every box's tables took 8 332
+        problem = parse_problem(SIX_CUSP_TEXT)
+        calls = count_calls(monkeypatch, "_affine_powers")
+        isolate_cusps(derive_system(problem.f1, problem.f2), box_radius=16.0)
+        assert len(calls) <= 8332 // 2
+
+    def test_calls_on_different_maps_return_what_each_returns_alone(self):
+        # two maps of different degrees, so their tables of one side differ
+        texts = (TWO_CUSP_TEXT, WHITNEY_TEXT)
+        derived = [derive_system(p.f1, p.f2) for p in map(parse_problem, texts)]
+        together = [repr(isolate_cusps(d)) for d in derived + derived]
+        code = ("import sys\n"
+                "from cuspcount.exprio import parse_problem\n"
+                "from cuspcount.oracle import isolate_cusps\n"
+                "from cuspcount.pipeline import derive_system\n"
+                "p = parse_problem(sys.stdin.read())\n"
+                "print(repr(isolate_cusps(derive_system(p.f1, p.f2))))\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(oracle.__file__).resolve().parents[1]))
+        alone = [subprocess.run([sys.executable, "-c", code], input=text, env=env, check=True,
+                                capture_output=True, text=True).stdout.strip()
+                 for text in texts]
+        assert together == alone + alone
 
 
 class TestMerge:
